@@ -25,12 +25,11 @@ from .core import (
     Schedule,
     ScheduleStep,
     SystemState,
+    _LinkKernel,
     activate_traced,
     aggregate_cardinality,
-    gt_masks,
     gt_satisfied,
     initial_state,
-    links,
 )
 
 TIE_LOWEST = "lowest"
@@ -101,16 +100,6 @@ def _finish(
     )
 
 
-def _available_pairs(masks: Sequence[int]) -> list[tuple[int, int]]:
-    m = len(masks)
-    return [
-        (i, j)
-        for i in range(m - 1)
-        for j in range(i + 1, m)
-        if gt_masks(masks[i], masks[j])
-    ]
-
-
 def _gain(masks: Sequence[int], i: int, j: int) -> int:
     """Segments nodes i and j gain in total by exchanging."""
     return 2 * (masks[i] | masks[j]).bit_count() - masks[i].bit_count() - masks[j].bit_count()
@@ -126,26 +115,39 @@ def run_randomized(instance: Instance, seed: int) -> AlgorithmRun:
     """
     rng = random.Random(seed)
     state = initial_state(instance)
+    kernel = _LinkKernel(state.masks())
     steps: list[ScheduleStep] = []
     phases = 0
     order = list(range(instance.m))
-    while links(state):
+    while kernel.live:
         phases += 1
         rng.shuffle(order)
         for at in range(0, instance.m - 1, 2):
             i, j = order[at], order[at + 1]
             if gt_satisfied(state, i, j):
                 state, step = activate_traced(state, Link(i, j))
+                kernel.activate(i, j)
                 steps.append(step)
     return _finish("rand", state, steps, rounds=phases)
+
+
+def _third_count(masks: Sequence[int], union: int) -> int:
+    """Nodes that would link to a pair holding ``union`` (never the pair itself)."""
+    return len([x for x in masks if x & ~union and union & ~x])
 
 
 def run_greedy_links(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmRun:
     """Activate the link that leaves the most links alive afterwards.
 
-    The resulting link count is evaluated incrementally: pairs not touching
-    the activated endpoints keep their status, while both endpoints end up
-    with the same union set, so their links to every third node coincide.
+    Activating (i, j) keeps every link not touching i or j, removes those
+    that do, and adds one link from each endpoint to every third node t
+    that links to the union ``set_i | set_j``: both endpoints end up
+    holding it.  The weight ``live - deg(i) - deg(j) + 1 + 2 * third(i, j)``
+    therefore costs O(1) per pair, given the cached count ``third(i, j)``
+    of such nodes t.  After an activation only the counts of pairs touching
+    i or j are recounted (one count per third node t, shared by (i, t) and
+    (j, t)); every other linked pair keeps its union and only changes
+    through the terms for t = i and t = j.  A step costs O(m^2).
 
     Pairs tied on that count are ordered by their immediate gain
     ``2*|union| - |set_i| - |set_j|``, larger first (the ``ginc`` weight),
@@ -156,32 +158,21 @@ def run_greedy_links(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmR
     """
     pick = tie.picker()
     state = initial_state(instance)
+    kernel = _LinkKernel(state.masks())
+    masks, nbr = kernel.masks, kernel.nbr
     steps: list[ScheduleStep] = []
     m = instance.m
-    while True:
-        masks = state.masks()
-        degree = [0] * m
-        available: list[tuple[int, int]] = []
-        for i in range(m - 1):
-            for j in range(i + 1, m):
-                if gt_masks(masks[i], masks[j]):
-                    available.append((i, j))
-                    degree[i] += 1
-                    degree[j] += 1
-        if not available:
-            break
-        total = len(available)
+    third = [[0] * m for _ in range(m)]
+    for i, j in kernel.pairs():
+        third[i][j] = _third_count(masks, masks[i] | masks[j])
+    while kernel.live:
+        available = kernel.pairs()
+        degree = [row.bit_count() for row in nbr]
+        untouched = kernel.live + 1
         best_weight = -1
         candidates: list[tuple[int, int]] = []
         for i, j in available:
-            union = masks[i] | masks[j]
-            untouched = total - degree[i] - degree[j] + 1
-            third = sum(
-                1
-                for t in range(m)
-                if t != i and t != j and gt_masks(union, masks[t])
-            )
-            weight = untouched + 2 * third
+            weight = untouched - degree[i] - degree[j] + 2 * third[i][j]
             if weight > best_weight:
                 best_weight = weight
                 candidates = [(i, j)]
@@ -191,8 +182,36 @@ def run_greedy_links(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmR
         best_gain = max(gains)
         candidates = [p for p, g in zip(candidates, gains) if g == best_gain]
         i, j = pick(candidates)
+        old_i, old_j = masks[i], masks[j]
         state, step = activate_traced(state, Link(i, j))
         steps.append(step)
+        kernel.activate(i, j)
+        if not kernel.live:
+            break
+        union = masks[i]
+        for a, b in available:
+            if a == i or a == j or b == i or b == j:
+                continue
+            # t = i and t = j each counted iff their old set was incomparable
+            # with v, and now count iff the union is
+            v = masks[a] | masks[b]
+            if v & ~union:
+                if union & ~v:
+                    # incomparable with the union, so inside neither old set
+                    third[a][b] += (old_i & v == old_i) + (old_j & v == old_j)
+                # else v holds the union and both old sets: nothing changes
+            else:
+                if v & ~old_i and old_i & ~v:
+                    third[a][b] -= 1
+                if v & ~old_j and old_j & ~v:
+                    third[a][b] -= 1
+        row = nbr[i]
+        for t in range(m):
+            if not row >> t & 1:
+                continue
+            count = _third_count(masks, union | masks[t])
+            third[min(i, t)][max(i, t)] = count
+            third[min(j, t)][max(j, t)] = count
     return _finish("glink", state, steps)
 
 
@@ -204,15 +223,13 @@ def run_greedy_incremental(instance: Instance, tie: TieRule = TieRule()) -> Algo
     """
     pick = tie.picker()
     state = initial_state(instance)
+    kernel = _LinkKernel(state.masks())
+    masks = kernel.masks
     steps: list[ScheduleStep] = []
-    while True:
-        masks = state.masks()
-        available = _available_pairs(masks)
-        if not available:
-            break
+    while kernel.live:
         best_weight = -1
         candidates: list[tuple[int, int]] = []
-        for i, j in available:
+        for i, j in kernel.pairs():
             weight = _gain(masks, i, j)
             if weight > best_weight:
                 best_weight = weight
@@ -222,7 +239,17 @@ def run_greedy_incremental(instance: Instance, tie: TieRule = TieRule()) -> Algo
         i, j = pick(candidates)
         state, step = activate_traced(state, Link(i, j))
         steps.append(step)
+        kernel.activate(i, j)
     return _finish("ginc", state, steps)
+
+
+def _holder_classes(masks: Sequence[int], n: int) -> list[int]:
+    """Masks of the ``n``-universe's segments held by exactly 1, 2, ..., m nodes."""
+    classes = [0] * (len(masks) + 1)
+    for e in range(n):
+        bit = 1 << e
+        classes[sum(1 for mask in masks if mask & bit)] |= bit
+    return classes[1:]
 
 
 def rarest_first_rows(state: SystemState, n: int) -> dict[Link, tuple[int, ...]]:
@@ -234,47 +261,53 @@ def rarest_first_rows(state: SystemState, n: int) -> dict[Link, tuple[int, ...]]
     by exactly one endpoint (their availability would grow).  Rows compare
     lexicographically, larger is preferred.
     """
-    masks = state.masks()
-    m = len(masks)
+    kernel = _LinkKernel(state.masks())
+    masks = kernel.masks
     full = (1 << n) - 1
-    partition = [0] * (m + 1)
-    for e in range(n):
-        bit = 1 << e
-        holders = sum(1 for mask in masks if mask & bit)
-        if holders:
-            partition[holders] |= bit
+    classes = _holder_classes(masks, n)
     rows: dict[Link, tuple[int, ...]] = {}
-    for i, j in _available_pairs(masks):
-        union = masks[i] | masks[j]
+    for i, j in kernel.pairs():
         sym = masks[i] ^ masks[j]
-        row = (1 if union != full else 0,) + tuple(
-            (sym & partition[p]).bit_count() for p in range(1, m + 1)
+        rows[Link(i, j)] = (1 if masks[i] | masks[j] != full else 0,) + tuple(
+            (sym & cls).bit_count() for cls in classes
         )
-        rows[Link(i, j)] = row
     return rows
 
 
 def run_rarest_first(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmRun:
     """Grow the availability of the rarest segments first.
 
-    Each step ranks the available links by their preference rows (see
-    :func:`rarest_first_rows`): avoid creating universe holders, then favor
-    links that lift segments held by only one node, then by two, and so on.
+    Each step takes the available links with the largest preference row
+    (see :func:`rarest_first_rows`): avoid creating universe holders, then
+    favor links that lift segments held by only one node, then by two, and
+    so on.  Rows are compared as a cascade, one entry at a time over the
+    links still tied, skipping empty holder classes and stopping once one
+    link is left; the ascending pair order of the candidates survives, so
+    the tie rule sees what a full lexicographic argmax would give it.
     """
     pick = tie.picker()
     state = initial_state(instance)
+    kernel = _LinkKernel(state.masks())
+    masks = kernel.masks
+    full = (1 << instance.n) - 1
     steps: list[ScheduleStep] = []
-    while True:
-        rows = rarest_first_rows(state, instance.n)
-        if not rows:
-            break
-        best_row = max(rows.values())
-        candidates = sorted(
-            (link.i, link.j) for link, row in rows.items() if row == best_row
-        )
+    while kernel.live:
+        candidates = kernel.pairs()
+        keep = [(i, j) for i, j in candidates if masks[i] | masks[j] != full]
+        if keep:
+            candidates = keep
+        for cls in _holder_classes(masks, instance.n):
+            if len(candidates) == 1:
+                break
+            if not cls:
+                continue
+            counts = [((masks[i] ^ masks[j]) & cls).bit_count() for i, j in candidates]
+            top = max(counts)
+            candidates = [p for p, c in zip(candidates, counts) if c == top]
         i, j = pick(candidates)
         state, step = activate_traced(state, Link(i, j))
         steps.append(step)
+        kernel.activate(i, j)
     return _finish("rare", state, steps)
 
 
@@ -340,12 +373,12 @@ def run_polygon(instance: Instance) -> AlgorithmRun:
             order = order[1:] + order[:1]
             rounds += 1
     post_sweep = 0
-    while True:
-        available = links(state)
-        if not available:
-            break
-        state, step = activate_traced(state, min(available))
+    kernel = _LinkKernel(state.masks())
+    while kernel.live:
+        i, j = kernel.pairs()[0]
+        state, step = activate_traced(state, Link(i, j))
         steps.append(step)
+        kernel.activate(i, j)
         post_sweep += 1
     return _finish("poly", state, steps, rounds=rounds, post_sweep_steps=post_sweep)
 

@@ -16,7 +16,7 @@ import sys
 
 from .algorithms import ALGORITHM_IDS, ALGORITHM_LABELS, TieRule, run_algorithm
 from .analysis import randomized_lower_bound
-from .core import InvalidActivationError, upper_bound
+from .core import upper_bound
 from .harness import (
     BatchConfig,
     compare_table,
@@ -246,9 +246,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidActivationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

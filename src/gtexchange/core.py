@@ -8,9 +8,11 @@ else runs on: segment sets as bit masks, problem instances, system states,
 links, activation, schedule replay, and the parity-aware upper bound on the
 aggregate cardinality.
 
-All values are immutable after construction and safe to share across
-threads; every operation is a pure function of its inputs.  Activation
-returns a fresh state, so search code can branch without copying.
+All public values are immutable after construction and safe to share
+across threads; every public operation is a pure function of its inputs.
+Activation returns a fresh state, so search code can branch without
+copying.  The schedulers additionally keep a private, mutable link kernel
+(:class:`_LinkKernel`) per run, updated in step with their states.
 
 Node and segment indices are 0-based throughout the library; file formats
 and CLI output use 1-based ids (see the harness module).
@@ -19,7 +21,7 @@ and CLI output use 1-based ids (see the harness module).
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MAX_SEGMENTS = 4096  # fixed mask width; larger universes are rejected at load
 
@@ -214,25 +216,74 @@ def gt_satisfied(state: SystemState, i: int, j: int) -> bool:
     return gt_masks(state.sets[i].mask, state.sets[j].mask)
 
 
+class _LinkKernel:
+    """Incremental link structure over raw masks, shared by every scheduler.
+
+    ``nbr[i]`` is node i's neighbour bitmask (bit t set iff nodes i and t
+    satisfy the exchange criterion) and ``live`` the number of links.
+    Activating (i, j) hands both endpoints the same union, so only rows i
+    and j and their columns change: :meth:`activate` is O(m).  The kernel
+    assumes the activation is legal; callers validate it through
+    :func:`activate_traced` first.
+    """
+
+    __slots__ = ("masks", "nbr", "live")
+
+    def __init__(self, masks: Iterable[int]):
+        self.masks = list(masks)
+        m = len(self.masks)
+        nbr = [0] * m
+        live = 0
+        for i in range(m - 1):
+            a = self.masks[i]
+            for j in range(i + 1, m):
+                b = self.masks[j]
+                if a & ~b and b & ~a:
+                    nbr[i] |= 1 << j
+                    nbr[j] |= 1 << i
+                    live += 1
+        self.nbr = nbr
+        self.live = live
+
+    def pairs(self) -> list[tuple[int, int]]:
+        """Every linked pair (i, j) with i < j, in ascending order."""
+        m = len(self.nbr)
+        return [
+            (i, j)
+            for i, row in enumerate(self.nbr)
+            if row >> (i + 1)
+            for j in range(i + 1, m)
+            if row >> j & 1
+        ]
+
+    def activate(self, i: int, j: int) -> None:
+        """Apply the exchange (i, j): rewrite rows i and j and their columns."""
+        masks, nbr = self.masks, self.nbr
+        union = masks[i] | masks[j]
+        masks[i] = masks[j] = union
+        ends = (1 << i) | (1 << j)
+        dropped = nbr[i].bit_count() + nbr[j].bit_count() - 1
+        outside, keep = ~union, ~ends
+        row = 0
+        for t, x in enumerate(masks):
+            # node t offers something outside the union and lacks part of it
+            if x & outside and x & union != union:
+                row |= 1 << t
+                nbr[t] |= ends
+            else:
+                nbr[t] &= keep
+        nbr[i] = nbr[j] = row
+        self.live += 2 * row.bit_count() - dropped
+
+
 def links(state: SystemState) -> set[Link]:
     """All currently available links, as canonical (i < j) pairs."""
-    masks = state.masks()
-    m = len(masks)
-    return {
-        Link(i, j)
-        for i in range(m - 1)
-        for j in range(i + 1, m)
-        if gt_masks(masks[i], masks[j])
-    }
+    return {Link(i, j) for i, j in _LinkKernel(state.masks()).pairs()}
 
 
 def is_maximal(state: SystemState) -> bool:
     """True iff no further activation is possible anywhere in the group."""
-    masks = state.masks()
-    m = len(masks)
-    return not any(
-        gt_masks(masks[i], masks[j]) for i in range(m - 1) for j in range(i + 1, m)
-    )
+    return _LinkKernel(state.masks()).live == 0
 
 
 def activate_traced(state: SystemState, link: Link) -> tuple[SystemState, ScheduleStep]:
@@ -289,12 +340,29 @@ def apply_schedule(
     return state, Schedule(steps=tuple(steps))
 
 
-def upper_bound(instance: Instance) -> int:
-    """Parity-aware cap on the aggregate cardinality.
+def _state_bound(masks: Sequence[int], u_mask: int, u_size: int) -> int:
+    """Largest final aggregate cardinality reachable from a state's masks.
 
-    With ``u`` the realized-universe size: ``m*u`` for even ``m`` and
-    ``m*u - 1`` for odd ``m`` (nodes reaching full coverage appear in pairs,
-    so with an odd node count one node always falls short).
+    ``holders`` nodes already have the whole realized universe ``u_mask``
+    and never change; new holders appear in pairs (a node's last activation
+    hands the union to its partner as well), so at most an even number of
+    the rest can still join them, and whoever does not tops out at
+    ``u_size - 1`` segments.
     """
-    u = len(instance.realized_universe)
-    return instance.m * u if instance.m % 2 == 0 else instance.m * u - 1
+    m = len(masks)
+    holders = sum(1 for mask in masks if mask == u_mask)
+    reachable = holders + ((m - holders) // 2) * 2
+    return u_size * reachable + (u_size - 1) * (m - reachable)
+
+
+def upper_bound(instance: Instance) -> int:
+    """Parity-aware cap on the aggregate cardinality: the state bound of the root.
+
+    With ``u`` the realized-universe size and no node starting with the whole
+    realized universe (every strict instance), this is ``m*u`` for even ``m``
+    and ``m*u - 1`` for odd ``m``: nodes reaching full coverage appear in
+    pairs, so with an odd node count one node always falls short.
+    """
+    u_mask = instance.realized_universe.mask
+    masks = [s.mask for s in instance.initial_sets]
+    return _state_bound(masks, u_mask, u_mask.bit_count())

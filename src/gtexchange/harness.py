@@ -78,6 +78,11 @@ def gen_instance(m: int, n: int, k: int, seed: int, strict: bool = True) -> Inst
 # file formats
 
 
+def _is_int(value) -> bool:
+    """True for JSON integers; ``true``/``false`` load as bools, which are not ids."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def instance_to_dict(instance: Instance) -> dict:
     return {
         "m": instance.m,
@@ -93,13 +98,13 @@ def instance_from_dict(data: dict, strict: bool = True) -> Instance:
         raw_sets = data["sets"]
     except (KeyError, TypeError):
         raise ValueError("instance file needs fields m, n, and sets") from None
-    if not isinstance(m, int) or not isinstance(n, int):
+    if not _is_int(m) or not _is_int(n):
         raise ValueError("instance fields m and n must be integers")
     if not isinstance(raw_sets, list) or len(raw_sets) != m:
         raise ValueError(f"instance file must list exactly m={m} segment sets")
     sets = []
     for i, raw in enumerate(raw_sets):
-        if not isinstance(raw, list) or not all(isinstance(e, int) for e in raw):
+        if not isinstance(raw, list) or not all(_is_int(e) for e in raw):
             raise ValueError(f"set {i + 1} must be a list of integers")
         if any(not 1 <= e <= n for e in raw):
             raise ValueError(f"set {i + 1} has segment ids outside 1..{n}")
@@ -137,7 +142,7 @@ def schedule_from_dict(data: dict) -> list[Link]:
         if (
             not isinstance(raw, list)
             or len(raw) != 2
-            or not all(isinstance(e, int) and e >= 1 for e in raw)
+            or not all(_is_int(e) and e >= 1 for e in raw)
         ):
             raise ValueError(f"step {idx + 1} must be a pair of 1-based node ids")
         link_seq.append(Link(raw[0] - 1, raw[1] - 1))

@@ -34,10 +34,12 @@ from .core import (
     Link,
     Schedule,
     SystemState,
+    _state_bound,
     activate_traced,
     gt_masks,
     initial_state,
     links,
+    upper_bound,
 )
 
 
@@ -85,19 +87,6 @@ def canonical_key(state: SystemState) -> tuple[int, ...]:
     are functions of the key alone.
     """
     return tuple(sorted(state.masks()))
-
-
-def _state_bound(masks: tuple[int, ...], u_mask: int, u_size: int) -> int:
-    """Largest final aggregate cardinality reachable from this state.
-
-    ``holders`` nodes already have the whole realized universe; at most an
-    even number of the rest can still join them, and whoever does not tops
-    out at ``u_size - 1`` segments.
-    """
-    m = len(masks)
-    holders = sum(1 for mask in masks if mask == u_mask)
-    reachable = holders + ((m - holders) // 2) * 2
-    return u_size * reachable + (u_size - 1) * (m - reachable)
 
 
 class _Search:
@@ -179,8 +168,7 @@ def _solve(instance: Instance, limits: SearchLimits) -> OracleResult:
     presolve = run_greedy_links(instance)
     u_mask = instance.realized_universe.mask
     root = tuple(sorted(instance.initial_sets[i].mask for i in range(instance.m)))
-    root_bound = _state_bound(root, u_mask, u_mask.bit_count())
-    if presolve.alpha == root_bound:
+    if presolve.alpha == upper_bound(instance):
         return OracleResult(
             alpha=presolve.alpha, witness=presolve.schedule, exact=True, visited=0
         )

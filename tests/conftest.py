@@ -31,6 +31,15 @@ def instances(draw, min_m=2, max_m=5, min_n=2, max_n=6):
     return Instance(m=m, n=n, initial_sets=sets)
 
 
+@st.composite
+def relaxed_instances(draw, max_m=7, max_n=6):
+    """Random relaxed instances: nodes may start empty or with the whole universe."""
+    m = draw(st.integers(2, max_m))
+    n = draw(st.integers(1, max_n))
+    sets = tuple(SegmentSet(draw(st.integers(0, (1 << n) - 1))) for _ in range(m))
+    return Instance(m=m, n=n, initial_sets=sets, strict=False)
+
+
 def no_initial_universe_holder(instance):
     """True when no node starts out already holding the realized universe."""
     union = instance.realized_universe.mask

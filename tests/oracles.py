@@ -3,9 +3,11 @@
 Everything here is deliberately brute force and shares no code path with
 the implementations under test: a memo-free recursive optimum, coverage
 probability by exhaustive tuple enumeration and by inclusion-exclusion,
-and a pair-scan link finder.
+a pair-scan link finder, and three schedulers written straight from their
+definitions (every step rescans every pair, with no cached link state).
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -86,3 +88,106 @@ def chain_by_inclusion(state):
     return all(
         a.issubset(b) for a, b in zip(ordered, ordered[1:])
     )
+
+
+def _mask_links(masks):
+    """Every (i, j), i < j, whose masks satisfy the exchange criterion."""
+    m = len(masks)
+    return [
+        (i, j)
+        for i in range(m - 1)
+        for j in range(i + 1, m)
+        if masks[i] & ~masks[j] and masks[j] & ~masks[i]
+    ]
+
+
+def _tie_picker(mode, seed):
+    if mode == "lowest":
+        return lambda candidates: candidates[0]
+    return random.Random(seed).choice
+
+
+def _argmax_pairs(pairs, key):
+    """The pairs with the largest key, in their given order."""
+    keys = [key(i, j) for i, j in pairs]
+    best = max(keys)
+    return [p for p, k in zip(pairs, keys) if k == best]
+
+
+def reference_greedy_links(instance, mode="lowest", seed=None):
+    """Greedy-Links schedule as (i, j) pairs: most links left alive, then the
+    largest gain, then the tie rule; each pair's count scans every third node."""
+    pick = _tie_picker(mode, seed)
+    masks = [s.mask for s in instance.initial_sets]
+    m = len(masks)
+    schedule = []
+    while True:
+        available = _mask_links(masks)
+        if not available:
+            return schedule
+        degree = [sum(1 for p in available if t in p) for t in range(m)]
+
+        def links_left(i, j):
+            union = masks[i] | masks[j]
+            third = sum(
+                1
+                for t in range(m)
+                if t not in (i, j) and union & ~masks[t] and masks[t] & ~union
+            )
+            return len(available) - degree[i] - degree[j] + 1 + 2 * third
+
+        def gain(i, j):
+            union = masks[i] | masks[j]
+            return 2 * bin(union).count("1") - bin(masks[i]).count("1") - bin(masks[j]).count("1")
+
+        candidates = _argmax_pairs(_argmax_pairs(available, links_left), gain)
+        i, j = pick(candidates)
+        masks[i] = masks[j] = masks[i] | masks[j]
+        schedule.append((i, j))
+
+
+def reference_rarest_first(instance, mode="lowest", seed=None):
+    """Rarest-first schedule as (i, j) pairs: the full preference row of every
+    available pair (universe indicator, then one count per holder class),
+    maximized lexicographically, then the tie rule."""
+    pick = _tie_picker(mode, seed)
+    masks = [s.mask for s in instance.initial_sets]
+    m, n = len(masks), instance.n
+    full = (1 << n) - 1
+    schedule = []
+    while True:
+        available = _mask_links(masks)
+        if not available:
+            return schedule
+        holders = [sum(1 for x in masks if x >> e & 1) for e in range(n)]
+
+        def row(i, j):
+            sym = masks[i] ^ masks[j]
+            return (int(masks[i] | masks[j] != full),) + tuple(
+                sum(1 for e in range(n) if holders[e] == p and sym >> e & 1)
+                for p in range(1, m + 1)
+            )
+
+        i, j = pick(_argmax_pairs(available, row))
+        masks[i] = masks[j] = masks[i] | masks[j]
+        schedule.append((i, j))
+
+
+def reference_randomized(instance, seed):
+    """Randomized phase pairing as ((i, j) pairs, phase count): a phase runs
+    while any link is left, found by rescanning every pair."""
+    rng = random.Random(seed)
+    masks = [s.mask for s in instance.initial_sets]
+    m = len(masks)
+    order = list(range(m))
+    schedule = []
+    phases = 0
+    while _mask_links(masks):
+        phases += 1
+        rng.shuffle(order)
+        for at in range(0, m - 1, 2):
+            i, j = order[at], order[at + 1]
+            if masks[i] & ~masks[j] and masks[j] & ~masks[i]:
+                masks[i] = masks[j] = masks[i] | masks[j]
+                schedule.append((min(i, j), max(i, j)))
+    return schedule, phases

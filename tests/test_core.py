@@ -16,10 +16,11 @@ from gtexchange import (
     initial_state,
     is_maximal,
     links,
+    optimal_alpha,
     upper_bound,
 )
-from conftest import build_instance, instances
-from oracles import chain_by_inclusion, pair_scan_links
+from conftest import build_instance, instances, relaxed_instances
+from oracles import brute_force_optimal, chain_by_inclusion, pair_scan_links
 
 
 def state_of(n, *raw_sets):
@@ -257,6 +258,18 @@ def test_upper_bound_examples():
     assert upper_bound(build_instance(5, [0], [1], [2], [3, 4])) == 20
     assert upper_bound(build_instance(3, [0], [1], [2])) == 8
     assert upper_bound(build_instance(2, [0], [0], strict=False)) == 2
+
+
+def test_upper_bound_counts_initial_universe_holders():
+    """Node 0 holds the realized universe from the start and never changes,
+    so the other two may both reach it: the optimum is 3 * 2."""
+    instance = build_instance(2, [0, 1], [0], [1], strict=False)
+    assert upper_bound(instance) == 6 == optimal_alpha(instance)[0]
+
+
+@given(relaxed_instances(max_m=5, max_n=4))
+def test_upper_bound_caps_the_optimum_of_relaxed_instances(instance):
+    assert brute_force_optimal(instance) <= upper_bound(instance)
 
 
 @given(instances())

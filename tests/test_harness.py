@@ -113,11 +113,14 @@ def test_instance_from_dict_accepts_the_documented_shape():
         {"m": 2, "n": 3, "sets": [[1], [4]]},  # beyond the universe
         {"m": 2, "n": 3, "sets": [[1], ["2"]]},
         {"m": "2", "n": 3, "sets": [[1], [2]]},
+        {"m": 2, "n": True, "sets": [[1], [1]]},  # JSON true is no integer
+        {"m": 2, "n": 3, "sets": [[True], [2]]},
     ],
 )
 def test_instance_from_dict_rejects_malformed_input(data):
-    with pytest.raises(ValueError):
-        instance_from_dict(data)
+    for strict in (True, False):
+        with pytest.raises(ValueError):
+            instance_from_dict(data, strict=strict)
 
 
 def test_instance_file_honours_the_universe_cap(tmp_path):
@@ -146,6 +149,8 @@ def test_schedule_from_dict_rejects_malformed_input():
         schedule_from_dict({"steps": [[1]]})
     with pytest.raises(ValueError):
         schedule_from_dict({"steps": [[0, 1]]})  # node ids are 1-based
+    with pytest.raises(ValueError):
+        schedule_from_dict({"steps": [[True, 2]]})  # JSON true is no node id
 
 
 def test_schedule_dict_accepts_enriched_schedules():
