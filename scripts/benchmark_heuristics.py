@@ -35,7 +35,6 @@ def configs_for(preset: str, runs: int, seed: int, csv_dir: str | None):
                 runs=runs,
                 seed=seed,
                 oracle=oracle,
-                pmnk_trials=20_000,
                 out_csv=out_csv,
             )
         )

@@ -19,7 +19,6 @@ from .analysis import (
     ExactProbability,
     approx_condition_holds,
     pmnk_exact,
-    pmnk_montecarlo,
     randomized_lower_bound,
 )
 from .core import (
@@ -45,7 +44,6 @@ from .harness import (
     BatchConfig,
     BatchReport,
     compare_table,
-    coverage_probability,
     derive_seed,
     gen_instance,
     load_instance,

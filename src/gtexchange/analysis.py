@@ -2,11 +2,7 @@
 
 * ``pmnk_exact`` -- probability that m independent uniform k-subsets of an
   n-segment universe jointly cover it, evaluated exactly over big integers
-  by summing, over all ways to split the ``m*k - n`` repeated picks across
-  nodes 2..m, the count of set tuples realizing that split.
-* ``pmnk_montecarlo`` -- sampling estimator of the same probability, used
-  as an independent cross-check and as the fallback when the exact sum is
-  too large to enumerate.
+  by inclusion-exclusion over the segments no subset holds.
 * ``randomized_lower_bound`` -- recursion for the expected per-node set
   size of the randomized scheduler, phase by phase: a node paired with a
   so-far-uninfluenced partner gains ``s*(1 - s/n)`` segments in
@@ -16,16 +12,17 @@
 * ``approx_condition_holds`` -- the initial-set-size window in which the
   randomized scheduler is guaranteed a quarter of the optimum.
 
-All functions here are pure; the exact sum is order-independent integer
-arithmetic, so any evaluation order gives bit-identical results.
+All functions here are pure; the exact sum is integer arithmetic, so the
+coverage probability is the same reduced fraction on every platform.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, log2, sqrt
+from math import comb, log2
+
+from .core import MAX_SEGMENTS
 
 
 @dataclass(frozen=True)
@@ -57,81 +54,22 @@ def _check_mnk(m: int, n: int, k: int) -> None:
         raise ValueError(f"initial set size k={k} must satisfy 1 <= k <= n={n}")
 
 
-def _covering_tuples(m: int, n: int, k: int) -> int:
-    """Number of m-tuples of k-subsets of an n-universe whose union covers it.
-
-    Nodes are added one by one; ``overlap`` is how many of a node's picks
-    land inside the union built so far (the composition variable), and all
-    overlaps must absorb exactly the ``m*k - n`` repeated picks.
-    """
-    target = m * k - n
-
-    def extend(node: int, union_size: int, remaining: int, ways: int) -> int:
-        if node > m:
-            return ways if remaining == 0 else 0
-        nodes_left = m - node
-        lo = max(0, remaining - nodes_left * k)
-        hi = min(k, union_size, remaining)
-        total = 0
-        for overlap in range(lo, hi + 1):
-            w = comb(union_size, overlap) * comb(n - union_size, k - overlap)
-            if w:
-                total += extend(
-                    node + 1, union_size + k - overlap, remaining - overlap, ways * w
-                )
-        return total
-
-    return extend(2, k, target, comb(n, k))
-
-
-def composition_term_count(parts: int, total: int, cap: int) -> int:
-    """How many compositions of ``total`` into ``parts`` parts, each in [0, cap].
-
-    Cheap DP used to predict whether the exact coverage sum is enumerable.
-    """
-    if parts == 0:
-        return 1 if total == 0 else 0
-    counts = [1] + [0] * total
-    for _ in range(parts):
-        prefix = [0] * (total + 2)
-        for v in range(total + 1):
-            prefix[v + 1] = prefix[v] + counts[v]
-        counts = [
-            prefix[v + 1] - prefix[max(0, v - cap)] for v in range(total + 1)
-        ]
-    return counts[total]
-
-
 def pmnk_exact(m: int, n: int, k: int) -> ExactProbability:
-    """Exact probability that m uniform k-subsets of an n-universe cover it."""
+    """Exact probability that m uniform k-subsets of an n-universe cover it.
+
+    Inclusion-exclusion over the segments left uncovered:
+    ``sum_i (-1)^i C(n,i) C(n-i,k)^m / C(n,k)^m``, in integers.
+    """
     _check_mnk(m, n, k)
+    if n > MAX_SEGMENTS:
+        raise ValueError(f"universe size {n} exceeds the {MAX_SEGMENTS}-segment cap")
     if m * k < n:
         return ExactProbability.from_fraction(Fraction(0))
-    favourable = _covering_tuples(m, n, k)
+    favourable = sum(
+        (-1) ** miss * comb(n, miss) * comb(n - miss, k) ** m
+        for miss in range(n - k + 1)
+    )
     return ExactProbability.from_fraction(Fraction(favourable, comb(n, k) ** m))
-
-
-def pmnk_montecarlo(
-    m: int, n: int, k: int, trials: int, seed: int
-) -> tuple[float, float]:
-    """Sampling estimate of the coverage probability, with its standard error."""
-    _check_mnk(m, n, k)
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    rng = random.Random(seed)
-    population = range(n)
-    full = (1 << n) - 1
-    hits = 0
-    for _ in range(trials):
-        union = 0
-        for _ in range(m):
-            for e in rng.sample(population, k):
-                union |= 1 << e
-        if union == full:
-            hits += 1
-    estimate = hits / trials
-    stderr = sqrt(estimate * (1.0 - estimate) / trials)
-    return estimate, stderr
 
 
 @dataclass(frozen=True)

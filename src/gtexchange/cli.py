@@ -15,12 +15,11 @@ import json
 import sys
 
 from .algorithms import ALGORITHM_IDS, ALGORITHM_LABELS, TieRule, run_algorithm
-from .analysis import randomized_lower_bound
+from .analysis import pmnk_exact, randomized_lower_bound
 from .core import upper_bound
 from .harness import (
     BatchConfig,
     compare_table,
-    coverage_probability,
     default_master_seed,
     gen_instance,
     instance_to_dict,
@@ -32,6 +31,10 @@ from .harness import (
     reference_bound_configs,
 )
 from .oracle import SearchLimits, solve_optimal
+
+
+# longest denominator, in decimal digits, that ``gtx pmnk`` prints as a fraction
+FRACTION_MAX_DIGITS = 40
 
 
 def _fmt_link(link) -> str:
@@ -88,13 +91,13 @@ def _cmd_optimal(args) -> int:
 
 
 def _cmd_pmnk(args) -> int:
-    value, method, detail = coverage_probability(
-        args.m, args.n, args.k, mode=args.mode, trials=args.trials, seed=args.seed
+    prob = pmnk_exact(args.m, args.n, args.k)
+    fraction = (
+        f"{prob.numerator}/{prob.denominator} = "
+        if prob.denominator < 10**FRACTION_MAX_DIGITS
+        else ""
     )
-    if method == "exact":
-        print(f"p({args.m},{args.n},{args.k}) = {detail} = {value:.10g} (exact)")
-    else:
-        print(f"p({args.m},{args.n},{args.k}) ~ {value:.6g} (monte-carlo: {detail})")
+    print(f"p({args.m},{args.n},{args.k}) = {fraction}{prob.value:.10g} (exact)")
     return 0
 
 
@@ -159,13 +162,11 @@ def _cmd_table(args) -> int:
             configs = [BatchConfig.from_dict(d) for d in json.load(fh)]
     elif args.preset == "bounds":
         configs = reference_bound_configs(
-            runs=args.runs,
-            seed=default_master_seed(args.seed),
-            pmnk_trials=args.trials,
+            runs=args.runs, seed=default_master_seed(args.seed)
         )
     else:
         raise SystemExit("table needs --config or --preset bounds")
-    print(compare_table(configs))
+    print(compare_table([run_batch(config) for config in configs]))
     return 0
 
 
@@ -204,9 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pmnk", help="coverage probability of m random k-subsets")
     _add_mnk(p)
-    p.add_argument("--mode", choices=("auto", "exact", "mc"), default="auto")
-    p.add_argument("--trials", type=int, default=50_000)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_pmnk)
 
     p = sub.add_parser("bound", help="randomized-scheduler lower bound recursion")
@@ -235,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=("bounds",))
     p.add_argument("--runs", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=int, default=50_000, help="coverage sampling trials")
     p.set_defaults(func=_cmd_table)
 
     return parser

@@ -27,12 +27,7 @@ from dataclasses import dataclass, field
 from math import sqrt
 
 from .algorithms import ALGORITHM_IDS, ALGORITHM_LABELS, TieRule, run_algorithm
-from .analysis import (
-    composition_term_count,
-    pmnk_exact,
-    pmnk_montecarlo,
-    randomized_lower_bound,
-)
+from .analysis import pmnk_exact, randomized_lower_bound
 from .core import Instance, Link, Schedule, SegmentSet, upper_bound
 from .oracle import SearchLimits, solve_optimal
 
@@ -48,11 +43,6 @@ CSV_COLUMNS = (
     "steps",
     "post_sweep_steps",
 )
-
-# Exact coverage probability is enumerated only when the repeated-pick mass
-# and the predicted number of summands stay small; otherwise sample.
-EXACT_PMNK_MAX_MASS = 40
-EXACT_PMNK_MAX_TERMS = 2_000_000
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -161,44 +151,6 @@ def load_schedule(path: str) -> list[Link]:
 
 
 # ---------------------------------------------------------------------------
-# coverage-probability pipeline
-
-
-def coverage_probability(
-    m: int,
-    n: int,
-    k: int,
-    *,
-    mode: str = "auto",
-    trials: int = 50_000,
-    seed: int = 0,
-) -> tuple[float, str, str]:
-    """Coverage probability with an explicit record of how it was computed.
-
-    Returns ``(value, method, detail)`` where method is ``exact`` or
-    ``monte-carlo``.  Mode ``auto`` enumerates the exact sum whenever the
-    repeated-pick mass ``m*k - n`` and the predicted summand count are small
-    enough, and falls back to sampling otherwise.
-    """
-    if mode not in ("auto", "exact", "mc"):
-        raise ValueError(f"unknown coverage mode {mode!r}")
-    mass = m * k - n
-    if mode == "auto":
-        if mass < 0 or (
-            mass <= EXACT_PMNK_MAX_MASS
-            and composition_term_count(m - 1, mass, k) <= EXACT_PMNK_MAX_TERMS
-        ):
-            mode = "exact"
-        else:
-            mode = "mc"
-    if mode == "exact":
-        prob = pmnk_exact(m, n, k)
-        return prob.value, "exact", f"{prob.numerator}/{prob.denominator}"
-    estimate, stderr = pmnk_montecarlo(m, n, k, trials=trials, seed=seed)
-    return estimate, "monte-carlo", f"stderr={stderr:.6g},trials={trials},seed={seed}"
-
-
-# ---------------------------------------------------------------------------
 # batches
 
 
@@ -216,7 +168,6 @@ class BatchConfig:
     tie_mode: str = "lowest"
     strict: bool = True
     limits: SearchLimits = field(default_factory=SearchLimits)
-    pmnk_trials: int = 50_000
     out_csv: str | None = None
     out_json: str | None = None
 
@@ -266,8 +217,6 @@ class BatchReport:
     rows: tuple[dict, ...]
     stats: dict[str, AlgorithmStats]
     pmnk_value: float
-    pmnk_method: str
-    pmnk_detail: str
     rand_lower_bound: float
     mean_upper_bound: float
     exact_oracle_runs: int
@@ -281,11 +230,7 @@ class BatchReport:
             "runs": self.config.runs,
             "seed": self.config.seed,
             "oracle": self.config.oracle,
-            "pmnk": {
-                "value": self.pmnk_value,
-                "method": self.pmnk_method,
-                "detail": self.pmnk_detail,
-            },
+            "pmnk": {"value": self.pmnk_value},
             "rand_lower_bound": self.rand_lower_bound,
             "mean_upper_bound": self.mean_upper_bound,
             "exact_oracle_runs": self.exact_oracle_runs,
@@ -392,21 +337,12 @@ def run_batch(config: BatchConfig) -> BatchReport:
                     "post_sweep_steps": run.post_sweep_steps,
                 }
             )
-    pmnk_value, pmnk_method, pmnk_detail = coverage_probability(
-        config.m,
-        config.n,
-        config.k,
-        trials=config.pmnk_trials,
-        seed=derive_seed(config.seed, "pmnk"),
-    )
     bound, _ = randomized_lower_bound(config.m, config.n, config.k)
     report = BatchReport(
         config=config,
         rows=tuple(rows),
         stats=summarize_rows(rows),
-        pmnk_value=pmnk_value,
-        pmnk_method=pmnk_method,
-        pmnk_detail=pmnk_detail,
+        pmnk_value=pmnk_exact(config.m, config.n, config.k).value,
         rand_lower_bound=bound,
         mean_upper_bound=ub_total / config.runs,
         exact_oracle_runs=exact_runs,
@@ -471,8 +407,7 @@ def report_text(report: BatchReport) -> str:
     lines = [
         f"(m={cfg.m}, n={cfg.n}, k={cfg.k})  runs={cfg.runs}  seed={cfg.seed}  "
         f"oracle={cfg.oracle}",
-        f"  coverage p(m,n,k) = {report.pmnk_value:.6g} "
-        f"({report.pmnk_method}: {report.pmnk_detail})",
+        f"  coverage p(m,n,k) = {report.pmnk_value:.6g} (exact)",
         f"  parity upper bound, mean over runs = {report.mean_upper_bound:.1f}",
     ]
     if report.config.oracle == "exact":
@@ -503,14 +438,12 @@ def report_text(report: BatchReport) -> str:
     return "\n".join(lines)
 
 
-def compare_table(configs: list[BatchConfig]) -> str:
-    """One formatted summary block per config, separated by blank lines."""
-    return "\n\n".join(report_text(run_batch(config)) for config in configs)
+def compare_table(reports: list[BatchReport]) -> str:
+    """One formatted summary block per report, separated by blank lines."""
+    return "\n\n".join(report_text(report) for report in reports)
 
 
-def reference_bound_configs(
-    runs: int = 100, seed: int = 0, pmnk_trials: int = 50_000
-) -> list[BatchConfig]:
+def reference_bound_configs(runs: int = 100, seed: int = 0) -> list[BatchConfig]:
     """The five randomized-scheduler reference rows used in the bound table."""
     rows = [(60, 100, 3), (60, 100, 5), (60, 100, 7), (80, 200, 15), (100, 300, 15)]
     return [
@@ -522,7 +455,6 @@ def reference_bound_configs(
             seed=derive_seed(seed, "table", m, n, k),
             algorithms=("rand",),
             oracle="skip",
-            pmnk_trials=pmnk_trials,
         )
         for m, n, k in rows
     ]

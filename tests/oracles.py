@@ -2,15 +2,17 @@
 
 Everything here is deliberately brute force and shares no code path with
 the implementations under test: a memo-free recursive optimum, coverage
-probability by exhaustive tuple enumeration and by inclusion-exclusion,
-a pair-scan link finder, and three schedulers written straight from their
-definitions (every step rescans every pair, with no cached link state).
+probability by exhaustive tuple enumeration, by inclusion-exclusion over
+rationals, by a composition sum and by sampling, a pair-scan link finder,
+and three schedulers written straight from their definitions (every step
+rescans every pair, with no cached link state).
 """
 
 import random
+from functools import cache
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, sqrt
 
 from gtexchange import aggregate_cardinality, enumerate_maximal_schedules, gt_satisfied
 
@@ -80,6 +82,53 @@ def coverage_by_inclusion_exclusion(m, n, k):
             break
         acc += (-1) ** miss * comb(n, miss) * Fraction(comb(n - miss, k), total) ** m
     return acc
+
+
+def coverage_by_composition(m, n, k):
+    """Coverage probability by summing over how many of each node's picks
+    repeat segments already held, exact rationals.
+
+    Nodes are added one by one; ``overlap`` is how many of a node's picks
+    land inside the union built so far, and all overlaps together must
+    absorb exactly the ``m*k - n`` repeated picks.  Memoized on
+    (node, union size, picks left to absorb).
+    """
+    if m * k < n:
+        return Fraction(0)
+
+    @cache
+    def extend(node, union_size, remaining):
+        if node > m:
+            return 1 if remaining == 0 else 0
+        lo = max(0, remaining - (m - node) * k)
+        hi = min(k, union_size, remaining)
+        return sum(
+            comb(union_size, overlap)
+            * comb(n - union_size, k - overlap)
+            * extend(node + 1, union_size + k - overlap, remaining - overlap)
+            for overlap in range(lo, hi + 1)
+        )
+
+    return Fraction(comb(n, k) * extend(2, k, m * k - n), comb(n, k) ** m)
+
+
+def pmnk_montecarlo(m, n, k, trials, seed):
+    """Sampling estimate of the coverage probability, with its standard error."""
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    rng = random.Random(seed)
+    population = range(n)
+    full = (1 << n) - 1
+    hits = 0
+    for _ in range(trials):
+        union = 0
+        for _ in range(m):
+            for e in rng.sample(population, k):
+                union |= 1 << e
+        if union == full:
+            hits += 1
+    estimate = hits / trials
+    return estimate, sqrt(estimate * (1.0 - estimate) / trials)
 
 
 def chain_by_inclusion(state):

@@ -21,7 +21,6 @@ from gtexchange import (
     is_maximal,
     optimal_alpha,
     pmnk_exact,
-    pmnk_montecarlo,
     randomized_lower_bound,
     run_algorithm,
     run_batch,
@@ -29,7 +28,12 @@ from gtexchange import (
     run_polygon,
 )
 from gtexchange.core import gt_masks
-from oracles import brute_force_optimal, chain_by_inclusion, coverage_by_enumeration
+from oracles import (
+    brute_force_optimal,
+    chain_by_inclusion,
+    coverage_by_enumeration,
+    pmnk_montecarlo,
+)
 
 MASTER_SEED = 20260809
 
@@ -83,7 +87,6 @@ def test_criterion_02_randomized_simulation_matches_reference():
             seed=MASTER_SEED,
             algorithms=("rand",),
             oracle="skip",
-            pmnk_trials=4000,
         )
     )
     elapsed = time.perf_counter() - start
@@ -334,7 +337,6 @@ def test_criterion_09_qualitative_ordering_at_15_20_5():
             seed=MASTER_SEED,
             algorithms=("rand", "glink", "rare"),
             oracle="skip",
-            pmnk_trials=4000,
         )
     )
     elapsed = time.perf_counter() - start
@@ -368,7 +370,6 @@ def test_criterion_10_batches_are_byte_deterministic(tmp_path):
                 runs=20,
                 seed=MASTER_SEED,
                 out_csv=str(path),
-                pmnk_trials=2000,
             )
         )
     ok = paths[0].read_bytes() == paths[1].read_bytes()

@@ -1,17 +1,22 @@
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from gtexchange import (
+    MAX_SEGMENTS,
     approx_condition_holds,
     pmnk_exact,
-    pmnk_montecarlo,
     randomized_lower_bound,
 )
-from oracles import coverage_by_enumeration, coverage_by_inclusion_exclusion
+from oracles import (
+    coverage_by_composition,
+    coverage_by_enumeration,
+    coverage_by_inclusion_exclusion,
+    pmnk_montecarlo,
+)
 
 REFERENCE_ROWS = [
     (60, 100, 3, 3867.4),
@@ -47,6 +52,16 @@ def test_pmnk_argument_errors():
         pmnk_exact(2, 3, 4)
     with pytest.raises(ValueError):
         pmnk_exact(2, 3, 0)
+    with pytest.raises(ValueError, match="cap"):
+        pmnk_exact(2, MAX_SEGMENTS + 1, 1)
+
+
+def test_pmnk_covers_the_universe_cap_and_deep_groups():
+    assert pmnk_exact(1, MAX_SEGMENTS, MAX_SEGMENTS).fraction == 1
+    # m = 1200 nodes: far deeper than the composition sum could recurse
+    prob = pmnk_exact(1200, 1200, 1)
+    assert prob.fraction == Fraction(factorial(1200), 1200**1200)
+    assert prob.value == 0.0
 
 
 def test_pmnk_matches_enumeration_small_grid():
@@ -63,6 +78,18 @@ def test_pmnk_matches_inclusion_exclusion_wider_grid():
                 assert pmnk_exact(m, n, k).fraction == coverage_by_inclusion_exclusion(
                     m, n, k
                 )
+
+
+def test_pmnk_matches_composition_sum():
+    for m in range(1, 7):
+        for n in range(2, 9):
+            for k in range(1, n + 1):
+                assert pmnk_exact(m, n, k).fraction == coverage_by_composition(m, n, k)
+    # the batch sizes whose coverage used to be sampled
+    for m, n, k, _ in REFERENCE_ROWS:
+        assert pmnk_exact(m, n, k).fraction == coverage_by_composition(m, n, k)
+    for m, n, k in [(15, 20, 5), (40, 50, 5)]:
+        assert pmnk_exact(m, n, k).fraction == coverage_by_composition(m, n, k)
 
 
 def test_pmnk_is_monotone_in_m_and_k():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gtexchange import aggregate_cardinality, apply_schedule
+from gtexchange import aggregate_cardinality, apply_schedule, pmnk_exact
 from gtexchange.cli import main
 from gtexchange.harness import load_instance, load_schedule, save_instance
 from conftest import build_instance
@@ -95,11 +95,29 @@ def test_optimal_flags_budget_overrun(tmp_path, capsys):
 def test_pmnk_exact_and_sampled(capsys):
     code, out, _ = invoke(capsys, "pmnk", "-m", "2", "-n", "2", "-k", "1")
     assert code == 0 and "1/2" in out and "(exact)" in out
-    code, out, _ = invoke(
-        capsys, "pmnk", "-m", "2", "-n", "2", "-k", "1", "--mode", "mc", "--trials",
-        "2000", "--seed", "3",
-    )
-    assert code == 0 and "monte-carlo" in out
+    # 43 picks from 2 segments: 41 repeated picks, a size that used to be sampled
+    code, out, _ = invoke(capsys, "pmnk", "-m", "43", "-n", "2", "-k", "1")
+    assert code == 0
+    assert out == f"p(43,2,1) = {2**42 - 1}/{2**42} = {1 - 2**-42:.10g} (exact)\n"
+
+
+def test_pmnk_deep_group_prints_zero(capsys):
+    code, out, err = invoke(capsys, "pmnk", "-m", "1200", "-n", "1200", "-k", "1")
+    assert code == 0 and err == ""
+    assert out == "p(1200,1200,1) = 0 (exact)\n"
+
+
+def test_pmnk_long_fraction_prints_the_float_only(capsys):
+    # the denominator C(300,15)^200 has far more digits than int -> str allows
+    code, out, err = invoke(capsys, "pmnk", "-m", "200", "-n", "300", "-k", "15")
+    assert code == 0 and err == ""
+    assert out == f"p(200,300,15) = {pmnk_exact(200, 300, 15).value:.10g} (exact)\n"
+
+
+def test_pmnk_beyond_the_universe_cap_is_a_clean_error(capsys):
+    code, out, err = invoke(capsys, "pmnk", "-m", "2", "-n", "4097", "-k", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "4096" in err and err.count("\n") == 1
 
 
 def test_bound_prints_reference_value(capsys):
@@ -141,7 +159,6 @@ def test_batch_from_config_file(tmp_path, capsys):
                 "seed": 9,
                 "algorithms": ["rand", "glink"],
                 "oracle": "skip",
-                "pmnk_trials": 500,
             }
         )
     )
@@ -168,9 +185,9 @@ def test_table_from_config_file(tmp_path, capsys):
         json.dumps(
             [
                 {"m": 3, "n": 4, "k": 2, "runs": 3, "seed": 1, "oracle": "skip",
-                 "algorithms": ["rand"], "pmnk_trials": 200},
+                 "algorithms": ["rand"]},
                 {"m": 4, "n": 4, "k": 2, "runs": 3, "seed": 2, "oracle": "skip",
-                 "algorithms": ["rand"], "pmnk_trials": 200},
+                 "algorithms": ["rand"]},
             ]
         )
     )
@@ -199,3 +216,12 @@ def test_unknown_batch_config_field_is_a_clean_error(tmp_path, capsys):
     code, _, err = invoke(capsys, "batch", "--config", str(cfg))
     assert code == 2
     assert "repeat" in err
+
+
+def test_batch_config_with_coverage_trials_is_rejected(tmp_path, capsys):
+    # coverage is always exact, so the old sampling setting is an unknown field
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": 3, "n": 4, "k": 2, "pmnk_trials": 500}))
+    code, _, err = invoke(capsys, "batch", "--config", str(cfg))
+    assert code == 2
+    assert "pmnk_trials" in err

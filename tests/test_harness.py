@@ -181,7 +181,6 @@ def test_degenerate_batch_everyone_identical():
         assert stats.success_rate == 1.0
         assert stats.mean_shortfall_pct == 0.0
     assert report.pmnk_value == 1.0
-    assert report.pmnk_method == "exact"
     assert report.exact_oracle_runs == 10
 
 
@@ -220,9 +219,7 @@ def test_batch_is_byte_deterministic(tmp_path):
     out_b = tmp_path / "b.csv"
     for out in (out_a, out_b):
         run_batch(
-            BatchConfig(
-                m=4, n=5, k=2, runs=15, seed=99, out_csv=str(out), pmnk_trials=2000
-            )
+            BatchConfig(m=4, n=5, k=2, runs=15, seed=99, out_csv=str(out))
         )
     assert out_a.read_bytes() == out_b.read_bytes()
 
@@ -238,12 +235,11 @@ def test_batch_skip_oracle_leaves_success_columns_empty():
 
 def test_batch_json_summary(tmp_path):
     out = tmp_path / "summary.json"
-    config = BatchConfig(
-        m=3, n=4, k=2, runs=5, seed=2, out_json=str(out), pmnk_trials=1000
-    )
+    config = BatchConfig(m=3, n=4, k=2, runs=5, seed=2, out_json=str(out))
     report = run_batch(config)
     data = json.loads(out.read_text())
     assert data["m"] == 3 and data["runs"] == 5
+    assert data["pmnk"] == {"value": pmnk_exact(3, 4, 2).value}
     assert data["algorithms"]["glink"]["mean_alpha"] == report.stats["glink"].mean_alpha
 
 
@@ -260,20 +256,33 @@ def test_compare_table_empty():
 
 
 def test_compare_table_reference_rows_trimmed():
-    configs = reference_bound_configs(runs=15, seed=31, pmnk_trials=500)
-    text = compare_table(configs)
+    configs = reference_bound_configs(runs=15, seed=31)
+    reports = [run_batch(config) for config in configs]
+    text = compare_table(reports)
     blocks = text.split("\n\n")
     assert len(blocks) == 5
-    for config, block in zip(configs, blocks):
-        assert f"m={config.m}" in block
+    for report, block in zip(reports, blocks):
+        assert f"m={report.config.m}" in block
         assert "analytic lower bound" in block
-        assert "coverage p(m,n,k)" in block
-        report = run_batch(config)
+        assert f"coverage p(m,n,k) = {report.pmnk_value:.6g} (exact)" in block
         assert report.stats["rand"].mean_alpha >= report.rand_lower_bound
 
 
+@pytest.mark.parametrize(
+    "mnk",
+    [(60, 100, 3), (60, 100, 5), (60, 100, 7), (80, 200, 15), (100, 300, 15),
+     (40, 50, 5), (15, 20, 5)],
+)
+def test_batch_coverage_is_exact_at_formerly_sampled_sizes(mnk):
+    m, n, k = mnk
+    config = BatchConfig(
+        m=m, n=n, k=k, runs=1, seed=5, algorithms=("rand",), oracle="skip"
+    )
+    assert run_batch(config).pmnk_value == pmnk_exact(m, n, k).value
+
+
 def test_report_text_mentions_oracle_budget(tmp_path):
-    config = BatchConfig(m=3, n=4, k=2, runs=3, seed=6, pmnk_trials=500)
+    config = BatchConfig(m=3, n=4, k=2, runs=3, seed=6)
     text = report_text(run_batch(config))
     assert "exact optima on 3/3 runs" in text
 

@@ -128,7 +128,7 @@ CSV_DIGESTS = {
 def test_batch_csv_is_byte_identical_to_the_pair_scan_schedulers(key):
     tie, m, n, k, runs = key
     config = BatchConfig(
-        m=m, n=n, k=k, runs=runs, seed=20261018, oracle="skip", tie_mode=tie, pmnk_trials=10
+        m=m, n=n, k=k, runs=runs, seed=20261018, oracle="skip", tie_mode=tie
     )
     csv_text = rows_to_csv(list(run_batch(config).rows))
     assert hashlib.sha256(csv_text.encode()).hexdigest() == CSV_DIGESTS[key]
