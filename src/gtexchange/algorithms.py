@@ -25,11 +25,13 @@ from .core import (
     Schedule,
     ScheduleStep,
     SystemState,
-    _LinkKernel,
     activate_traced,
     aggregate_cardinality,
     gt_satisfied,
     initial_state,
+    is_maximal,
+    node_pairs,
+    set_links,
 )
 
 TIE_LOWEST = "lowest"
@@ -100,9 +102,10 @@ def _finish(
     )
 
 
-def _gain(masks: Sequence[int], i: int, j: int) -> int:
-    """Segments nodes i and j gain in total by exchanging."""
-    return 2 * (masks[i] | masks[j]).bit_count() - masks[i].bit_count() - masks[j].bit_count()
+def _argmax(pairs: list, weights: list[int]) -> list:
+    """The pairs with the largest weight, in their given order."""
+    best = max(weights)
+    return [p for p, w in zip(pairs, weights) if w == best]
 
 
 def run_randomized(instance: Instance, seed: int) -> AlgorithmRun:
@@ -115,103 +118,98 @@ def run_randomized(instance: Instance, seed: int) -> AlgorithmRun:
     """
     rng = random.Random(seed)
     state = initial_state(instance)
-    kernel = _LinkKernel(state.masks())
     steps: list[ScheduleStep] = []
     phases = 0
     order = list(range(instance.m))
-    while kernel.live:
+    while not is_maximal(state):
         phases += 1
         rng.shuffle(order)
         for at in range(0, instance.m - 1, 2):
             i, j = order[at], order[at + 1]
             if gt_satisfied(state, i, j):
                 state, step = activate_traced(state, Link(i, j))
-                kernel.activate(i, j)
                 steps.append(step)
     return _finish("rand", state, steps, rounds=phases)
-
-
-def _third_count(masks: Sequence[int], union: int) -> int:
-    """Nodes that would link to a pair holding ``union`` (never the pair itself)."""
-    return len([x for x in masks if x & ~union and union & ~x])
 
 
 def run_greedy_links(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmRun:
     """Activate the link that leaves the most links alive afterwards.
 
-    Activating (i, j) keeps every link not touching i or j, removes those
-    that do, and adds one link from each endpoint to every third node t
-    that links to the union ``set_i | set_j``: both endpoints end up
-    holding it.  The weight ``live - deg(i) - deg(j) + 1 + 2 * third(i, j)``
-    therefore costs O(1) per pair, given the cached count ``third(i, j)``
-    of such nodes t.  After an activation only the counts of pairs touching
-    i or j are recounted (one count per third node t, shared by (i, t) and
-    (j, t)); every other linked pair keeps its union and only changes
-    through the terms for t = i and t = j.  A step costs O(m^2).
+    Write ``N(U)`` for the number of nodes whose set is incomparable with
+    ``U``.  Activating (i, j), holding sets x and y, keeps every link not
+    touching i or j, removes those that do (``N(x) + N(y) - 1`` of them),
+    and adds one link from each endpoint to every node linking to the union
+    ``x | y``: both endpoints end up holding it.  That leaves
+    ``live + 1 - N(x) - N(y) + 2 * N(x | y)`` links, a function of the set
+    pair alone, so each step scores the linked pairs of distinct sets.
 
-    Pairs tied on that count are ordered by their immediate gain
-    ``2*|union| - |set_i| - |set_j|``, larger first (the ``ginc`` weight),
-    and only pairs tied on both go to the tie rule.  The gain depends on the
-    node sets, not on how the nodes are numbered; with it, every tie path
-    reaches the exact optimum on every four-node equal-size instance with
-    n <= 7, where the pair order alone misses it on some of them.
+    ``N`` is kept for every distinct set and every linked union.  After an
+    activation ``(x, y) -> u`` a kept key K moves by
+    ``2*[u ~ K] - [x ~ K] - [y ~ K]`` (``~``: incomparable); a key that is
+    new is counted over the distinct sets, and a key that no longer occurs
+    is dropped.  A step costs O(D^2) for D distinct sets, plus O(D) per new
+    key.
+
+    Set pairs tied on that count are ordered by their immediate gain
+    ``2*|x | y| - |x| - |y| = |x ^ y|``, larger first (the ``ginc``
+    weight), and the node pairs holding the set pairs tied on both go, in
+    ascending order, to the tie rule.  The gain depends on the node sets,
+    not on how the nodes are numbered; with it, every tie path reaches the
+    exact optimum on every four-node equal-size instance with n <= 7, where
+    the pair order alone misses it on some of them.
     """
     pick = tie.picker()
     state = initial_state(instance)
-    kernel = _LinkKernel(state.masks())
-    masks, nbr = kernel.masks, kernel.nbr
+    masks = list(state.masks())
+    count: dict[int, int] = {}  # holders of every distinct set
+    for x in masks:
+        count[x] = count.get(x, 0) + 1
+    incomparable: dict[int, int] = {}  # N, as of the step before
+    x = y = u = 0  # the last activation; nothing is kept before the first
     steps: list[ScheduleStep] = []
-    m = instance.m
-    third = [[0] * m for _ in range(m)]
-    for i, j in kernel.pairs():
-        third[i][j] = _third_count(masks, masks[i] | masks[j])
-    while kernel.live:
-        available = kernel.pairs()
-        degree = [row.bit_count() for row in nbr]
-        untouched = kernel.live + 1
-        best_weight = -1
-        candidates: list[tuple[int, int]] = []
-        for i, j in available:
-            weight = untouched - degree[i] - degree[j] + 2 * third[i][j]
-            if weight > best_weight:
-                best_weight = weight
-                candidates = [(i, j)]
-            elif weight == best_weight:
-                candidates.append((i, j))
-        gains = [_gain(masks, i, j) for i, j in candidates]
-        best_gain = max(gains)
-        candidates = [p for p, g in zip(candidates, gains) if g == best_gain]
-        i, j = pick(candidates)
-        old_i, old_j = masks[i], masks[j]
+    while True:
+        pairs = list(set_links(count))
+        if not pairs:
+            break
+        unions = [a | b for a, b in pairs]
+        kept, incomparable = incomparable, {}
+        distinct = list(count.items())
+        for key in set(count).union(unions):
+            value = kept.get(key)
+            outside = ~key
+            if value is None:
+                value = 0
+                for z, c in distinct:
+                    if z & outside and key & ~z:
+                        value += c
+            # the move 2*[u ~ K] - [x ~ K] - [y ~ K]; x and y lie inside u
+            elif key & ~u:
+                if u & outside:
+                    value += 2 - (x & outside != 0) - (y & outside != 0)
+            else:
+                value -= (key & ~x != 0 and x & outside != 0) + (
+                    key & ~y != 0 and y & outside != 0
+                )
+            incomparable[key] = value
+        # live + 1 is common to every pair
+        winners = _argmax(
+            pairs,
+            [
+                2 * incomparable[w] - incomparable[a] - incomparable[b]
+                for (a, b), w in zip(pairs, unions)
+            ],
+        )
+        winners = _argmax(winners, [(a ^ b).bit_count() for a, b in winners])
+        i, j = pick(node_pairs(masks, winners))
         state, step = activate_traced(state, Link(i, j))
         steps.append(step)
-        kernel.activate(i, j)
-        if not kernel.live:
-            break
-        union = masks[i]
-        for a, b in available:
-            if a == i or a == j or b == i or b == j:
-                continue
-            # t = i and t = j each counted iff their old set was incomparable
-            # with v, and now count iff the union is
-            v = masks[a] | masks[b]
-            if v & ~union:
-                if union & ~v:
-                    # incomparable with the union, so inside neither old set
-                    third[a][b] += (old_i & v == old_i) + (old_j & v == old_j)
-                # else v holds the union and both old sets: nothing changes
-            else:
-                if v & ~old_i and old_i & ~v:
-                    third[a][b] -= 1
-                if v & ~old_j and old_j & ~v:
-                    third[a][b] -= 1
-        row = nbr[i]
-        for t in range(m):
-            if not row >> t & 1:
-                continue
-            count = _third_count(masks, union | masks[t])
-            third[min(i, t)][max(i, t)] = count
-            third[min(j, t)][max(j, t)] = count
+        x, y = masks[i], masks[j]
+        u = masks[i] = masks[j] = x | y
+        for old in (x, y):
+            count[old] -= 1
+            if not count[old]:
+                del count[old]
+        count[u] = count.get(u, 0) + 2
     return _finish("glink", state, steps)
 
 
@@ -219,37 +217,38 @@ def run_greedy_incremental(instance: Instance, tie: TieRule = TieRule()) -> Algo
     """Activate the link with the largest immediate aggregate-cardinality gain.
 
     The gain of pairing i and j is ``2*|union| - |set_i| - |set_j|``: what
-    both endpoints add in total.
+    both endpoints add in total, which is the size of the symmetric
+    difference.  It depends on the two sets alone, so each step scores the
+    linked pairs of distinct sets and hands the node pairs of the best
+    ones, in ascending order, to the tie rule.
     """
     pick = tie.picker()
     state = initial_state(instance)
-    kernel = _LinkKernel(state.masks())
-    masks = kernel.masks
+    masks = list(state.masks())
     steps: list[ScheduleStep] = []
-    while kernel.live:
-        best_weight = -1
-        candidates: list[tuple[int, int]] = []
-        for i, j in kernel.pairs():
-            weight = _gain(masks, i, j)
-            if weight > best_weight:
-                best_weight = weight
-                candidates = [(i, j)]
-            elif weight == best_weight:
-                candidates.append((i, j))
-        i, j = pick(candidates)
+    while True:
+        pairs = list(set_links(masks))
+        if not pairs:
+            break
+        winners = _argmax(pairs, [(x ^ y).bit_count() for x, y in pairs])
+        i, j = pick(node_pairs(masks, winners))
         state, step = activate_traced(state, Link(i, j))
         steps.append(step)
-        kernel.activate(i, j)
+        masks[i] = masks[j] = masks[i] | masks[j]
     return _finish("ginc", state, steps)
 
 
-def _holder_classes(masks: Sequence[int], n: int) -> list[int]:
-    """Masks of the ``n``-universe's segments held by exactly 1, 2, ..., m nodes."""
-    classes = [0] * (len(masks) + 1)
-    for e in range(n):
-        bit = 1 << e
-        classes[sum(1 for mask in masks if mask & bit)] |= bit
-    return classes[1:]
+def _holders(masks: Sequence[int], n: int) -> list[int]:
+    """How many of ``masks`` hold each segment of the ``n``-universe."""
+    return [sum(mask >> e & 1 for mask in masks) for e in range(n)]
+
+
+def _holder_classes(holders: Sequence[int], m: int) -> list[int]:
+    """Masks of the segments held by exactly 0, 1, ..., m nodes."""
+    classes = [0] * (m + 1)
+    for e, count in enumerate(holders):
+        classes[count] |= 1 << e
+    return classes
 
 
 def rarest_first_rows(state: SystemState, n: int) -> dict[Link, tuple[int, ...]]:
@@ -261,12 +260,11 @@ def rarest_first_rows(state: SystemState, n: int) -> dict[Link, tuple[int, ...]]
     by exactly one endpoint (their availability would grow).  Rows compare
     lexicographically, larger is preferred.
     """
-    kernel = _LinkKernel(state.masks())
-    masks = kernel.masks
+    masks = state.masks()
     full = (1 << n) - 1
-    classes = _holder_classes(masks, n)
+    classes = _holder_classes(_holders(masks, n), len(masks))[1:]
     rows: dict[Link, tuple[int, ...]] = {}
-    for i, j in kernel.pairs():
+    for i, j in node_pairs(masks, set_links(masks)):
         sym = masks[i] ^ masks[j]
         rows[Link(i, j)] = (1 if masks[i] | masks[j] != full else 0,) + tuple(
             (sym & cls).bit_count() for cls in classes
@@ -280,34 +278,48 @@ def run_rarest_first(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmR
     Each step takes the available links with the largest preference row
     (see :func:`rarest_first_rows`): avoid creating universe holders, then
     favor links that lift segments held by only one node, then by two, and
-    so on.  Rows are compared as a cascade, one entry at a time over the
-    links still tied, skipping empty holder classes and stopping once one
-    link is left; the ascending pair order of the candidates survives, so
-    the tie rule sees what a full lexicographic argmax would give it.
+    so on.  A row depends on the two sets alone, so rows are compared over
+    the linked pairs of distinct sets, as a cascade: one entry at a time
+    over the set pairs still tied, skipping empty holder classes and
+    stopping once one set pair is left.  The node pairs holding the
+    winners go, in ascending order, to the tie rule.  The holder count of
+    each segment is kept across steps and moved by the two endpoints'
+    gains.
     """
     pick = tie.picker()
     state = initial_state(instance)
-    kernel = _LinkKernel(state.masks())
-    masks = kernel.masks
+    masks = list(state.masks())
     full = (1 << instance.n) - 1
+    holders = _holders(masks, instance.n)
+    classes = _holder_classes(holders, instance.m)
     steps: list[ScheduleStep] = []
-    while kernel.live:
-        candidates = kernel.pairs()
-        keep = [(i, j) for i, j in candidates if masks[i] | masks[j] != full]
+    while True:
+        candidates = list(set_links(masks))
+        if not candidates:
+            break
+        keep = [(x, y) for x, y in candidates if x | y != full]
         if keep:
             candidates = keep
-        for cls in _holder_classes(masks, instance.n):
+        for cls in classes[1:]:
             if len(candidates) == 1:
                 break
-            if not cls:
-                continue
-            counts = [((masks[i] ^ masks[j]) & cls).bit_count() for i, j in candidates]
-            top = max(counts)
-            candidates = [p for p, c in zip(candidates, counts) if c == top]
-        i, j = pick(candidates)
+            if cls:
+                candidates = _argmax(
+                    candidates, [((x ^ y) & cls).bit_count() for x, y in candidates]
+                )
+        i, j = pick(node_pairs(masks, candidates))
         state, step = activate_traced(state, Link(i, j))
         steps.append(step)
-        kernel.activate(i, j)
+        x, y = masks[i], masks[j]
+        u = masks[i] = masks[j] = x | y
+        for gained in (u & ~x, u & ~y):
+            while gained:
+                bit = gained & -gained
+                gained ^= bit
+                e = bit.bit_length() - 1
+                classes[holders[e]] ^= bit
+                holders[e] += 1
+                classes[holders[e]] |= bit
     return _finish("rare", state, steps)
 
 
@@ -373,12 +385,14 @@ def run_polygon(instance: Instance) -> AlgorithmRun:
             order = order[1:] + order[:1]
             rounds += 1
     post_sweep = 0
-    kernel = _LinkKernel(state.masks())
-    while kernel.live:
-        i, j = kernel.pairs()[0]
+    masks = list(state.masks())
+    # The first set pair scanned holds the lowest node pair: its first set is
+    # the earliest one with a link, its second the earliest linked to that.
+    while first := next(set_links(masks), None):
+        i, j = node_pairs(masks, [first])[0]
         state, step = activate_traced(state, Link(i, j))
         steps.append(step)
-        kernel.activate(i, j)
+        masks[i] = masks[j] = masks[i] | masks[j]
         post_sweep += 1
     return _finish("poly", state, steps, rounds=rounds, post_sweep_steps=post_sweep)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .algorithms import ALGORITHM_IDS, ALGORITHM_LABELS, TieRule, run_algorithm
 from .analysis import pmnk_exact, randomized_lower_bound
@@ -119,14 +120,14 @@ def _cmd_batch(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        if args.seed is not None:
-            data["seed"] = args.seed
-        if args.csv:
-            data["out_csv"] = args.csv
-        if args.json_out:
-            data["out_json"] = args.json_out
-        data.setdefault("seed", default_master_seed(None))
         config = BatchConfig.from_dict(data)
+        seed = args.seed if args.seed is not None else data.get("seed")
+        config = replace(
+            config,
+            seed=default_master_seed(seed),
+            out_csv=args.csv or config.out_csv,
+            out_json=args.json_out or config.out_json,
+        )
     else:
         for name in ("m", "n", "k"):
             if getattr(args, name) is None:
@@ -159,7 +160,10 @@ def _cmd_batch(args) -> int:
 def _cmd_table(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            configs = [BatchConfig.from_dict(d) for d in json.load(fh)]
+            data = json.load(fh)
+        if not isinstance(data, list):
+            raise ValueError("a table config must be a JSON list of batch configs")
+        configs = [BatchConfig.from_dict(d) for d in data]
     elif args.preset == "bounds":
         configs = reference_bound_configs(
             runs=args.runs, seed=default_master_seed(args.seed)

@@ -11,8 +11,9 @@ aggregate cardinality.
 All public values are immutable after construction and safe to share
 across threads; every public operation is a pure function of its inputs.
 Activation returns a fresh state, so search code can branch without
-copying.  The schedulers additionally keep a private, mutable link kernel
-(:class:`_LinkKernel`) per run, updated in step with their states.
+copying.  The schedulers find links with one scan over the *distinct* node
+sets (:func:`set_links`) and expand only the set pairs they choose into
+node pairs (:func:`node_pairs`).
 
 Node and segment indices are 0-based throughout the library; file formats
 and CLI output use 1-based ids (see the harness module).
@@ -216,74 +217,51 @@ def gt_satisfied(state: SystemState, i: int, j: int) -> bool:
     return gt_masks(state.sets[i].mask, state.sets[j].mask)
 
 
-class _LinkKernel:
-    """Incremental link structure over raw masks, shared by every scheduler.
+def set_links(masks: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """Every linked pair (x, y) of *distinct* masks among ``masks``.
 
-    ``nbr[i]`` is node i's neighbour bitmask (bit t set iff nodes i and t
-    satisfy the exchange criterion) and ``live`` the number of links.
-    Activating (i, j) hands both endpoints the same union, so only rows i
-    and j and their columns change: :meth:`activate` is O(m).  The kernel
-    assumes the activation is legal; callers validate it through
-    :func:`activate_traced` first.
+    An exchange's outcome depends only on the two sets involved, and nodes
+    holding the same set never link, so the schedulers score set pairs and
+    expand only the ones they choose (:func:`node_pairs`).  Pairs come in a
+    fixed order: by first appearance of ``x``, then of ``y``.  The scan is
+    lazy, so ``next(set_links(masks), None)`` stops at the first link.
     """
+    distinct = list(dict.fromkeys(masks))
+    for at, x in enumerate(distinct):
+        outside = ~x
+        for y in distinct[at + 1 :]:
+            if y & outside and x & ~y:
+                yield x, y
 
-    __slots__ = ("masks", "nbr", "live")
 
-    def __init__(self, masks: Iterable[int]):
-        self.masks = list(masks)
-        m = len(self.masks)
-        nbr = [0] * m
-        live = 0
-        for i in range(m - 1):
-            a = self.masks[i]
-            for j in range(i + 1, m):
-                b = self.masks[j]
-                if a & ~b and b & ~a:
-                    nbr[i] |= 1 << j
-                    nbr[j] |= 1 << i
-                    live += 1
-        self.nbr = nbr
-        self.live = live
-
-    def pairs(self) -> list[tuple[int, int]]:
-        """Every linked pair (i, j) with i < j, in ascending order."""
-        m = len(self.nbr)
-        return [
-            (i, j)
-            for i, row in enumerate(self.nbr)
-            if row >> (i + 1)
-            for j in range(i + 1, m)
-            if row >> j & 1
-        ]
-
-    def activate(self, i: int, j: int) -> None:
-        """Apply the exchange (i, j): rewrite rows i and j and their columns."""
-        masks, nbr = self.masks, self.nbr
-        union = masks[i] | masks[j]
-        masks[i] = masks[j] = union
-        ends = (1 << i) | (1 << j)
-        dropped = nbr[i].bit_count() + nbr[j].bit_count() - 1
-        outside, keep = ~union, ~ends
-        row = 0
-        for t, x in enumerate(masks):
-            # node t offers something outside the union and lacks part of it
-            if x & outside and x & union != union:
-                row |= 1 << t
-                nbr[t] |= ends
-            else:
-                nbr[t] &= keep
-        nbr[i] = nbr[j] = row
-        self.live += 2 * row.bit_count() - dropped
+def node_pairs(
+    masks: Sequence[int], set_pairs: Iterable[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """Every node pair (i, j), i < j, whose two masks form one of ``set_pairs``,
+    in ascending order.  ``set_pairs`` holds unordered pairs of distinct masks,
+    each at most once (as :func:`set_links` yields them)."""
+    holders: dict[int, list[int]] = {}
+    for i, mask in enumerate(masks):
+        holders.setdefault(mask, []).append(i)
+    pairs = [
+        (i, j) if i < j else (j, i)
+        for x, y in set_pairs
+        for i in holders[x]
+        for j in holders[y]
+    ]
+    pairs.sort()
+    return pairs
 
 
 def links(state: SystemState) -> set[Link]:
     """All currently available links, as canonical (i < j) pairs."""
-    return {Link(i, j) for i, j in _LinkKernel(state.masks()).pairs()}
+    masks = state.masks()
+    return {Link(i, j) for i, j in node_pairs(masks, set_links(masks))}
 
 
 def is_maximal(state: SystemState) -> bool:
     """True iff no further activation is possible anywhere in the group."""
-    return _LinkKernel(state.masks()).live == 0
+    return next(set_links(state.masks()), None) is None
 
 
 def activate_traced(state: SystemState, link: Link) -> tuple[SystemState, ScheduleStep]:

@@ -185,15 +185,46 @@ class BatchConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BatchConfig":
+        """Config from a parsed JSON object, checking each field's JSON type
+        (``true`` is no integer, a string is no list of ids)."""
+        if not isinstance(data, dict):
+            raise ValueError("a batch config must be a JSON object")
         kwargs = dict(data)
         unknown = set(kwargs) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown batch config fields: {sorted(unknown)}")
+        for name, value in kwargs.items():
+            if name in ("m", "n", "k", "runs", "seed"):
+                ok = _is_int(value)
+            elif name in ("oracle", "tie_mode"):
+                ok = isinstance(value, str)
+            elif name in ("out_csv", "out_json"):
+                ok = value is None or isinstance(value, str)
+            elif name == "strict":
+                ok = isinstance(value, bool)
+            elif name == "algorithms":
+                ok = isinstance(value, list) and all(isinstance(a, str) for a in value)
+            else:  # limits
+                ok = isinstance(value, dict)
+            if not ok:
+                raise ValueError(
+                    f"batch config field {name} has the wrong type: {value!r}"
+                )
         if "algorithms" in kwargs:
             kwargs["algorithms"] = tuple(kwargs["algorithms"])
-        if "limits" in kwargs and isinstance(kwargs["limits"], dict):
-            kwargs["limits"] = SearchLimits(**kwargs["limits"])
+        if "limits" in kwargs:
+            kwargs["limits"] = _limits_from_dict(kwargs["limits"])
         return cls(**kwargs)
+
+
+def _limits_from_dict(data: dict) -> SearchLimits:
+    unknown = set(data) - set(SearchLimits.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown search limit fields: {sorted(unknown)}")
+    for name, value in data.items():
+        if not (_is_int(value) or (name == "max_seconds" and isinstance(value, float))):
+            raise ValueError(f"search limit {name} has the wrong type: {value!r}")
+    return SearchLimits(**data)
 
 
 @dataclass(frozen=True)

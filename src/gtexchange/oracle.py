@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Generator, Iterator
 
 from .algorithms import run_greedy_links
 from .core import (
@@ -51,7 +51,8 @@ class SearchLimits:
     max_seconds: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.max_states <= 0 or self.max_seconds <= 0:
+        # phrased so that a NaN budget fails too
+        if not (self.max_states > 0 and self.max_seconds > 0):
             raise ValueError("search limits must be positive")
 
 
@@ -89,26 +90,57 @@ def canonical_key(state: SystemState) -> tuple[int, ...]:
     return tuple(sorted(state.masks()))
 
 
+# a state's best final aggregate cardinality and the set pair activated first
+_Result = tuple[int, tuple[int, int] | None]
+
+
 class _Search:
     def __init__(self, u_mask: int, limits: SearchLimits):
         self.u_mask = u_mask
         self.u_size = u_mask.bit_count()
         self.limits = limits
-        self.memo: dict[tuple[int, ...], tuple[int, tuple[int, int] | None]] = {}
+        self.memo: dict[tuple[int, ...], _Result] = {}
         self.visited = 0
         self.best_leaf = 0
         self.deadline = time.monotonic() + limits.max_seconds
 
-    def best_from(self, key: tuple[int, ...]) -> tuple[int, tuple[int, int] | None]:
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        self.visited += 1
-        if self.visited > self.limits.max_states:
-            raise _Abort("visited-state budget exceeded")
-        if self.visited % 1024 == 0 and time.monotonic() > self.deadline:
-            raise _Abort("wall-clock budget exceeded")
+    def best_from(self, root: tuple[int, ...]) -> _Result:
+        """Best final aggregate cardinality from ``root`` and the set pair to
+        activate first.
 
+        Depth-first: each state's expansion is suspended while a child it
+        asks for is expanded, on an explicit stack rather than the Python
+        call stack, so schedule length is not capped by the recursion limit.
+        """
+        # suspended expansions, innermost last
+        stack: list[Generator[tuple[int, ...], _Result, _Result]] = []
+        key: tuple[int, ...] | None = root  # the state asked for; None once answered
+        reply = None  # what the innermost expansion receives when resumed
+        while True:
+            if key is not None:
+                reply = self.memo.get(key)
+                if reply is None:
+                    self.visited += 1
+                    if self.visited > self.limits.max_states:
+                        raise _Abort("visited-state budget exceeded")
+                    if self.visited % 1024 == 0 and time.monotonic() > self.deadline:
+                        raise _Abort("wall-clock budget exceeded")
+                    stack.append(self._expand(key))
+                elif not stack:
+                    return reply
+            try:
+                key = stack[-1].send(reply)
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                key, reply = None, done.value
+
+    def _expand(
+        self, key: tuple[int, ...]
+    ) -> Generator[tuple[int, ...], _Result, _Result]:
+        """Expansion of one state: yields each child key and receives the
+        child's result; stores the state's own result in the memo."""
         m = len(key)
         bound = _state_bound(key, self.u_mask, self.u_size)
         seen_pairs: set[tuple[int, int]] = set()
@@ -130,7 +162,7 @@ class _Search:
                 child.append(union)
                 child.append(union)
                 child.sort()
-                value, _ = self.best_from(tuple(child))
+                value, _ = yield tuple(child)
                 if value > best:
                     best = value
                     best_action = (a, b)

@@ -240,3 +240,38 @@ def reference_randomized(instance, seed):
                 masks[i] = masks[j] = masks[i] | masks[j]
                 schedule.append((min(i, j), max(i, j)))
     return schedule, phases
+
+
+def reference_greedy_incremental(instance, mode="lowest", seed=None):
+    """Greedy-Incremental schedule as (i, j) pairs: the largest gain
+    ``2|S_i | S_j| - |S_i| - |S_j|`` over every linked node pair, then the
+    tie rule."""
+    pick = _tie_picker(mode, seed)
+    masks = [s.mask for s in instance.initial_sets]
+    schedule = []
+    while True:
+        available = _mask_links(masks)
+        if not available:
+            return schedule
+
+        def gain(i, j):
+            union = masks[i] | masks[j]
+            return 2 * bin(union).count("1") - bin(masks[i]).count("1") - bin(masks[j]).count("1")
+
+        i, j = pick(_argmax_pairs(available, gain))
+        masks[i] = masks[j] = masks[i] | masks[j]
+        schedule.append((i, j))
+
+
+def reference_lowest_pair_sweep(masks):
+    """Polygon's final sweep as (i, j) pairs: from the given node masks,
+    activate the smallest linked pair until no link is left."""
+    masks = list(masks)
+    schedule = []
+    while True:
+        available = _mask_links(masks)
+        if not available:
+            return schedule
+        i, j = min(available)
+        masks[i] = masks[j] = masks[i] | masks[j]
+        schedule.append((i, j))

@@ -225,3 +225,45 @@ def test_batch_config_with_coverage_trials_is_rejected(tmp_path, capsys):
     code, _, err = invoke(capsys, "batch", "--config", str(cfg))
     assert code == 2
     assert "pmnk_trials" in err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"m": 3, "n": 4, "k": 2, "runs": True},
+        {"m": 3, "n": 4, "k": 2, "limits": {"max_states": True}},
+        {"m": "4", "n": 4, "k": 2},
+        {"m": 4.5, "n": 4, "k": 2},
+        {"m": 3, "n": 4, "k": 2, "algorithms": {"rand": 1}},
+        [{"m": 3, "n": 4, "k": 2}],
+    ],
+)
+def test_batch_config_with_a_wrong_type_is_a_clean_error(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = invoke(capsys, "batch", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_table_config_that_is_no_list_is_a_clean_error(tmp_path, capsys):
+    cfg = tmp_path / "table.json"
+    cfg.write_text("5")
+    code, _, err = invoke(capsys, "table", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_optimal_on_a_deep_instance_reports_the_overrun(tmp_path, capsys):
+    # the search's first descent runs more activations deep than Python's
+    # default recursion limit; the budget check stops it at 1200 + 1 states
+    path = tmp_path / "deep.json"
+    args = ("-m", "120", "-n", "200", "-k", "2", "--seed", "12", "--out", str(path))
+    invoke(capsys, "gen", *args)
+    code, out, _ = invoke(
+        capsys, "optimal", "--instance", str(path), "--max-states", "1200"
+    )
+    assert code == 0
+    assert "exact: false" in out
+    assert "visited_states: 1201" in out

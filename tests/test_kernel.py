@@ -1,9 +1,9 @@
-"""Behaviour pins for the incremental link kernel the schedulers share.
+"""Behaviour pins for the distinct-set link scan the schedulers share.
 
-The schedulers keep link state across steps instead of rescanning every
-pair; these tests hold them to schedulers written from the definitions
-(``tests/oracles.py``) step for step, and to batch CSV digests recorded
-before the kernel existed.
+The schedulers score pairs of distinct sets and keep counts across steps
+instead of rescanning every node pair; these tests hold them to
+schedulers written from the definitions (``tests/oracles.py``) step for
+step, and to batch CSV digests recorded with the per-step node-pair scans.
 """
 
 import hashlib
@@ -21,22 +21,32 @@ from gtexchange import (
     is_maximal,
     links,
     rarest_first_rows,
+    run_greedy_incremental,
     run_greedy_links,
+    run_polygon,
     run_randomized,
     run_rarest_first,
 )
-from gtexchange.core import _LinkKernel
+from gtexchange.core import node_pairs, set_links
 from gtexchange.harness import BatchConfig, gen_instance, rows_to_csv, run_batch
 from conftest import instances, relaxed_instances
 from oracles import (
     pair_scan_links,
+    reference_greedy_incremental,
     reference_greedy_links,
+    reference_lowest_pair_sweep,
     reference_randomized,
     reference_rarest_first,
 )
 
 
 any_instances = st.one_of(instances(max_m=9, max_n=8), relaxed_instances())
+# many nodes over few segments: pair unions that contain other sets
+crowded_instances = st.builds(
+    lambda mnk, seed: gen_instance(*mnk, seed),
+    st.sampled_from([(10, 6, 3), (10, 8, 4)]),
+    st.integers(0, 2**32),
+)
 tie_rules = st.one_of(
     st.just(TieRule()),
     st.integers(0, 2**32).map(lambda seed: TieRule(mode="random", seed=seed)),
@@ -57,6 +67,23 @@ def test_greedy_links_matches_the_third_node_scan(instance, tie):
 def test_rarest_first_matches_the_full_row_argmax(instance, tie):
     expected = reference_rarest_first(instance, tie.mode, tie.seed)
     assert pairs_of(run_rarest_first(instance, tie)) == expected
+
+
+@given(st.one_of(any_instances, crowded_instances), tie_rules)
+def test_greedy_incremental_matches_the_pair_rescan(instance, tie):
+    expected = reference_greedy_incremental(instance, tie.mode, tie.seed)
+    assert pairs_of(run_greedy_incremental(instance, tie)) == expected
+
+
+@given(st.one_of(any_instances, crowded_instances))
+def test_polygon_final_sweep_takes_the_lowest_pair_each_step(instance):
+    run = run_polygon(instance)
+    pairs = pairs_of(run)
+    rounds = len(pairs) - run.post_sweep_steps
+    masks = [s.mask for s in instance.initial_sets]
+    for i, j in pairs[:rounds]:
+        masks[i] = masks[j] = masks[i] | masks[j]
+    assert pairs[rounds:] == reference_lowest_pair_sweep(masks)
 
 
 @given(any_instances, st.integers(0, 2**32))
@@ -93,27 +120,32 @@ def test_every_rarest_first_step_takes_a_maximal_row(instance, tie):
     assert rarest_first_rows(state, instance.n) == {}
 
 
-@given(any_instances, st.integers(0, 2**32))
-def test_kernel_updates_match_a_fresh_scan(instance, seed):
+@given(st.one_of(any_instances, crowded_instances), st.integers(0, 2**32))
+def test_set_scan_matches_a_pair_scan_along_a_random_walk(instance, seed):
     rng = random.Random(seed)
     state = initial_state(instance)
-    kernel = _LinkKernel(state.masks())
     while True:
-        fresh = _LinkKernel(state.masks())
-        assert (kernel.masks, kernel.nbr, kernel.live) == (fresh.masks, fresh.nbr, fresh.live)
-        assert set(kernel.pairs()) == pair_scan_links(state)
-        assert kernel.pairs() == sorted(kernel.pairs())
-        assert {Link(i, j) for i, j in kernel.pairs()} == links(state)
-        assert is_maximal(state) == (kernel.live == 0)
-        if not kernel.live:
+        expected = sorted(pair_scan_links(state))
+        masks = state.masks()
+        set_pairs = list(set_links(masks))
+        assert len({frozenset(p) for p in set_pairs}) == len(set_pairs)
+        assert node_pairs(masks, set_pairs) == expected
+        chosen = rng.sample(set_pairs, rng.randint(0, len(set_pairs)))
+        wanted = {frozenset(p) for p in chosen}
+        assert node_pairs(masks, chosen) == [
+            (i, j) for i, j in expected if frozenset((masks[i], masks[j])) in wanted
+        ]
+        expected_links = {Link(i, j) for i, j in expected}
+        assert links(state) == expected_links
+        assert set(rarest_first_rows(state, instance.n)) == expected_links
+        assert is_maximal(state) == (not expected)
+        if not expected:
             break
-        i, j = rng.choice(kernel.pairs())
-        state = activate(state, Link(i, j))
-        kernel.activate(i, j)
+        state = activate(state, Link(*rng.choice(expected)))
 
 
 # sha256 of run_batch's CSV for seed 20261018, oracle skipped, all five
-# algorithms, recorded with the per-step pair scans the kernel replaced.
+# algorithms, recorded with per-step pair scans, before any cached link state.
 CSV_DIGESTS = {
     ("lowest", 4, 5, 2, 40): "e5608d23caae39cb41c0e776bb8cbaef297c0b793e5106e84e8772e4350f5cf3",
     ("lowest", 15, 20, 5, 10): "5d2a36ad453827e158238a1090595c698e372a73a05662dd8ffc3d8251c25550",

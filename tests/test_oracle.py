@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import assume, given
 import hypothesis.strategies as st
@@ -19,6 +21,8 @@ from gtexchange import (
     solve_optimal,
     upper_bound,
 )
+from gtexchange.harness import gen_instance
+from gtexchange.oracle import _Abort, _Search
 from conftest import build_instance, instances, no_initial_universe_holder
 from oracles import brute_force_optimal, chain_by_inclusion, enumeration_optimal
 
@@ -105,6 +109,8 @@ def test_limits_must_be_positive():
         SearchLimits(max_states=0)
     with pytest.raises(ValueError):
         SearchLimits(max_seconds=0)
+    with pytest.raises(ValueError):
+        SearchLimits(max_seconds=float("nan"))  # would never expire
 
 
 def test_budget_overrun_raises_with_a_lower_bound():
@@ -124,6 +130,53 @@ def test_solve_optimal_flags_inexact_results():
     assert result.alpha == 18
     exact = solve_optimal(inst)
     assert exact.exact and exact.alpha == 20
+
+
+# solve_optimal(...).visited on gen_instance(15, 20, 5, seed), seeds 0-39,
+# max_states=2000, recorded with the recursive search
+PINNED_VISITED = [0] * 9 + [2001, 0, 0, 2001] + [0] * 20 + [2001] + [0] * 6
+# the search alone from each root (no presolve), same budget: visited
+# states, best leaf and memo size, then sha256 over every memo's items
+PINNED_SEARCHES = [
+    (2001, 295, 1975), (2001, 298, 1973), (2001, 275, 1974), (2001, 296, 1978),
+    (32, 299, 32), (30, 299, 30), (2001, 290, 1974), (2001, 262, 1974),
+    (2001, 294, 1974), (2001, 296, 1974), (2001, 297, 1965), (2001, 273, 1977),
+    (2001, 284, 1976), (2001, 296, 1966), (2001, 281, 1976), (2001, 291, 1975),
+    (2001, 270, 1980), (2001, 283, 1977), (37, 284, 37), (2001, 289, 1972),
+    (140, 299, 140), (2001, 289, 1972), (976, 284, 976), (34, 299, 34),
+    (2001, 285, 1973), (2001, 288, 1970), (23, 284, 23), (2001, 294, 1975),
+    (2001, 297, 1971), (2001, 291, 1978), (35, 299, 35), (28, 299, 28),
+    (2001, 280, 1977), (2001, 290, 1978), (2001, 292, 1974), (2001, 292, 1976),
+    (2001, 295, 1975), (28, 299, 28), (2001, 274, 1968), (33, 299, 33),
+]
+PINNED_MEMO_DIGEST = "ff7481ea9be17db8c5c3b1e0cf73859a487fdc652540297def4f11117f1e1127"
+
+
+def test_search_visits_states_in_the_recorded_order():
+    limits = SearchLimits(max_states=2000)
+    visited, searches = [], []
+    digest = hashlib.sha256()
+    for seed in range(40):
+        inst = gen_instance(15, 20, 5, seed)
+        visited.append(solve_optimal(inst, limits).visited)
+        search = _Search(inst.realized_universe.mask, limits)
+        try:
+            search.best_from(canonical_key(initial_state(inst)))
+        except _Abort:
+            pass
+        searches.append((search.visited, search.best_leaf, len(search.memo)))
+        digest.update(repr(sorted(search.memo.items())).encode())
+    assert visited == PINNED_VISITED
+    assert searches == PINNED_SEARCHES
+    assert digest.hexdigest() == PINNED_MEMO_DIGEST
+
+
+def test_deep_search_reports_an_overrun_instead_of_overflowing_the_stack():
+    # the first descent runs more activations deep than Python's default
+    # recursion limit, which the recursive search could not survive
+    result = solve_optimal(gen_instance(120, 200, 2, 12), SearchLimits(max_states=1200))
+    assert not result.exact
+    assert result.visited == 1201
 
 
 # --------------------------------------------------------------- enumeration
