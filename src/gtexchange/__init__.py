@@ -59,7 +59,6 @@ from .oracle import (
     OracleResult,
     SearchLimits,
     canonical_key,
-    enumerate_maximal_schedules,
     optimal_alpha,
     solve_optimal,
 )

@@ -28,6 +28,7 @@ from .core import (
     activate_traced,
     aggregate_cardinality,
     gt_satisfied,
+    incomparable_counts,
     initial_state,
     is_maximal,
     node_pairs,
@@ -143,12 +144,9 @@ def run_greedy_links(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmR
     ``live + 1 - N(x) - N(y) + 2 * N(x | y)`` links, a function of the set
     pair alone, so each step scores the linked pairs of distinct sets.
 
-    ``N`` is kept for every distinct set and every linked union.  After an
-    activation ``(x, y) -> u`` a kept key K moves by
-    ``2*[u ~ K] - [x ~ K] - [y ~ K]`` (``~``: incomparable); a key that is
-    new is counted over the distinct sets, and a key that no longer occurs
-    is dropped.  A step costs O(D^2) for D distinct sets, plus O(D) per new
-    key.
+    ``N`` is kept for every distinct set and every linked union and moved
+    by each activation (:func:`~gtexchange.core.incomparable_counts`).  A
+    step costs O(D^2) for D distinct sets, plus O(D) per new key.
 
     Set pairs tied on that count are ordered by their immediate gain
     ``2*|x | y| - |x| - |y| = |x ^ y|``, larger first (the ``ginc``
@@ -165,32 +163,16 @@ def run_greedy_links(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmR
     for x in masks:
         count[x] = count.get(x, 0) + 1
     incomparable: dict[int, int] = {}  # N, as of the step before
-    x = y = u = 0  # the last activation; nothing is kept before the first
+    x = y = 0  # the last activation; nothing is kept before the first
     steps: list[ScheduleStep] = []
     while True:
         pairs = list(set_links(count))
         if not pairs:
             break
         unions = [a | b for a, b in pairs]
-        kept, incomparable = incomparable, {}
-        distinct = list(count.items())
-        for key in set(count).union(unions):
-            value = kept.get(key)
-            outside = ~key
-            if value is None:
-                value = 0
-                for z, c in distinct:
-                    if z & outside and key & ~z:
-                        value += c
-            # the move 2*[u ~ K] - [x ~ K] - [y ~ K]; x and y lie inside u
-            elif key & ~u:
-                if u & outside:
-                    value += 2 - (x & outside != 0) - (y & outside != 0)
-            else:
-                value -= (key & ~x != 0 and x & outside != 0) + (
-                    key & ~y != 0 and y & outside != 0
-                )
-            incomparable[key] = value
+        incomparable = incomparable_counts(
+            count, set(count).union(unions), incomparable, x, y
+        )
         # live + 1 is common to every pair
         winners = _argmax(
             pairs,

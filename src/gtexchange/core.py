@@ -11,9 +11,11 @@ aggregate cardinality.
 All public values are immutable after construction and safe to share
 across threads; every public operation is a pure function of its inputs.
 Activation returns a fresh state, so search code can branch without
-copying.  The schedulers find links with one scan over the *distinct* node
-sets (:func:`set_links`) and expand only the set pairs they choose into
-node pairs (:func:`node_pairs`).
+copying.  The schedulers and the oracle find links with one scan over the
+*distinct* node sets (:func:`set_links`), greedy-links and the oracle
+count the links an activation keeps alive with :func:`incomparable_counts`,
+and the schedulers expand only the set pairs they choose into node pairs
+(:func:`node_pairs`).
 
 Node and segment indices are 0-based throughout the library; file formats
 and CLI output use 1-based ids (see the harness module).
@@ -251,6 +253,45 @@ def node_pairs(
     ]
     pairs.sort()
     return pairs
+
+
+def incomparable_counts(
+    count: dict[int, int],
+    keys: Iterable[int],
+    kept: dict[int, int],
+    x: int,
+    y: int,
+) -> dict[int, int]:
+    """``N(K)`` for every K in ``keys``: how many nodes hold a set
+    incomparable with K, the nodes holding the sets of ``count`` (set ->
+    holders).
+
+    ``kept`` holds N as of the state before the activation of the set pair
+    (x, y), empty when there is none.  After that activation a kept key K
+    moves by ``2*[x|y ~ K] - [x ~ K] - [y ~ K]`` (``~``: incomparable); any
+    other key is counted over the distinct sets, O(D) for D of them.
+    """
+    u = x | y
+    distinct = list(count.items())
+    incomparable = {}
+    for key in keys:
+        value = kept.get(key)
+        outside = ~key
+        if value is None:
+            value = 0
+            for z, c in distinct:
+                if z & outside and key & ~z:
+                    value += c
+        # x and y lie inside u
+        elif key & ~u:
+            if u & outside:
+                value += 2 - (x & outside != 0) - (y & outside != 0)
+        else:
+            value -= (key & ~x != 0 and x & outside != 0) + (
+                key & ~y != 0 and y & outside != 0
+            )
+        incomparable[key] = value
+    return incomparable
 
 
 def links(state: SystemState) -> set[Link]:

@@ -324,7 +324,10 @@ def summarize_rows(rows: list[dict]) -> dict[str, AlgorithmStats]:
 
 
 def run_batch(config: BatchConfig) -> BatchReport:
-    """Generate ``runs`` random instances and benchmark every configured algorithm."""
+    """Generate ``runs`` random instances and benchmark every configured algorithm.
+
+    The exact oracle starts from the best of the instance's heuristic runs.
+    """
     rows: list[dict] = []
     exact_runs = 0
     exceeded = 0
@@ -335,34 +338,32 @@ def run_batch(config: BatchConfig) -> BatchReport:
             config.m, config.n, config.k, inst_seed, strict=config.strict
         )
         ub_total += upper_bound(instance)
+        runs = []
+        for alg in config.algorithms:
+            random_ties = config.tie_mode == "random"
+            tie_seed = derive_seed(config.seed, t, "tie", alg) if random_ties else None
+            seed = derive_seed(config.seed, t, "alg", alg)
+            tie = TieRule(mode=config.tie_mode, seed=tie_seed)
+            runs.append(run_algorithm(alg, instance, seed=seed, tie=tie))
         optimal = None
         exact: bool | None = None
         if config.oracle == "exact":
-            result = solve_optimal(instance, config.limits)
-            if result.exact:
+            best = max(runs, key=lambda run: run.alpha, default=None)
+            result = solve_optimal(instance, config.limits, incumbent=best)
+            exact = result.exact
+            if exact:
                 optimal = result.alpha
-                exact = True
                 exact_runs += 1
             else:
-                exact = False
                 exceeded += 1
-        for alg in config.algorithms:
-            tie = TieRule(
-                mode=config.tie_mode,
-                seed=derive_seed(config.seed, t, "tie", alg)
-                if config.tie_mode == "random"
-                else None,
-            )
-            run = run_algorithm(
-                alg, instance, seed=derive_seed(config.seed, t, "alg", alg), tie=tie
-            )
+        for alg, run in zip(config.algorithms, runs):
             rows.append(
                 {
                     "run": t,
                     "seed": inst_seed,
                     "algorithm": alg,
                     "alpha": run.alpha,
-                    "optimal": optimal if exact else None,
+                    "optimal": optimal,
                     "exact_flag": exact,
                     "steps": len(run.schedule),
                     "post_sweep_steps": run.post_sweep_steps,

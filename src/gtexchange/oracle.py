@@ -6,29 +6,34 @@ is sound because an activation's outcome depends only on the two sets
 involved, never on node identities, so every state with the same multiset
 reaches the same best final aggregate cardinality.
 
-Two admissible devices keep the search exact while pruning hard:
+The search stays exhaustive; three things let it stop early or not start:
 
-* a per-state bound: nodes already holding the realized universe never
-  change, new full-coverage nodes appear in pairs (a node's last activation
-  hands the union to its partner as well), and every other node tops out
-  one segment short; the search stops expanding a state once it matches
-  its bound;
-* a greedy presolve seeds the incumbent, so instances where the heuristic
-  already meets the initial state's bound never enter the search at all.
+* one bound per search: nodes holding the realized universe never change
+  and new holders appear two at a time, so every reachable state has the
+  root's bound (:func:`~gtexchange.core.upper_bound`), and the search stops
+  at the first leaf that meets it;
+* an incumbent: a maximal schedule known before the search, the best
+  heuristic run a batch already made or else a greedy-links presolve.  An
+  incumbent meeting the bound is certified without a search, and so is one
+  that a finished search does not beat, its schedule being the witness;
+* child order: a state's children are tried by the number of links they
+  keep alive, most first (the greedy-links score), so the first leaves
+  reached tend to be good ones.  The order decides only which leaf comes
+  first.
 
-Budgets are enforced per search; exceeding one raises
-:class:`OracleLimitError` carrying the best certified lower bound found.
-A single search runs on one thread; independent instances may be solved
-in parallel, one search each.
+Budgets are enforced per search.  On an overrun the result is flagged
+inexact and carries the better of the incumbent and the best leaf reached,
+with a schedule reaching it.  A single search runs on one thread;
+independent instances may be solved in parallel, one search each.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Generator, Iterator
+from typing import Generator
 
-from .algorithms import run_greedy_links
+from .algorithms import AlgorithmRun, run_greedy_links
 from .core import (
     Instance,
     Link,
@@ -36,10 +41,9 @@ from .core import (
     SystemState,
     _state_bound,
     activate_traced,
-    gt_masks,
+    incomparable_counts,
     initial_state,
-    links,
-    upper_bound,
+    set_links,
 )
 
 
@@ -90,30 +94,49 @@ def canonical_key(state: SystemState) -> tuple[int, ...]:
     return tuple(sorted(state.masks()))
 
 
-# a state's best final aggregate cardinality and the set pair activated first
-_Result = tuple[int, tuple[int, int] | None]
+def _scored(
+    count: dict[int, int], kept: dict[int, int], x: int, y: int
+) -> tuple[list[tuple[int, int]], list[int], dict[int, int]]:
+    """A state's linked set pairs, the links activating each removes net,
+    ``N(a) + N(b) - 2*N(a|b)`` for the pair (a, b), and the state's N; the
+    arguments are those of :func:`~gtexchange.core.incomparable_counts`."""
+    pairs = list(set_links(count))
+    if not pairs:
+        return [], [], {}
+    unions = [a | b for a, b in pairs]
+    incomparable = incomparable_counts(count, {*count, *unions}, kept, x, y)
+    loss = [
+        incomparable[a] + incomparable[b] - 2 * incomparable[u]
+        for (a, b), u in zip(pairs, unions)
+    ]
+    return pairs, loss, incomparable
 
 
 class _Search:
-    def __init__(self, u_mask: int, limits: SearchLimits):
-        self.u_mask = u_mask
-        self.u_size = u_mask.bit_count()
+    def __init__(self, root: tuple[int, ...], u_mask: int, limits: SearchLimits):
+        self.bound = _state_bound(root, u_mask, u_mask.bit_count())
         self.limits = limits
-        self.memo: dict[tuple[int, ...], _Result] = {}
+        self.memo: dict[tuple[int, ...], int] = {}
         self.visited = 0
         self.best_leaf = 0
+        # set pairs activated from the root to the best leaf, and to the
+        # state being expanded
+        self.best_path: tuple[tuple[int, int], ...] = ()
+        self.path: list[tuple[int, int]] = []
+        # N of the state whose child is asked for next, and the set pair
+        # that child activates (see core.incomparable_counts)
+        self.handoff: tuple[dict[int, int], int, int] = ({}, 0, 0)
         self.deadline = time.monotonic() + limits.max_seconds
 
-    def best_from(self, root: tuple[int, ...]) -> _Result:
-        """Best final aggregate cardinality from ``root`` and the set pair to
-        activate first.
+    def best_from(self, root: tuple[int, ...]) -> int:
+        """Best final aggregate cardinality from ``root``.
 
         Depth-first: each state's expansion is suspended while a child it
         asks for is expanded, on an explicit stack rather than the Python
         call stack, so schedule length is not capped by the recursion limit.
         """
         # suspended expansions, innermost last
-        stack: list[Generator[tuple[int, ...], _Result, _Result]] = []
+        stack: list[Generator[tuple[int, ...], int, int]] = []
         key: tuple[int, ...] | None = root  # the state asked for; None once answered
         reply = None  # what the innermost expansion receives when resumed
         while True:
@@ -122,9 +145,9 @@ class _Search:
                 if reply is None:
                     self.visited += 1
                     if self.visited > self.limits.max_states:
-                        raise _Abort("visited-state budget exceeded")
+                        raise _Abort
                     if self.visited % 1024 == 0 and time.monotonic() > self.deadline:
-                        raise _Abort("wall-clock budget exceeded")
+                        raise _Abort
                     stack.append(self._expand(key))
                 elif not stack:
                     return reply
@@ -136,165 +159,110 @@ class _Search:
                     return done.value
                 key, reply = None, done.value
 
-    def _expand(
-        self, key: tuple[int, ...]
-    ) -> Generator[tuple[int, ...], _Result, _Result]:
+    def _child(
+        self, key: tuple[int, ...], pair: tuple[int, int], incomparable: dict[int, int]
+    ) -> tuple[int, ...]:
+        """Key of the state that activating ``pair`` in ``key`` leads to; puts
+        the step on the path and hands ``key``'s N to the child's expansion."""
+        x, y = pair
+        union = x | y
+        child = list(key)
+        child.remove(x)
+        child.remove(y)
+        child += (union, union)
+        child.sort()
+        self.path.append(pair)
+        self.handoff = (incomparable, x, y)
+        return tuple(child)
+
+    def _expand(self, key: tuple[int, ...]) -> Generator[tuple[int, ...], int, int]:
         """Expansion of one state: yields each child key and receives the
         child's result; stores the state's own result in the memo."""
-        m = len(key)
-        bound = _state_bound(key, self.u_mask, self.u_size)
-        seen_pairs: set[tuple[int, int]] = set()
-        best = -1
-        best_action: tuple[int, int] | None = None
-        for ai in range(m - 1):
-            a = key[ai]
-            for bi in range(ai + 1, m):
-                b = key[bi]
-                if (a, b) in seen_pairs:
-                    continue
-                seen_pairs.add((a, b))
-                if not gt_masks(a, b):
-                    continue
-                union = a | b
-                child = list(key)
-                del child[bi]
-                del child[ai]
-                child.append(union)
-                child.append(union)
-                child.sort()
-                value, _ = yield tuple(child)
-                if value > best:
-                    best = value
-                    best_action = (a, b)
-                    if best == bound:
-                        break
-            if best == bound:
-                break
-        if best_action is None and best < 0:
+        count: dict[int, int] = {}
+        for mask in key:
+            count[mask] = count.get(mask, 0) + 1
+        pairs, loss, incomparable = _scored(count, *self.handoff)
+        if not pairs:
             best = sum(mask.bit_count() for mask in key)
             if best > self.best_leaf:
                 self.best_leaf = best
-        self.memo[key] = (best, best_action)
-        return best, best_action
+                self.best_path = tuple(self.path)
+            self.memo[key] = best
+            return best
+        # Children go in order of loss, ties in pair order.  While the first
+        # child's subtree is searched this state keeps only O(m) data, so a
+        # deep descent holds no O(m^2) pair list per level; if the search
+        # comes back, the pairs are scored again from scratch.
+        first = self._child(key, pairs[loss.index(min(loss))], incomparable)
+        del pairs, loss, incomparable
+        best = yield first
+        self.path.pop()
+        if best < self.bound:
+            pairs, loss, incomparable = _scored(count, {}, 0, 0)
+            order = sorted(range(len(pairs)), key=loss.__getitem__)
+            for at in order[1:]:
+                value = yield self._child(key, pairs[at], incomparable)
+                self.path.pop()
+                if value > best:
+                    best = value
+                    if best == self.bound:
+                        break
+        self.memo[key] = best
+        return best
 
 
-def _witness_from_memo(instance: Instance, search: _Search) -> Schedule:
-    """Rebuild an achieving schedule by walking stored best actions."""
+def _replay(instance: Instance, set_pairs: tuple[tuple[int, int], ...]) -> Schedule:
+    """Schedule activating each set pair in turn, on the lowest nodes holding it."""
     state = initial_state(instance)
     steps = []
-    while True:
-        key = canonical_key(state)
-        _, action = search.memo[key]
-        if action is None:
-            break
-        a, b = action
+    for x, y in set_pairs:
         masks = state.masks()
-        i = masks.index(a)
-        j = next(t for t in range(len(masks)) if t != i and masks[t] == b)
-        state, step = activate_traced(state, Link(i, j))
+        state, step = activate_traced(state, Link(masks.index(x), masks.index(y)))
         steps.append(step)
     return Schedule(steps=tuple(steps))
 
 
-def _solve(instance: Instance, limits: SearchLimits) -> OracleResult:
-    presolve = run_greedy_links(instance)
-    u_mask = instance.realized_universe.mask
-    root = tuple(sorted(instance.initial_sets[i].mask for i in range(instance.m)))
-    if presolve.alpha == upper_bound(instance):
-        return OracleResult(
-            alpha=presolve.alpha, witness=presolve.schedule, exact=True, visited=0
-        )
-    search = _Search(u_mask, limits)
-    try:
-        best, _ = search.best_from(root)
-    except _Abort as abort:
-        best_alpha = max(search.best_leaf, presolve.alpha)
-        witness = presolve.schedule if presolve.alpha == best_alpha else Schedule()
-        raise OracleLimitError(
-            f"limit exceeded ({abort}); best lower bound found: {best_alpha}",
-            best_alpha=best_alpha,
-            witness=witness,
-            visited=search.visited,
-        ) from None
-    if best == presolve.alpha:
-        witness = presolve.schedule
-    else:
-        witness = _witness_from_memo(instance, search)
-    return OracleResult(alpha=best, witness=witness, exact=True, visited=search.visited)
+def solve_optimal(
+    instance: Instance,
+    limits: SearchLimits = SearchLimits(),
+    incumbent: AlgorithmRun | None = None,
+) -> OracleResult:
+    """Maximum aggregate cardinality over all maximal schedules, with a witness.
+
+    ``incumbent`` is a run already made on ``instance``; without one a
+    greedy-links run stands in.  Never raises on budget overrun: the result
+    is flagged ``exact=False`` and carries the better of the incumbent and
+    the best leaf the search reached.
+    """
+    if incumbent is None:
+        incumbent = run_greedy_links(instance)
+    root = canonical_key(initial_state(instance))
+    search = _Search(root, instance.realized_universe.mask, limits)
+    exact = True
+    if incumbent.alpha < search.bound:
+        try:
+            search.best_from(root)
+        except _Abort:
+            exact = False
+    # a finished search's best leaf is the optimum
+    if search.best_leaf > incumbent.alpha:
+        witness = _replay(instance, search.best_path)
+        return OracleResult(search.best_leaf, witness, exact, search.visited)
+    return OracleResult(incumbent.alpha, incumbent.schedule, exact, search.visited)
 
 
 def optimal_alpha(
     instance: Instance, limits: SearchLimits = SearchLimits()
 ) -> tuple[int, Schedule]:
-    """Maximum aggregate cardinality over all maximal schedules, with a witness.
-
-    Raises :class:`OracleLimitError` when the budget runs out first.
-    """
-    result = _solve(instance, limits)
-    return result.alpha, result.witness
-
-
-def solve_optimal(
-    instance: Instance, limits: SearchLimits = SearchLimits()
-) -> OracleResult:
-    """Like :func:`optimal_alpha` but never raises on budget overrun;
-    the result is flagged ``exact=False`` instead."""
-    try:
-        return _solve(instance, limits)
-    except OracleLimitError as err:
-        return OracleResult(
-            alpha=err.best_alpha, witness=err.witness, exact=False, visited=err.visited
+    """Like :func:`solve_optimal`, but raises :class:`OracleLimitError` when
+    the budget runs out first."""
+    result = solve_optimal(instance, limits)
+    if not result.exact:
+        raise OracleLimitError(
+            f"search limit exceeded after {result.visited} states; "
+            f"best lower bound found: {result.alpha}",
+            best_alpha=result.alpha,
+            witness=result.witness,
+            visited=result.visited,
         )
-
-
-class MaximalScheduleStream:
-    """Iterator over ``(Schedule, final_state)`` for distinct maximal schedules.
-
-    Yields every activation sequence whose prefixes are all legal and whose
-    final state has no link left, in lexicographic link order, up to ``cap``
-    schedules.  After exhaustion, ``truncated`` tells whether the cap cut the
-    enumeration short.
-    """
-
-    def __init__(self, instance: Instance, cap: int | None = None):
-        if cap is not None and cap < 1:
-            raise ValueError("cap must be positive when given")
-        self.truncated = False
-        self._cap = cap
-        self._count = 0
-        self._walk = self._generate(initial_state(instance), [])
-
-    def __iter__(self) -> "MaximalScheduleStream":
-        return self
-
-    def __next__(self) -> tuple[Schedule, SystemState]:
-        if self._cap is not None and self._count >= self._cap:
-            # Probe whether anything remained beyond the cap.
-            try:
-                next(self._walk)
-            except StopIteration:
-                raise
-            else:
-                self.truncated = True
-                raise StopIteration
-        item = next(self._walk)
-        self._count += 1
-        return item
-
-    def _generate(self, state, steps) -> Iterator[tuple[Schedule, SystemState]]:
-        available = sorted(links(state))
-        if not available:
-            yield Schedule(steps=tuple(steps)), state
-            return
-        for link in available:
-            next_state, step = activate_traced(state, link)
-            steps.append(step)
-            yield from self._generate(next_state, steps)
-            steps.pop()
-
-
-def enumerate_maximal_schedules(
-    instance: Instance, cap: int | None = None
-) -> MaximalScheduleStream:
-    """Stream all maximal schedules of ``instance`` (up to ``cap``)."""
-    return MaximalScheduleStream(instance, cap)
+    return result.alpha, result.witness

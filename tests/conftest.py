@@ -1,3 +1,5 @@
+import random
+
 import hypothesis.strategies as st
 from hypothesis import settings
 
@@ -44,3 +46,17 @@ def no_initial_universe_holder(instance):
     """True when no node starts out already holding the realized universe."""
     union = instance.realized_universe.mask
     return all(s.mask != union for s in instance.initial_sets)
+
+
+def criterion_03_grid():
+    """The 200 small strict instances acceptance criterion 03 checks the
+    oracle on: two to four nodes over two to five segments."""
+    rng = random.Random(31337)
+    for _ in range(200):
+        m = rng.choice([2, 3, 4])
+        n = rng.randint(2, 5)
+        sets = tuple(
+            SegmentSet.from_iterable(rng.sample(range(n), rng.randint(1, n - 1)))
+            for _ in range(m)
+        )
+        yield Instance(m=m, n=n, initial_sets=sets)

@@ -1,11 +1,12 @@
 """Independent reference computations the tests check the library against.
 
 Everything here is deliberately brute force and shares no code path with
-the implementations under test: a memo-free recursive optimum, coverage
-probability by exhaustive tuple enumeration, by inclusion-exclusion over
-rationals, by a composition sum and by sampling, a pair-scan link finder,
-and three schedulers written straight from their definitions (every step
-rescans every pair, with no cached link state).
+the implementations under test: a memo-free recursive optimum, an
+enumerator of every maximal schedule (built on the core model only),
+coverage probability by exhaustive tuple enumeration, by
+inclusion-exclusion over rationals, by a composition sum and by sampling,
+a pair-scan link finder, and three schedulers written straight from their
+definitions (every step rescans every pair, with no cached link state).
 """
 
 import random
@@ -14,7 +15,15 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb, sqrt
 
-from gtexchange import aggregate_cardinality, enumerate_maximal_schedules, gt_satisfied
+from gtexchange import (
+    Schedule,
+    SystemState,
+    activate_traced,
+    aggregate_cardinality,
+    gt_satisfied,
+    initial_state,
+    links,
+)
 
 
 def brute_force_optimal(instance):
@@ -39,6 +48,58 @@ def brute_force_optimal(instance):
         return best
 
     return rec(tuple(s.mask for s in instance.initial_sets))
+
+
+class MaximalScheduleStream:
+    """Iterator over ``(Schedule, final_state)`` for distinct maximal schedules.
+
+    Yields every activation sequence whose prefixes are all legal and whose
+    final state has no link left, in lexicographic link order, up to ``cap``
+    schedules.  After exhaustion, ``truncated`` tells whether the cap cut the
+    enumeration short.  It recurses once per activation, so it suits the
+    small instances tests use.
+    """
+
+    def __init__(self, instance, cap=None):
+        if cap is not None and cap < 1:
+            raise ValueError("cap must be positive when given")
+        self.truncated = False
+        self._cap = cap
+        self._count = 0
+        self._walk = self._generate(initial_state(instance), [])
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> tuple[Schedule, SystemState]:
+        if self._cap is not None and self._count >= self._cap:
+            # Probe whether anything remained beyond the cap.
+            try:
+                next(self._walk)
+            except StopIteration:
+                raise
+            else:
+                self.truncated = True
+                raise StopIteration
+        item = next(self._walk)
+        self._count += 1
+        return item
+
+    def _generate(self, state, steps):
+        available = sorted(links(state))
+        if not available:
+            yield Schedule(steps=tuple(steps)), state
+            return
+        for link in available:
+            next_state, step = activate_traced(state, link)
+            steps.append(step)
+            yield from self._generate(next_state, steps)
+            steps.pop()
+
+
+def enumerate_maximal_schedules(instance, cap=None):
+    """Stream all maximal schedules of ``instance`` (up to ``cap``)."""
+    return MaximalScheduleStream(instance, cap)
 
 
 def enumeration_optimal(instance):

@@ -14,7 +14,6 @@ from gtexchange import (
     Instance,
     SegmentSet,
     aggregate_cardinality,
-    enumerate_maximal_schedules,
     find_unique_set,
     gen_instance,
     initial_state,
@@ -28,10 +27,12 @@ from gtexchange import (
     run_polygon,
 )
 from gtexchange.core import gt_masks
+from conftest import criterion_03_grid
 from oracles import (
     brute_force_optimal,
     chain_by_inclusion,
     coverage_by_enumeration,
+    enumerate_maximal_schedules,
     pmnk_montecarlo,
 )
 
@@ -101,18 +102,8 @@ def test_criterion_02_randomized_simulation_matches_reference():
 
 
 def test_criterion_03_oracle_equivalence():
-    rng = random.Random(31337)
     start = time.perf_counter()
-    checked = 0
-    while checked < 200:
-        m = rng.choice([2, 3, 4])
-        n = rng.randint(2, 5)
-        sets = tuple(
-            SegmentSet.from_iterable(rng.sample(range(n), rng.randint(1, n - 1)))
-            for _ in range(m)
-        )
-        instance = Instance(m=m, n=n, initial_sets=sets)
-        checked += 1
+    for instance in criterion_03_grid():
         memoized, _ = optimal_alpha(instance)
         reference = brute_force_optimal(instance)
         enumerated = max(
@@ -120,7 +111,7 @@ def test_criterion_03_oracle_equivalence():
             for _, final in enumerate_maximal_schedules(instance)
         )
         assert memoized == reference == enumerated, (
-            f"disagreement on {[s.to_list() for s in sets]}: "
+            f"disagreement on {[s.to_list() for s in instance.initial_sets]}: "
             f"{memoized} / {reference} / {enumerated}"
         )
     elapsed = time.perf_counter() - start

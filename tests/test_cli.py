@@ -2,13 +2,29 @@ import json
 
 import pytest
 
-from gtexchange import aggregate_cardinality, apply_schedule, pmnk_exact
+from gtexchange import (
+    ALGORITHM_IDS,
+    Instance,
+    SegmentSet,
+    aggregate_cardinality,
+    apply_schedule,
+    pmnk_exact,
+    run_algorithm,
+)
 from gtexchange.cli import main
-from gtexchange.harness import load_instance, load_schedule, save_instance
+from gtexchange.harness import (
+    derive_seed,
+    gen_instance,
+    load_instance,
+    load_schedule,
+    save_instance,
+)
 from conftest import build_instance
 
-# greedy-links, the oracle's presolve, reaches 18 here; the optimum is 20
+# greedy-links reaches 18 here; the optimum is 20, which rand and rare reach
 SUBOPTIMAL_GREEDY = ([0, 1], [0, 2], [0, 1, 3], [2, 3, 4])
+# every heuristic stops at 23 or below here; the optimum and the bound are 24
+HEURISTICS_SHORT = ([1, 2], [0, 3], [1, 3], [0, 4], [0, 3])
 
 
 def invoke(capsys, *argv):
@@ -83,13 +99,33 @@ def test_optimal_reports_exact_value_and_witness(tmp_path, capsys):
 
 
 def test_optimal_flags_budget_overrun(tmp_path, capsys):
-    inst_path = write_instance(tmp_path, 5, *SUBOPTIMAL_GREEDY)
+    inst_path = write_instance(tmp_path, 5, *HEURISTICS_SHORT)
     code, out, _ = invoke(
         capsys, "optimal", "--instance", inst_path, "--max-states", "1"
     )
     assert code == 0
     assert "exact: false" in out
-    assert "alpha: 18" in out
+    assert "alpha: 23" in out  # the best heuristic's value
+
+
+def test_optimal_overrun_reports_no_less_than_any_heuristic(tmp_path, capsys):
+    # the five heuristics reach at most 278 here (greedy-links), the bound is
+    # 284, and the search does not finish within 2000 states
+    instance = gen_instance(15, 20, 5, derive_seed(0, 19, "instance"))
+    inst_path = tmp_path / "instance.json"
+    save_instance(instance, str(inst_path))
+    witness_path = tmp_path / "witness.json"
+    code, out, _ = invoke(
+        capsys, "optimal", "--instance", str(inst_path), "--max-states", "2000",
+        "--out", str(witness_path),
+    )
+    assert code == 0
+    assert "exact: false" in out
+    alpha = int(out.split("alpha:")[1].split()[0])
+    for alg in ALGORITHM_IDS:
+        assert run_algorithm(alg, instance).alpha <= alpha
+    final, _ = apply_schedule(instance, load_schedule(str(witness_path)))
+    assert aggregate_cardinality(final) == alpha
 
 
 def test_pmnk_exact_and_sampled(capsys):
@@ -257,10 +293,14 @@ def test_table_config_that_is_no_list_is_a_clean_error(tmp_path, capsys):
 
 def test_optimal_on_a_deep_instance_reports_the_overrun(tmp_path, capsys):
     # the search's first descent runs more activations deep than Python's
-    # default recursion limit; the budget check stops it at 1200 + 1 states
+    # default recursion limit; the budget check stops it at 1200 + 1 states.
+    # The last node holds only a segment every other node holds, so it never
+    # links and no heuristic meets the parity bound: the search has to run.
+    base = gen_instance(120, 200, 2, 12)
+    shared = SegmentSet.from_iterable([200])
+    sets = tuple(s | shared for s in base.initial_sets) + (shared,)
     path = tmp_path / "deep.json"
-    args = ("-m", "120", "-n", "200", "-k", "2", "--seed", "12", "--out", str(path))
-    invoke(capsys, "gen", *args)
+    save_instance(Instance(m=121, n=201, initial_sets=sets), str(path))
     code, out, _ = invoke(
         capsys, "optimal", "--instance", str(path), "--max-states", "1200"
     )
