@@ -6,7 +6,6 @@ from .algorithms import (
     AlgorithmRun,
     TieRule,
     find_unique_set,
-    rarest_first_rows,
     run_algorithm,
     run_greedy_incremental,
     run_greedy_links,

@@ -9,6 +9,9 @@ emitting a maximal schedule plus the final state:
 * ``ginc``  -- greedy on the immediate aggregate-cardinality gain,
 * ``rare``  -- rarest-first availability balancing.
 
+Every scheduler keeps the node masks as one list of ints and activates
+through :func:`~gtexchange.core.exchange`, which updates the list in place;
+the final :class:`~gtexchange.core.SystemState` is built once, at the end.
 Each run is a pure function of (instance, seed / tie rule); distinct runs
 may execute concurrently with no shared state.
 """
@@ -21,16 +24,13 @@ from typing import Callable, Sequence
 
 from .core import (
     Instance,
-    Link,
     Schedule,
     ScheduleStep,
+    SegmentSet,
     SystemState,
-    activate_traced,
-    aggregate_cardinality,
-    gt_satisfied,
+    exchange,
+    gt_masks,
     incomparable_counts,
-    initial_state,
-    is_maximal,
     node_pairs,
     set_links,
 )
@@ -88,7 +88,7 @@ class AlgorithmRun:
 
 def _finish(
     algorithm: str,
-    state: SystemState,
+    masks: list[int],
     steps: list[ScheduleStep],
     rounds: int | None = None,
     post_sweep_steps: int = 0,
@@ -96,8 +96,8 @@ def _finish(
     return AlgorithmRun(
         algorithm=algorithm,
         schedule=Schedule(steps=tuple(steps)),
-        final_state=state,
-        alpha=aggregate_cardinality(state),
+        final_state=SystemState(sets=tuple(map(SegmentSet, masks)), step=len(steps)),
+        alpha=sum(mask.bit_count() for mask in masks),
         rounds=rounds,
         post_sweep_steps=post_sweep_steps,
     )
@@ -118,19 +118,18 @@ def run_randomized(instance: Instance, seed: int) -> AlgorithmRun:
     Phases repeat while any link remains.
     """
     rng = random.Random(seed)
-    state = initial_state(instance)
+    masks = [s.mask for s in instance.initial_sets]
     steps: list[ScheduleStep] = []
     phases = 0
     order = list(range(instance.m))
-    while not is_maximal(state):
+    while next(set_links(masks), None) is not None:
         phases += 1
         rng.shuffle(order)
         for at in range(0, instance.m - 1, 2):
             i, j = order[at], order[at + 1]
-            if gt_satisfied(state, i, j):
-                state, step = activate_traced(state, Link(i, j))
-                steps.append(step)
-    return _finish("rand", state, steps, rounds=phases)
+            if gt_masks(masks[i], masks[j]):
+                steps.append(exchange(masks, i, j))
+    return _finish("rand", masks, steps, rounds=phases)
 
 
 def run_greedy_links(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmRun:
@@ -157,8 +156,7 @@ def run_greedy_links(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmR
     the pair order alone misses it on some of them.
     """
     pick = tie.picker()
-    state = initial_state(instance)
-    masks = list(state.masks())
+    masks = [s.mask for s in instance.initial_sets]
     count: dict[int, int] = {}  # holders of every distinct set
     for x in masks:
         count[x] = count.get(x, 0) + 1
@@ -183,16 +181,15 @@ def run_greedy_links(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmR
         )
         winners = _argmax(winners, [(a ^ b).bit_count() for a, b in winners])
         i, j = pick(node_pairs(masks, winners))
-        state, step = activate_traced(state, Link(i, j))
-        steps.append(step)
         x, y = masks[i], masks[j]
-        u = masks[i] = masks[j] = x | y
+        steps.append(exchange(masks, i, j))
+        u = x | y
         for old in (x, y):
             count[old] -= 1
             if not count[old]:
                 del count[old]
         count[u] = count.get(u, 0) + 2
-    return _finish("glink", state, steps)
+    return _finish("glink", masks, steps)
 
 
 def run_greedy_incremental(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmRun:
@@ -205,8 +202,7 @@ def run_greedy_incremental(instance: Instance, tie: TieRule = TieRule()) -> Algo
     ones, in ascending order, to the tie rule.
     """
     pick = tie.picker()
-    state = initial_state(instance)
-    masks = list(state.masks())
+    masks = [s.mask for s in instance.initial_sets]
     steps: list[ScheduleStep] = []
     while True:
         pairs = list(set_links(masks))
@@ -214,10 +210,8 @@ def run_greedy_incremental(instance: Instance, tie: TieRule = TieRule()) -> Algo
             break
         winners = _argmax(pairs, [(x ^ y).bit_count() for x, y in pairs])
         i, j = pick(node_pairs(masks, winners))
-        state, step = activate_traced(state, Link(i, j))
-        steps.append(step)
-        masks[i] = masks[j] = masks[i] | masks[j]
-    return _finish("ginc", state, steps)
+        steps.append(exchange(masks, i, j))
+    return _finish("ginc", masks, steps)
 
 
 def _holders(masks: Sequence[int], n: int) -> list[int]:
@@ -233,44 +227,26 @@ def _holder_classes(holders: Sequence[int], m: int) -> list[int]:
     return classes
 
 
-def rarest_first_rows(state: SystemState, n: int) -> dict[Link, tuple[int, ...]]:
-    """Preference row for every available link, as compared by rarest-first.
-
-    Row layout: first an indicator that the activation would *not* hand the
-    full ``n``-segment universe to the pair, then, for each holder count
-    p = 1..m, how many segments currently held by exactly p nodes are held
-    by exactly one endpoint (their availability would grow).  Rows compare
-    lexicographically, larger is preferred.
-    """
-    masks = state.masks()
-    full = (1 << n) - 1
-    classes = _holder_classes(_holders(masks, n), len(masks))[1:]
-    rows: dict[Link, tuple[int, ...]] = {}
-    for i, j in node_pairs(masks, set_links(masks)):
-        sym = masks[i] ^ masks[j]
-        rows[Link(i, j)] = (1 if masks[i] | masks[j] != full else 0,) + tuple(
-            (sym & cls).bit_count() for cls in classes
-        )
-    return rows
-
-
 def run_rarest_first(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmRun:
     """Grow the availability of the rarest segments first.
 
-    Each step takes the available links with the largest preference row
-    (see :func:`rarest_first_rows`): avoid creating universe holders, then
-    favor links that lift segments held by only one node, then by two, and
-    so on.  A row depends on the two sets alone, so rows are compared over
-    the linked pairs of distinct sets, as a cascade: one entry at a time
-    over the set pairs still tied, skipping empty holder classes and
-    stopping once one set pair is left.  The node pairs holding the
-    winners go, in ascending order, to the tie rule.  The holder count of
-    each segment is kept across steps and moved by the two endpoints'
+    Each step takes the available links with the largest preference row.
+    A link's row is first an indicator that the activation would *not*
+    hand the full ``n``-segment universe to the pair, then, for each holder
+    count p = 1..m, how many segments currently held by exactly p nodes are
+    held by exactly one endpoint (their availability would grow); rows
+    compare lexicographically.  So links that avoid creating universe
+    holders come first, then those that lift segments held by only one
+    node, then by two, and so on.  A row depends on the two sets alone, so
+    rows are compared over the linked pairs of distinct sets, as a cascade:
+    one entry at a time over the set pairs still tied, skipping empty holder
+    classes and stopping once one set pair is left.  The node pairs holding
+    the winners go, in ascending order, to the tie rule.  The holder count
+    of each segment is kept across steps and moved by the two endpoints'
     gains.
     """
     pick = tie.picker()
-    state = initial_state(instance)
-    masks = list(state.masks())
+    masks = [s.mask for s in instance.initial_sets]
     full = (1 << instance.n) - 1
     holders = _holders(masks, instance.n)
     classes = _holder_classes(holders, instance.m)
@@ -290,11 +266,9 @@ def run_rarest_first(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmR
                     candidates, [((x ^ y) & cls).bit_count() for x, y in candidates]
                 )
         i, j = pick(node_pairs(masks, candidates))
-        state, step = activate_traced(state, Link(i, j))
+        step = exchange(masks, i, j)
         steps.append(step)
-        x, y = masks[i], masks[j]
-        u = masks[i] = masks[j] = x | y
-        for gained in (u & ~x, u & ~y):
+        for gained in (step.gained_i.mask, step.gained_j.mask):
             while gained:
                 bit = gained & -gained
                 gained ^= bit
@@ -302,7 +276,7 @@ def run_rarest_first(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmR
                 classes[holders[e]] ^= bit
                 holders[e] += 1
                 classes[holders[e]] |= bit
-    return _finish("rare", state, steps)
+    return _finish("rare", masks, steps)
 
 
 def find_unique_set(state: SystemState) -> list[int]:
@@ -313,20 +287,24 @@ def find_unique_set(state: SystemState) -> list[int]:
     far still holds a segment outside node i's set.  Any two admitted nodes
     therefore satisfy the give-and-take criterion with each other.
     """
+    return _unique_set(state.masks())
+
+
+def _unique_set(masks: Sequence[int]) -> list[int]:
+    """:func:`find_unique_set` on raw node masks."""
     chosen: list[int] = []
     union_mask = 0
-    for i, segment_set in enumerate(state.sets):
-        mask = segment_set.mask
+    for i, mask in enumerate(masks):
         if mask & ~union_mask == 0:
             continue
-        if any(state.sets[j].mask & ~mask == 0 for j in chosen):
+        if any(masks[j] & ~mask == 0 for j in chosen):
             continue
         chosen.append(i)
         union_mask |= mask
     return chosen
 
 
-def _polygon_order(state: SystemState, members: list[int]) -> list[int]:
+def _polygon_order(masks: Sequence[int], members: list[int]) -> list[int]:
     """Starting permutation: descending count of unique segments, so the node
     with the fewest lands rightmost; ties break by ascending node index."""
     counts = {}
@@ -334,8 +312,8 @@ def _polygon_order(state: SystemState, members: list[int]) -> list[int]:
         others = 0
         for j in members:
             if j != i:
-                others |= state.sets[j].mask
-        counts[i] = (state.sets[i].mask & ~others).bit_count()
+                others |= masks[j]
+        counts[i] = (masks[i] & ~others).bit_count()
     return sorted(members, key=lambda i: (-counts[i], i))
 
 
@@ -350,33 +328,28 @@ def run_polygon(instance: Instance) -> AlgorithmRun:
     a final deterministic sweep (lowest pair first) activates any leftover
     links so the run always ends maximal.
     """
-    state = initial_state(instance)
+    masks = [s.mask for s in instance.initial_sets]
     steps: list[ScheduleStep] = []
     rounds = 0
     while True:
-        members = find_unique_set(state)
+        members = _unique_set(masks)
         if len(members) < 2:
             break
-        order = _polygon_order(state, members)
+        order = _polygon_order(masks, members)
         for _ in range((len(members) - 1) // 2 + 1):
             for at in range(0, len(order) - 1, 2):
                 i, j = order[at], order[at + 1]
-                if gt_satisfied(state, i, j):
-                    state, step = activate_traced(state, Link(i, j))
-                    steps.append(step)
+                if gt_masks(masks[i], masks[j]):
+                    steps.append(exchange(masks, i, j))
             order = order[1:] + order[:1]
             rounds += 1
     post_sweep = 0
-    masks = list(state.masks())
     # The first set pair scanned holds the lowest node pair: its first set is
     # the earliest one with a link, its second the earliest linked to that.
     while first := next(set_links(masks), None):
-        i, j = node_pairs(masks, [first])[0]
-        state, step = activate_traced(state, Link(i, j))
-        steps.append(step)
-        masks[i] = masks[j] = masks[i] | masks[j]
+        steps.append(exchange(masks, *node_pairs(masks, [first])[0]))
         post_sweep += 1
-    return _finish("poly", state, steps, rounds=rounds, post_sweep_steps=post_sweep)
+    return _finish("poly", masks, steps, rounds=rounds, post_sweep_steps=post_sweep)
 
 
 def run_algorithm(

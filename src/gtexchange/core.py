@@ -8,10 +8,12 @@ else runs on: segment sets as bit masks, problem instances, system states,
 links, activation, schedule replay, and the parity-aware upper bound on the
 aggregate cardinality.
 
-All public values are immutable after construction and safe to share
-across threads; every public operation is a pure function of its inputs.
-Activation returns a fresh state, so search code can branch without
-copying.  The schedulers and the oracle find links with one scan over the
+The public values are immutable after construction, and :func:`activate`
+returns a fresh state.  Underneath, every activation in the library runs
+through one kernel on a list of raw node masks, :func:`exchange`, which
+updates the list in place: the schedulers, schedule replay and the oracle's
+witness replay keep such a list and build a :class:`SystemState` only at
+the end.  The schedulers and the oracle find links with one scan over the
 *distinct* node sets (:func:`set_links`), greedy-links and the oracle
 count the links an activation keeps alive with :func:`incomparable_counts`,
 and the schedulers expand only the set pairs they choose into node pairs
@@ -205,15 +207,15 @@ def initial_state(instance: Instance) -> SystemState:
     return SystemState(sets=instance.initial_sets, step=0)
 
 
-def _check_node(state: SystemState, idx: int) -> None:
-    if not 0 <= idx < len(state.sets):
-        raise ValueError(f"node index {idx} out of range for {len(state.sets)} nodes")
+def _check_node(m: int, idx: int) -> None:
+    if not 0 <= idx < m:
+        raise ValueError(f"node index {idx} out of range for {m} nodes")
 
 
 def gt_satisfied(state: SystemState, i: int, j: int) -> bool:
     """True iff nodes ``i`` and ``j`` may exchange: each holds a segment the other lacks."""
-    _check_node(state, i)
-    _check_node(state, j)
+    _check_node(len(state.sets), i)
+    _check_node(len(state.sets), j)
     if i == j:
         raise ValueError(f"a link needs two distinct nodes, got ({i},{j})")
     return gt_masks(state.sets[i].mask, state.sets[j].mask)
@@ -305,25 +307,35 @@ def is_maximal(state: SystemState) -> bool:
     return next(set_links(state.masks()), None) is None
 
 
-def activate_traced(state: SystemState, link: Link) -> tuple[SystemState, ScheduleStep]:
-    """Activate ``link`` and return the new state plus the traced step."""
-    _check_node(state, link.i)
-    _check_node(state, link.j)
-    a = state.sets[link.i]
-    b = state.sets[link.j]
-    gained_i = b - a
-    gained_j = a - b
-    if not gained_i or not gained_j:
+def exchange(masks: list[int], i: int, j: int) -> ScheduleStep:
+    """Full exchange between nodes ``i`` and ``j`` of ``masks``, in place.
+
+    Both entries become the union of the two; the returned step names the
+    link with ``i < j`` and what each endpoint gained.  Raises
+    :class:`InvalidActivationError` and leaves ``masks`` unchanged when the
+    give-and-take criterion fails.
+    """
+    link = Link(i, j)
+    a, b = masks[link.i], masks[link.j]
+    gained_i, gained_j = b & ~a, a & ~b
+    if not (gained_i and gained_j):
         raise InvalidActivationError(
             f"invalid activation: link ({link.i},{link.j}) does not satisfy "
             f"the give-and-take criterion"
         )
-    union = a | b
-    new_sets = list(state.sets)
-    new_sets[link.i] = union
-    new_sets[link.j] = union
-    new_state = SystemState(sets=tuple(new_sets), step=state.step + 1)
-    return new_state, ScheduleStep(link=link, gained_i=gained_i, gained_j=gained_j)
+    masks[link.i] = masks[link.j] = a | b
+    return ScheduleStep(link, SegmentSet(gained_i), SegmentSet(gained_j))
+
+
+def activate_traced(state: SystemState, link: Link) -> tuple[SystemState, ScheduleStep]:
+    """Activate ``link`` and return the new state plus the traced step."""
+    _check_node(len(state.sets), link.i)
+    _check_node(len(state.sets), link.j)
+    masks = [s.mask for s in state.sets]
+    step = exchange(masks, link.i, link.j)
+    sets = list(state.sets)
+    sets[link.i] = sets[link.j] = SegmentSet(masks[link.i])
+    return SystemState(sets=tuple(sets), step=state.step + 1), step
 
 
 def activate(state: SystemState, link: Link) -> SystemState:
@@ -346,16 +358,18 @@ def apply_schedule(
     Raises :class:`InvalidActivationError` naming the first step whose link
     was not available at its activation time.
     """
-    state = initial_state(instance)
+    masks = [s.mask for s in instance.initial_sets]
     steps: list[ScheduleStep] = []
     for idx, link in enumerate(schedule):
+        _check_node(instance.m, link.i)
+        _check_node(instance.m, link.j)
         try:
-            state, step = activate_traced(state, link)
+            steps.append(exchange(masks, link.i, link.j))
         except InvalidActivationError:
             raise InvalidActivationError(
                 f"invalid activation at step {idx + 1}: link ({link.i},{link.j})"
             ) from None
-        steps.append(step)
+    state = SystemState(sets=tuple(map(SegmentSet, masks)), step=len(steps))
     return state, Schedule(steps=tuple(steps))
 
 

@@ -36,11 +36,10 @@ from typing import Generator
 from .algorithms import AlgorithmRun, run_greedy_links
 from .core import (
     Instance,
-    Link,
     Schedule,
     SystemState,
     _state_bound,
-    activate_traced,
+    exchange,
     incomparable_counts,
     initial_state,
     set_links,
@@ -213,13 +212,10 @@ class _Search:
 
 def _replay(instance: Instance, set_pairs: tuple[tuple[int, int], ...]) -> Schedule:
     """Schedule activating each set pair in turn, on the lowest nodes holding it."""
-    state = initial_state(instance)
-    steps = []
-    for x, y in set_pairs:
-        masks = state.masks()
-        state, step = activate_traced(state, Link(masks.index(x), masks.index(y)))
-        steps.append(step)
-    return Schedule(steps=tuple(steps))
+    masks = [s.mask for s in instance.initial_sets]
+    return Schedule(
+        steps=tuple(exchange(masks, masks.index(x), masks.index(y)) for x, y in set_pairs)
+    )
 
 
 def solve_optimal(

@@ -5,8 +5,9 @@ the implementations under test: a memo-free recursive optimum, an
 enumerator of every maximal schedule (built on the core model only),
 coverage probability by exhaustive tuple enumeration, by
 inclusion-exclusion over rationals, by a composition sum and by sampling,
-a pair-scan link finder, and three schedulers written straight from their
-definitions (every step rescans every pair, with no cached link state).
+a pair-scan link finder, rarest-first's preference rows, and schedulers
+written straight from their definitions (every step rescans every pair, with
+no cached link state).
 """
 
 import random
@@ -16,6 +17,7 @@ from itertools import combinations, product
 from math import comb, sqrt
 
 from gtexchange import (
+    Link,
     Schedule,
     SystemState,
     activate_traced,
@@ -256,29 +258,46 @@ def reference_greedy_links(instance, mode="lowest", seed=None):
         schedule.append((i, j))
 
 
+def _preference_rows(masks, n):
+    """Rarest-first's preference row of every available (i, j), i < j.
+
+    Row layout: first an indicator that the activation would *not* hand the
+    full ``n``-segment universe to the pair, then, for each holder count
+    p = 1..m, how many segments currently held by exactly p nodes are held
+    by exactly one endpoint (their availability would grow).  Rows compare
+    lexicographically, larger is preferred.
+    """
+    m = len(masks)
+    full = (1 << n) - 1
+    holders = [sum(1 for x in masks if x >> e & 1) for e in range(n)]
+    rows = {}
+    for i, j in _mask_links(masks):
+        sym = masks[i] ^ masks[j]
+        rows[i, j] = (int(masks[i] | masks[j] != full),) + tuple(
+            sum(1 for e in range(n) if holders[e] == p and sym >> e & 1)
+            for p in range(1, m + 1)
+        )
+    return rows
+
+
+def rarest_first_rows(state, n):
+    """Preference row for every available link of ``state``, keyed by link."""
+    rows = _preference_rows(state.masks(), n)
+    return {Link(i, j): row for (i, j), row in rows.items()}
+
+
 def reference_rarest_first(instance, mode="lowest", seed=None):
     """Rarest-first schedule as (i, j) pairs: the full preference row of every
     available pair (universe indicator, then one count per holder class),
     maximized lexicographically, then the tie rule."""
     pick = _tie_picker(mode, seed)
     masks = [s.mask for s in instance.initial_sets]
-    m, n = len(masks), instance.n
-    full = (1 << n) - 1
     schedule = []
     while True:
-        available = _mask_links(masks)
-        if not available:
+        rows = _preference_rows(masks, instance.n)
+        if not rows:
             return schedule
-        holders = [sum(1 for x in masks if x >> e & 1) for e in range(n)]
-
-        def row(i, j):
-            sym = masks[i] ^ masks[j]
-            return (int(masks[i] | masks[j] != full),) + tuple(
-                sum(1 for e in range(n) if holders[e] == p and sym >> e & 1)
-                for p in range(1, m + 1)
-            )
-
-        i, j = pick(_argmax_pairs(available, row))
+        i, j = pick(_argmax_pairs(list(rows), lambda i, j: rows[i, j]))
         masks[i] = masks[j] = masks[i] | masks[j]
         schedule.append((i, j))
 

@@ -17,7 +17,6 @@ from gtexchange import (
     is_maximal,
     links,
     optimal_alpha,
-    rarest_first_rows,
     run_algorithm,
     run_greedy_incremental,
     run_greedy_links,
@@ -27,7 +26,7 @@ from gtexchange import (
     upper_bound,
 )
 from conftest import build_instance, instances, no_initial_universe_holder
-from oracles import chain_by_inclusion
+from oracles import chain_by_inclusion, rarest_first_rows
 
 
 def run_all(instance, seed=0):

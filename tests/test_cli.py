@@ -238,6 +238,16 @@ def test_missing_file_is_a_clean_error(capsys):
     assert "error:" in err
 
 
+def test_out_of_memory_is_a_clean_error(capsys, monkeypatch):
+    def exhausted(config):
+        raise MemoryError
+
+    monkeypatch.setattr("gtexchange.cli.run_batch", exhausted)
+    code, out, err = invoke(capsys, "batch", "-m", "4", "-n", "5", "-k", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: MemoryError\n"
+
+
 def test_malformed_instance_is_a_clean_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"m": 2, "n": 3, "sets": [[1], [2, 2]]}))

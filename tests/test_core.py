@@ -19,6 +19,7 @@ from gtexchange import (
     optimal_alpha,
     upper_bound,
 )
+from gtexchange.core import exchange
 from conftest import build_instance, instances, relaxed_instances
 from oracles import brute_force_optimal, chain_by_inclusion, pair_scan_links
 
@@ -180,6 +181,41 @@ def test_activate_leaves_other_nodes_alone():
     st_ = state_of(4, [0], [1], [2, 3])
     out = activate(st_, Link(0, 1))
     assert out.sets[2] == st_.sets[2]
+
+
+def test_exchange_orders_the_pair_and_updates_both_masks_in_place():
+    masks = [0b0001, 0b0010, 0b0110, 0b1000, 0b0100, 0b1001]
+    step = exchange(masks, 5, 2)
+    assert step.link == Link(2, 5)
+    # node 2 held {1,2} and gains node 5's {0,3}; node 5 gains {1,2}
+    assert step.gained_i == SegmentSet.from_iterable([0, 3])
+    assert step.gained_j == SegmentSet.from_iterable([1, 2])
+    assert masks == [0b0001, 0b0010, 0b1111, 0b1000, 0b0100, 0b1111]
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (1, 0), (1, 2)])
+def test_exchange_rejects_subset_and_equal_pairs_untouched(pair):
+    masks = [0b01, 0b11, 0b11]
+    with pytest.raises(InvalidActivationError):
+        exchange(masks, *pair)
+    assert masks == [0b01, 0b11, 0b11]
+
+
+def test_traced_gains_follow_the_canonical_link():
+    state = state_of(3, [0], [1, 2])
+    out, step = activate_traced(state, Link(1, 0))
+    assert step.link == Link(0, 1)
+    assert step.gained_i == SegmentSet.from_iterable([1, 2])  # what node 0 gained
+    assert step.gained_j == SegmentSet.from_iterable([0])
+    assert out.sets[0] == out.sets[1] == SegmentSet.from_iterable([0, 1, 2])
+
+
+def test_out_of_range_nodes_are_value_errors():
+    state = state_of(3, [0], [1])
+    with pytest.raises(ValueError, match="out of range"):
+        activate_traced(state, Link(0, 2))
+    with pytest.raises(ValueError, match="out of range"):
+        apply_schedule(build_instance(3, [0], [1]), [Link(0, 2)])
 
 
 @given(instances())

@@ -3,7 +3,9 @@
 The schedulers score pairs of distinct sets and keep counts across steps
 instead of rescanning every node pair; these tests hold them to
 schedulers written from the definitions (``tests/oracles.py``) step for
-step, and to batch CSV digests recorded with the per-step node-pair scans.
+step, to batch CSV digests recorded with the per-step node-pair scans, and
+to bound-table and full-run digests recorded while the schedulers still
+built a new state per activation.
 """
 
 import hashlib
@@ -14,13 +16,14 @@ import pytest
 from hypothesis import given
 
 from gtexchange import (
+    ALGORITHM_IDS,
     Link,
     TieRule,
     activate,
     initial_state,
     is_maximal,
     links,
-    rarest_first_rows,
+    run_algorithm,
     run_greedy_incremental,
     run_greedy_links,
     run_polygon,
@@ -28,10 +31,17 @@ from gtexchange import (
     run_rarest_first,
 )
 from gtexchange.core import node_pairs, set_links
-from gtexchange.harness import BatchConfig, gen_instance, rows_to_csv, run_batch
+from gtexchange.harness import (
+    BatchConfig,
+    gen_instance,
+    reference_bound_configs,
+    rows_to_csv,
+    run_batch,
+)
 from conftest import instances, relaxed_instances
 from oracles import (
     pair_scan_links,
+    rarest_first_rows,
     reference_greedy_incremental,
     reference_greedy_links,
     reference_lowest_pair_sweep,
@@ -164,3 +174,45 @@ def test_batch_csv_is_byte_identical_to_the_pair_scan_schedulers(key):
     )
     csv_text = rows_to_csv(list(run_batch(config).rows))
     assert hashlib.sha256(csv_text.encode()).hexdigest() == CSV_DIGESTS[key]
+
+
+# sha256 of rows_to_csv over reference_bound_configs(runs=2, seed=20261018):
+# rand at the bound table's five rows (m = 60..100), recorded before the
+# schedulers ran on raw masks.
+BOUND_TABLE_DIGEST = "97157eec09c2523aca4929a1aeef1bb6a0cb83ebf702dd1515772905c58cbb9b"
+
+
+def test_bound_table_csv_is_byte_identical_to_the_state_based_rand():
+    configs = reference_bound_configs(runs=2, seed=20261018)
+    csv_text = rows_to_csv([row for config in configs for row in run_batch(config).rows])
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == BOUND_TABLE_DIGEST
+
+
+# sha256 over every field of the runs below (links, gains, final masks,
+# alpha, rounds, post-sweep steps), recorded before the schedulers ran on
+# raw masks.
+RUNS_DIGEST = "dc318f409f4730321854e2b0737a7666bc0e2261d970c3f3774ae55200cb69b2"
+
+
+def test_full_runs_are_identical_to_the_state_based_schedulers():
+    digest = hashlib.sha256()
+    for mnk, seeds in (((15, 20, 5), range(4)), ((100, 300, 15), range(1))):
+        for seed in seeds:
+            instance = gen_instance(*mnk, seed)
+            for tie in (TieRule(), TieRule(mode="random", seed=seed)):
+                for algorithm in ALGORITHM_IDS:
+                    run = run_algorithm(algorithm, instance, seed=seed, tie=tie)
+                    record = (
+                        run.algorithm,
+                        [
+                            (s.link.i, s.link.j, s.gained_i.mask, s.gained_j.mask)
+                            for s in run.schedule.steps
+                        ],
+                        run.final_state.masks(),
+                        run.final_state.step,
+                        run.alpha,
+                        run.rounds,
+                        run.post_sweep_steps,
+                    )
+                    digest.update(repr(record).encode())
+    assert digest.hexdigest() == RUNS_DIGEST
