@@ -11,7 +11,10 @@ emitting a maximal schedule plus the final state:
 
 Every scheduler keeps the node masks as one list of ints and activates
 through :func:`~gtexchange.core.exchange`, which updates the list in place;
-the final :class:`~gtexchange.core.SystemState` is built once, at the end.
+``glink``, ``ginc`` and ``rare`` also keep the linked set pairs in a set
+table (:func:`~gtexchange.core.set_table`) that each activation moves
+(:func:`~gtexchange.core.exchange_kept`).  The final
+:class:`~gtexchange.core.SystemState` is built once, at the end.
 Each run is a pure function of (instance, seed / tie rule); distinct runs
 may execute concurrently with no shared state.
 """
@@ -28,11 +31,14 @@ from .core import (
     ScheduleStep,
     SegmentSet,
     SystemState,
+    count_incomparable,
     exchange,
+    exchange_kept,
     gt_masks,
-    incomparable_counts,
+    move_incomparable,
     node_pairs,
     set_links,
+    set_table,
 )
 
 TIE_LOWEST = "lowest"
@@ -143,9 +149,12 @@ def run_greedy_links(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmR
     ``live + 1 - N(x) - N(y) + 2 * N(x | y)`` links, a function of the set
     pair alone, so each step scores the linked pairs of distinct sets.
 
-    ``N`` is kept for every distinct set and every linked union and moved
-    by each activation (:func:`~gtexchange.core.incomparable_counts`).  A
-    step costs O(D^2) for D distinct sets, plus O(D) per new key.
+    The linked set pairs are kept across steps (:func:`~gtexchange.core.set_table`),
+    and ``N`` is kept for every distinct set and linked union: an activation
+    moves only the keys comparable with x, y or x|y
+    (:func:`~gtexchange.core.move_incomparable`), and a new key is counted
+    over the D distinct sets.  A step costs O(D) for the table, one pass
+    over the kept pairs and keys, plus O(D) per new key.
 
     Set pairs tied on that count are ordered by their immediate gain
     ``2*|x | y| - |x| - |y| = |x ^ y|``, larger first (the ``ginc``
@@ -157,38 +166,29 @@ def run_greedy_links(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmR
     """
     pick = tie.picker()
     masks = [s.mask for s in instance.initial_sets]
-    count: dict[int, int] = {}  # holders of every distinct set
-    for x in masks:
-        count[x] = count.get(x, 0) + 1
-    incomparable: dict[int, int] = {}  # N, as of the step before
+    holders, pairs = set_table(masks)
+    incomparable: dict[int, int] = {}  # N; current for the keys in kept only
+    kept: set[int] = set()  # the keys of the step before
     x = y = 0  # the last activation; nothing is kept before the first
     steps: list[ScheduleStep] = []
-    while True:
-        pairs = list(set_links(count))
-        if not pairs:
-            break
-        unions = [a | b for a, b in pairs]
-        incomparable = incomparable_counts(
-            count, set(count).union(unions), incomparable, x, y
-        )
+    while pairs:
+        keys = {*holders, *pairs.values()}
+        move_incomparable(incomparable, keys & kept, x, y)
+        distinct = [(z, len(held)) for z, held in holders.items()]
+        count_incomparable(incomparable, distinct, keys - kept)
+        kept = keys
         # live + 1 is common to every pair
         winners = _argmax(
-            pairs,
+            list(pairs),
             [
                 2 * incomparable[w] - incomparable[a] - incomparable[b]
-                for (a, b), w in zip(pairs, unions)
+                for (a, b), w in pairs.items()
             ],
         )
         winners = _argmax(winners, [(a ^ b).bit_count() for a, b in winners])
-        i, j = pick(node_pairs(masks, winners))
+        i, j = pick(node_pairs(holders, winners))
         x, y = masks[i], masks[j]
-        steps.append(exchange(masks, i, j))
-        u = x | y
-        for old in (x, y):
-            count[old] -= 1
-            if not count[old]:
-                del count[old]
-        count[u] = count.get(u, 0) + 2
+        steps.append(exchange_kept(masks, holders, pairs, i, j))
     return _finish("glink", masks, steps)
 
 
@@ -198,19 +198,17 @@ def run_greedy_incremental(instance: Instance, tie: TieRule = TieRule()) -> Algo
     The gain of pairing i and j is ``2*|union| - |set_i| - |set_j|``: what
     both endpoints add in total, which is the size of the symmetric
     difference.  It depends on the two sets alone, so each step scores the
-    linked pairs of distinct sets and hands the node pairs of the best
+    kept linked pairs of distinct sets and hands the node pairs of the best
     ones, in ascending order, to the tie rule.
     """
     pick = tie.picker()
     masks = [s.mask for s in instance.initial_sets]
+    holders, pairs = set_table(masks)
     steps: list[ScheduleStep] = []
-    while True:
-        pairs = list(set_links(masks))
-        if not pairs:
-            break
-        winners = _argmax(pairs, [(x ^ y).bit_count() for x, y in pairs])
-        i, j = pick(node_pairs(masks, winners))
-        steps.append(exchange(masks, i, j))
+    while pairs:
+        winners = _argmax(list(pairs), [(x ^ y).bit_count() for x, y in pairs])
+        i, j = pick(node_pairs(holders, winners))
+        steps.append(exchange_kept(masks, holders, pairs, i, j))
     return _finish("ginc", masks, steps)
 
 
@@ -250,14 +248,10 @@ def run_rarest_first(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmR
     full = (1 << instance.n) - 1
     holders = _holders(masks, instance.n)
     classes = _holder_classes(holders, instance.m)
+    nodes, pairs = set_table(masks)  # holders here count segments
     steps: list[ScheduleStep] = []
-    while True:
-        candidates = list(set_links(masks))
-        if not candidates:
-            break
-        keep = [(x, y) for x, y in candidates if x | y != full]
-        if keep:
-            candidates = keep
+    while pairs:
+        candidates = [pair for pair, u in pairs.items() if u != full] or list(pairs)
         for cls in classes[1:]:
             if len(candidates) == 1:
                 break
@@ -265,8 +259,8 @@ def run_rarest_first(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmR
                 candidates = _argmax(
                     candidates, [((x ^ y) & cls).bit_count() for x, y in candidates]
                 )
-        i, j = pick(node_pairs(masks, candidates))
-        step = exchange(masks, i, j)
+        i, j = pick(node_pairs(nodes, candidates))
+        step = exchange_kept(masks, nodes, pairs, i, j)
         steps.append(step)
         for gained in (step.gained_i.mask, step.gained_j.mask):
             while gained:
@@ -347,7 +341,7 @@ def run_polygon(instance: Instance) -> AlgorithmRun:
     # The first set pair scanned holds the lowest node pair: its first set is
     # the earliest one with a link, its second the earliest linked to that.
     while first := next(set_links(masks), None):
-        steps.append(exchange(masks, *node_pairs(masks, [first])[0]))
+        steps.append(exchange(masks, masks.index(first[0]), masks.index(first[1])))
         post_sweep += 1
     return _finish("poly", masks, steps, rounds=rounds, post_sweep_steps=post_sweep)
 

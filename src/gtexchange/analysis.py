@@ -24,6 +24,12 @@ from math import comb, log2
 
 from .core import MAX_SEGMENTS
 
+# Size caps on the exact coverage sum: each of its n-k+1 powers C(n-i,k)^m
+# has up to m*log2 C(n,k) bits.  Within both, one evaluation takes at most
+# about 1 s on a 2-core x86-64 host; past them the cost grows without bound.
+PMNK_MAX_POWER_BITS = 2**18
+PMNK_MAX_SUM_BITS = 2**25
+
 
 @dataclass(frozen=True)
 class ExactProbability:
@@ -54,15 +60,31 @@ def _check_mnk(m: int, n: int, k: int) -> None:
         raise ValueError(f"initial set size k={k} must satisfy 1 <= k <= n={n}")
 
 
+def check_pmnk_size(m: int, n: int, k: int) -> None:
+    """Raise ValueError unless :func:`pmnk_exact` takes (m, n, k): the
+    arguments must be valid and the sum within the size caps above."""
+    _check_mnk(m, n, k)
+    if n > MAX_SEGMENTS:
+        raise ValueError(f"universe size {n} exceeds the {MAX_SEGMENTS}-segment cap")
+    bits = m * comb(n, k).bit_length()
+    if m * k >= n and (
+        bits > PMNK_MAX_POWER_BITS or bits * (n - k + 1) > PMNK_MAX_SUM_BITS
+    ):
+        raise ValueError(
+            f"exact coverage sum for (m={m}, n={n}, k={k}) is too large: "
+            f"{n - k + 1} powers of {bits} bits, over the caps of "
+            f"{PMNK_MAX_POWER_BITS} bits per power and {PMNK_MAX_SUM_BITS} in all"
+        )
+
+
 def pmnk_exact(m: int, n: int, k: int) -> ExactProbability:
     """Exact probability that m uniform k-subsets of an n-universe cover it.
 
     Inclusion-exclusion over the segments left uncovered:
-    ``sum_i (-1)^i C(n,i) C(n-i,k)^m / C(n,k)^m``, in integers.
+    ``sum_i (-1)^i C(n,i) C(n-i,k)^m / C(n,k)^m``, in integers.  Sizes past
+    the caps above are refused (:func:`check_pmnk_size`).
     """
-    _check_mnk(m, n, k)
-    if n > MAX_SEGMENTS:
-        raise ValueError(f"universe size {n} exceeds the {MAX_SEGMENTS}-segment cap")
+    check_pmnk_size(m, n, k)
     if m * k < n:
         return ExactProbability.from_fraction(Fraction(0))
     favourable = sum(

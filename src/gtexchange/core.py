@@ -13,10 +13,14 @@ returns a fresh state.  Underneath, every activation in the library runs
 through one kernel on a list of raw node masks, :func:`exchange`, which
 updates the list in place: the schedulers, schedule replay and the oracle's
 witness replay keep such a list and build a :class:`SystemState` only at
-the end.  The schedulers and the oracle find links with one scan over the
-*distinct* node sets (:func:`set_links`), greedy-links and the oracle
-count the links an activation keeps alive with :func:`incomparable_counts`,
-and the schedulers expand only the set pairs they choose into node pairs
+the end.  Links are found over the *distinct* node sets: the oracle and
+the stopping tests scan them lazily (:func:`set_links`), while the greedy
+schedulers keep a set table, the holders of each distinct set and every
+linked set pair with its union, built once (:func:`set_table`) and moved
+in O(D) per activation (:func:`exchange_kept`).  Greedy-links and the
+oracle count the links an activation keeps alive through
+:func:`move_incomparable` and :func:`count_incomparable`, and the
+schedulers expand only the set pairs they choose into node pairs
 (:func:`node_pairs`).
 
 Node and segment indices are 0-based throughout the library; file formats
@@ -238,15 +242,16 @@ def set_links(masks: Iterable[int]) -> Iterator[tuple[int, int]]:
                 yield x, y
 
 
+Holders = dict[int, list[int]]  # distinct mask -> the nodes holding it
+SetPairs = dict[tuple[int, int], int]  # linked pair of distinct masks -> union
+
+
 def node_pairs(
-    masks: Sequence[int], set_pairs: Iterable[tuple[int, int]]
+    holders: Holders, set_pairs: Iterable[tuple[int, int]]
 ) -> list[tuple[int, int]]:
     """Every node pair (i, j), i < j, whose two masks form one of ``set_pairs``,
     in ascending order.  ``set_pairs`` holds unordered pairs of distinct masks,
     each at most once (as :func:`set_links` yields them)."""
-    holders: dict[int, list[int]] = {}
-    for i, mask in enumerate(masks):
-        holders.setdefault(mask, []).append(i)
     pairs = [
         (i, j) if i < j else (j, i)
         for x, y in set_pairs
@@ -257,49 +262,89 @@ def node_pairs(
     return pairs
 
 
-def incomparable_counts(
-    count: dict[int, int],
-    keys: Iterable[int],
-    kept: dict[int, int],
-    x: int,
-    y: int,
-) -> dict[int, int]:
-    """``N(K)`` for every K in ``keys``: how many nodes hold a set
-    incomparable with K, the nodes holding the sets of ``count`` (set ->
-    holders).
+def set_table(masks: Sequence[int]) -> tuple[Holders, SetPairs]:
+    """The kept set table of ``masks``: the holders of each distinct mask and
+    every linked pair of distinct masks, in :func:`set_links` order, with its
+    union.  :func:`exchange_kept` keeps it current, so a scheduler picking
+    one set pair per step scores the kept pairs instead of scanning again."""
+    holders: Holders = {}
+    pairs: SetPairs = {}
+    for i, mask in enumerate(masks):
+        _join(holders, pairs, mask, [i])
+    return holders, pairs
 
-    ``kept`` holds N as of the state before the activation of the set pair
-    (x, y), empty when there is none.  After that activation a kept key K
-    moves by ``2*[x|y ~ K] - [x ~ K] - [y ~ K]`` (``~``: incomparable); any
-    other key is counted over the distinct sets, O(D) for D of them.
-    """
+
+def _join(holders: Holders, pairs: SetPairs, u: int, nodes: list[int]) -> None:
+    """Make ``nodes`` holders of u; a new set links to every incomparable set."""
+    held = holders.get(u)
+    if held is None:
+        outside = ~u
+        for z in holders:
+            if z & outside and u & ~z:
+                pairs[z, u] = z | u
+        holders[u] = nodes
+    else:
+        held += nodes
+
+
+def exchange_kept(
+    masks: list[int], holders: Holders, pairs: SetPairs, i: int, j: int
+) -> ScheduleStep:
+    """:func:`exchange`, moving the set table of ``masks`` along in O(D) for
+    D distinct sets: a set left with no holder drops its pairs, and the
+    union, when it is a new set, gains its own."""
+    x, y = masks[i], masks[j]
+    step = exchange(masks, i, j)
+    for old, node in ((x, i), (y, j)):
+        held = holders[old]
+        held.remove(node)
+        if not held:
+            del holders[old]
+            for z in holders:
+                pairs.pop((old, z), None)
+                pairs.pop((z, old), None)
+    _join(holders, pairs, x | y, [i, j])
+    return step
+
+
+def move_incomparable(
+    incomparable: dict[int, int], keys: Iterable[int], x: int, y: int
+) -> None:
+    """Move ``N(K)``, the number of nodes holding a set incomparable (``~``)
+    with K, past one activation of the set pair (x, y) for every K in
+    ``keys``, in place.  One node moves from x and one from y to x|y, so K
+    moves by ``2*[x|y ~ K] - [x ~ K] - [y ~ K]``: only keys comparable with
+    x, y or x|y can move."""
     u = x | y
-    distinct = list(count.items())
-    incomparable = {}
     for key in keys:
-        value = kept.get(key)
         outside = ~key
-        if value is None:
-            value = 0
-            for z, c in distinct:
-                if z & outside and key & ~z:
-                    value += c
-        # x and y lie inside u
-        elif key & ~u:
-            if u & outside:
-                value += 2 - (x & outside != 0) - (y & outside != 0)
-        else:
-            value -= (key & ~x != 0 and x & outside != 0) + (
+        if not key & ~u:
+            incomparable[key] -= (key & ~x != 0 and x & outside != 0) + (
                 key & ~y != 0 and y & outside != 0
             )
+        elif not x & outside or not y & outside:
+            if u & outside:  # K holds x or y but not u
+                incomparable[key] += 2 - (x & outside != 0) - (y & outside != 0)
+
+
+def count_incomparable(
+    incomparable: dict[int, int], distinct: list[tuple[int, int]], keys: Iterable[int]
+) -> None:
+    """Count ``N(K)`` afresh for every K in ``keys``, in place, over the
+    ``distinct`` (set, holder count) pairs: O(D) per key."""
+    for key in keys:
+        outside = ~key
+        value = 0
+        for z, c in distinct:
+            if z & outside and key & ~z:
+                value += c
         incomparable[key] = value
-    return incomparable
 
 
 def links(state: SystemState) -> set[Link]:
     """All currently available links, as canonical (i < j) pairs."""
-    masks = state.masks()
-    return {Link(i, j) for i, j in node_pairs(masks, set_links(masks))}
+    holders, pairs = set_table(state.masks())
+    return {Link(i, j) for i, j in node_pairs(holders, pairs)}
 
 
 def is_maximal(state: SystemState) -> bool:

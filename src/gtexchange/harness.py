@@ -23,11 +23,12 @@ import json
 import os
 import random
 import statistics
+import time
 from dataclasses import dataclass, field
 from math import sqrt
 
 from .algorithms import ALGORITHM_IDS, ALGORITHM_LABELS, TieRule, run_algorithm
-from .analysis import pmnk_exact, randomized_lower_bound
+from .analysis import check_pmnk_size, pmnk_exact, randomized_lower_bound
 from .core import Instance, Link, Schedule, SegmentSet, upper_bound
 from .oracle import SearchLimits, solve_optimal
 
@@ -176,6 +177,8 @@ class BatchConfig:
             raise ValueError(f"need at least one run, got {self.runs}")
         if not 1 <= self.k <= self.n:
             raise ValueError(f"initial set size k={self.k} must satisfy 1 <= k <= n")
+        # the batch reports the exact coverage: refuse its size up front
+        check_pmnk_size(self.m, self.n, self.k)
         if self.oracle not in ("exact", "skip"):
             raise ValueError(f"oracle mode must be exact or skip, got {self.oracle!r}")
         unknown = [a for a in self.algorithms if a not in ALGORITHM_IDS]
@@ -252,6 +255,9 @@ class BatchReport:
     mean_upper_bound: float
     exact_oracle_runs: int
     oracle_exceeded_runs: int
+    # per algorithm, wall seconds and steps summed over the runs; JSON only,
+    # so the CSV stays byte-deterministic
+    metrics: dict[str, dict]
 
     def to_json_dict(self) -> dict:
         return {
@@ -277,6 +283,7 @@ class BatchReport:
                 }
                 for alg, s in self.stats.items()
             },
+            "metrics": self.metrics,
         }
 
 
@@ -332,6 +339,7 @@ def run_batch(config: BatchConfig) -> BatchReport:
     exact_runs = 0
     exceeded = 0
     ub_total = 0
+    metrics = {alg: {"wall_s": 0.0, "steps": 0} for alg in config.algorithms}
     for t in range(config.runs):
         inst_seed = derive_seed(config.seed, t, "instance")
         instance = gen_instance(
@@ -342,9 +350,13 @@ def run_batch(config: BatchConfig) -> BatchReport:
         for alg in config.algorithms:
             random_ties = config.tie_mode == "random"
             tie_seed = derive_seed(config.seed, t, "tie", alg) if random_ties else None
-            seed = derive_seed(config.seed, t, "alg", alg)
+            # only rand reads its seed
+            seed = derive_seed(config.seed, t, "alg", alg) if alg == "rand" else 0
             tie = TieRule(mode=config.tie_mode, seed=tie_seed)
+            start = time.perf_counter()
             runs.append(run_algorithm(alg, instance, seed=seed, tie=tie))
+            metrics[alg]["wall_s"] += time.perf_counter() - start
+            metrics[alg]["steps"] += len(runs[-1].schedule)
         optimal = None
         exact: bool | None = None
         if config.oracle == "exact":
@@ -379,6 +391,7 @@ def run_batch(config: BatchConfig) -> BatchReport:
         mean_upper_bound=ub_total / config.runs,
         exact_oracle_runs=exact_runs,
         oracle_exceeded_runs=exceeded,
+        metrics=metrics,
     )
     if config.out_csv:
         with open(config.out_csv, "w", encoding="utf-8", newline="") as fh:

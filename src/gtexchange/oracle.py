@@ -39,9 +39,10 @@ from .core import (
     Schedule,
     SystemState,
     _state_bound,
+    count_incomparable,
     exchange,
-    incomparable_counts,
     initial_state,
+    move_incomparable,
     set_links,
 )
 
@@ -97,13 +98,20 @@ def _scored(
     count: dict[int, int], kept: dict[int, int], x: int, y: int
 ) -> tuple[list[tuple[int, int]], list[int], dict[int, int]]:
     """A state's linked set pairs, the links activating each removes net,
-    ``N(a) + N(b) - 2*N(a|b)`` for the pair (a, b), and the state's N; the
-    arguments are those of :func:`~gtexchange.core.incomparable_counts`."""
+    ``N(a) + N(b) - 2*N(a|b)`` for the pair (a, b), and the state's N.
+    ``kept`` holds N as of the state before the activation of the set pair
+    (x, y), empty when there is none; its keys are moved
+    (:func:`~gtexchange.core.move_incomparable`), the rest counted afresh."""
     pairs = list(set_links(count))
     if not pairs:
         return [], [], {}
     unions = [a | b for a, b in pairs]
-    incomparable = incomparable_counts(count, {*count, *unions}, kept, x, y)
+    keys = {*count, *unions}
+    incomparable = {key: kept[key] for key in keys if key in kept}
+    move_incomparable(incomparable, incomparable, x, y)
+    count_incomparable(
+        incomparable, list(count.items()), [key for key in keys if key not in kept]
+    )
     loss = [
         incomparable[a] + incomparable[b] - 2 * incomparable[u]
         for (a, b), u in zip(pairs, unions)
@@ -123,7 +131,7 @@ class _Search:
         self.best_path: tuple[tuple[int, int], ...] = ()
         self.path: list[tuple[int, int]] = []
         # N of the state whose child is asked for next, and the set pair
-        # that child activates (see core.incomparable_counts)
+        # that child activates (see core.move_incomparable)
         self.handoff: tuple[dict[int, int], int, int] = ({}, 0, 0)
         self.deadline = time.monotonic() + limits.max_seconds
 

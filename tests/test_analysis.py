@@ -11,6 +11,8 @@ from gtexchange import (
     pmnk_exact,
     randomized_lower_bound,
 )
+from gtexchange.analysis import check_pmnk_size
+from gtexchange.harness import reference_bound_configs
 from oracles import (
     coverage_by_composition,
     coverage_by_enumeration,
@@ -62,6 +64,19 @@ def test_pmnk_covers_the_universe_cap_and_deep_groups():
     prob = pmnk_exact(1200, 1200, 1)
     assert prob.fraction == Fraction(factorial(1200), 1200**1200)
     assert prob.value == 0.0
+
+
+def test_pmnk_size_caps_keep_every_size_in_use():
+    # the benchmark, scripts, README and tests use these sizes
+    in_use = [(4, 5, 2), (15, 20, 5), (40, 50, 5), (200, 300, 15), (1200, 1200, 1)]
+    in_use += [(c.m, c.n, c.k) for c in reference_bound_configs(runs=1)]
+    for mnk in in_use:
+        check_pmnk_size(*mnk)
+    # too few picks to cover: no sum is taken, whatever m is
+    assert pmnk_exact(100, MAX_SEGMENTS, 40).fraction == 0
+    for mnk in [(1000, 4096, 50), (400, 4096, 50), (100, 4096, 2048), (400000, 4, 2)]:
+        with pytest.raises(ValueError, match="too large"):
+            pmnk_exact(*mnk)
 
 
 def test_pmnk_matches_enumeration_small_grid():

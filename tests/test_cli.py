@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -154,6 +155,27 @@ def test_pmnk_beyond_the_universe_cap_is_a_clean_error(capsys):
     code, out, err = invoke(capsys, "pmnk", "-m", "2", "-n", "4097", "-k", "1")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "4096" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pmnk", "-m", "1000", "-n", "4096", "-k", "50"),
+        ("batch", "-m", "1000", "-n", "4096", "-k", "50", "--runs", "1"),
+        ("batch", "-m", "400000", "-n", "4", "-k", "2", "--oracle", "skip"),
+    ],
+)
+def test_oversized_coverage_sum_is_refused_at_once(tmp_path, capsys, argv):
+    # one exact evaluation at (1000,4096,50) takes about 36 s
+    csv_path = tmp_path / "rows.csv"
+    start = time.perf_counter()
+    if argv[0] == "batch":
+        argv = (*argv, "--csv", str(csv_path))
+    code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: exact coverage sum") and err.count("\n") == 1
+    assert not csv_path.exists()
 
 
 def test_bound_prints_reference_value(capsys):

@@ -241,6 +241,16 @@ def test_batch_json_summary(tmp_path):
     assert data["m"] == 3 and data["runs"] == 5
     assert data["pmnk"] == {"value": pmnk_exact(3, 4, 2).value}
     assert data["algorithms"]["glink"]["mean_alpha"] == report.stats["glink"].mean_alpha
+    # per-algorithm wall time and steps, summed over the runs, in the JSON only
+    assert list(data["metrics"]) == list(config.algorithms)
+    for alg, metrics in data["metrics"].items():
+        assert set(metrics) == {"wall_s", "steps"}
+        assert isinstance(metrics["wall_s"], float) and metrics["wall_s"] >= 0
+        assert metrics["steps"] == sum(
+            row["steps"] for row in report.rows if row["algorithm"] == alg
+        )
+    assert "wall_s" not in rows_to_csv(list(report.rows))
+    assert "wall_s" not in report_text(report)
 
 
 def test_random_tie_batches_are_reproducible():

@@ -1,11 +1,12 @@
-"""Behaviour pins for the distinct-set link scan the schedulers share.
+"""Behaviour pins for the distinct-set link scan and the kept set table.
 
-The schedulers score pairs of distinct sets and keep counts across steps
-instead of rescanning every node pair; these tests hold them to
-schedulers written from the definitions (``tests/oracles.py``) step for
-step, to batch CSV digests recorded with the per-step node-pair scans, and
-to bound-table and full-run digests recorded while the schedulers still
-built a new state per activation.
+The schedulers score pairs of distinct sets and keep the linked pairs and
+counts across steps instead of rescanning every node pair; these tests
+check the kept table against a fresh scan after every exchange and hold
+the schedulers to schedulers written from the definitions
+(``tests/oracles.py``) step for step, to batch CSV digests recorded with
+the per-step node-pair scans, and to bound-table and full-run digests
+recorded while the schedulers still built a new state per activation.
 """
 
 import hashlib
@@ -30,7 +31,13 @@ from gtexchange import (
     run_randomized,
     run_rarest_first,
 )
-from gtexchange.core import node_pairs, set_links
+from gtexchange.core import (
+    exchange,
+    exchange_kept,
+    node_pairs,
+    set_links,
+    set_table,
+)
 from gtexchange.harness import (
     BatchConfig,
     gen_instance,
@@ -61,6 +68,14 @@ tie_rules = st.one_of(
     st.just(TieRule()),
     st.integers(0, 2**32).map(lambda seed: TieRule(mode="random", seed=seed)),
 )
+
+
+def grouped(masks):
+    """The nodes holding each distinct mask, by a plain pass over the masks."""
+    holders = {}
+    for i, mask in enumerate(masks):
+        holders.setdefault(mask, []).append(i)
+    return holders
 
 
 def pairs_of(run):
@@ -139,10 +154,10 @@ def test_set_scan_matches_a_pair_scan_along_a_random_walk(instance, seed):
         masks = state.masks()
         set_pairs = list(set_links(masks))
         assert len({frozenset(p) for p in set_pairs}) == len(set_pairs)
-        assert node_pairs(masks, set_pairs) == expected
+        assert node_pairs(grouped(masks), set_pairs) == expected
         chosen = rng.sample(set_pairs, rng.randint(0, len(set_pairs)))
         wanted = {frozenset(p) for p in chosen}
-        assert node_pairs(masks, chosen) == [
+        assert node_pairs(grouped(masks), chosen) == [
             (i, j) for i, j in expected if frozenset((masks[i], masks[j])) in wanted
         ]
         expected_links = {Link(i, j) for i, j in expected}
@@ -152,6 +167,24 @@ def test_set_scan_matches_a_pair_scan_along_a_random_walk(instance, seed):
         if not expected:
             break
         state = activate(state, Link(*rng.choice(expected)))
+
+
+@given(st.one_of(any_instances, crowded_instances), st.integers(0, 2**32))
+def test_kept_set_table_matches_a_fresh_scan_after_every_exchange(instance, seed):
+    rng = random.Random(seed)
+    masks = [s.mask for s in instance.initial_sets]
+    holders, pairs = set_table(masks)
+    while True:
+        assert {mask: sorted(held) for mask, held in holders.items()} == grouped(masks)
+        scanned = {frozenset(p): p[0] | p[1] for p in set_links(masks)}
+        assert {frozenset(p): union for p, union in pairs.items()} == scanned
+        assert len(pairs) == len(scanned)
+        if not pairs:
+            break
+        i, j = rng.choice(node_pairs(holders, list(pairs)))
+        before = list(masks)
+        step = exchange_kept(masks, holders, pairs, i, j)
+        assert step == exchange(before, i, j) and masks == before
 
 
 # sha256 of run_batch's CSV for seed 20261018, oracle skipped, all five
