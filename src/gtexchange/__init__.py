@@ -54,11 +54,9 @@ from .harness import (
     reference_bound_configs,
 )
 from .oracle import (
-    OracleLimitError,
     OracleResult,
     SearchLimits,
     canonical_key,
-    optimal_alpha,
     solve_optimal,
 )
 

@@ -115,6 +115,23 @@ def _argmax(pairs: list, weights: list[int]) -> list:
     return [p for p, w in zip(pairs, weights) if w == best]
 
 
+def _permute(order: list[int], bits: Callable[[int], int]) -> None:
+    """Fisher-Yates shuffle of ``order`` in place, from the bit source ``bits``.
+
+    For ``i`` from ``len(order) - 1`` down to 1: draw ``(i + 1).bit_length()``
+    bits, again while the result exceeds ``i``, and swap positions ``i`` and
+    the result.  These are the draws ``random.shuffle`` makes through
+    ``getrandbits``, so with ``bits = rng.getrandbits`` the order and the
+    state ``rng`` is left in match ``rng.shuffle(order)``.
+    """
+    for i in range(len(order) - 1, 0, -1):
+        width = (i + 1).bit_length()
+        r = bits(width)
+        while r > i:
+            r = bits(width)
+        order[i], order[r] = order[r], order[i]
+
+
 def run_randomized(instance: Instance, seed: int) -> AlgorithmRun:
     """Random phase pairing: every phase pairs all nodes up uniformly at random.
 
@@ -122,19 +139,31 @@ def run_randomized(instance: Instance, seed: int) -> AlgorithmRun:
     a time; a pair exchanges when it currently has a link and is set aside
     either way (with an odd node count the leftover node sits the phase out).
     Phases repeat while any link remains.
+
+    Each phase's permutation is a Fisher-Yates pass (:func:`_permute`) over
+    the previous phase's order, drawn from ``random.Random(seed).getrandbits``:
+    the same draws ``random.shuffle`` makes, so the orders and the generator
+    state are those of shuffling one list with that generator.  A phase that
+    exchanged nothing leaves the masks as they were, so the scan for a
+    remaining link runs once before the first phase and then only after a
+    phase that exchanged.
     """
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     masks = [s.mask for s in instance.initial_sets]
     steps: list[ScheduleStep] = []
     phases = 0
     order = list(range(instance.m))
-    while next(set_links(masks), None) is not None:
+    linked = next(set_links(masks), None) is not None
+    while linked:
         phases += 1
-        rng.shuffle(order)
+        _permute(order, bits)
+        before = len(steps)
         for at in range(0, instance.m - 1, 2):
             i, j = order[at], order[at + 1]
             if gt_masks(masks[i], masks[j]):
                 steps.append(exchange(masks, i, j))
+        if len(steps) > before:
+            linked = next(set_links(masks), None) is not None
     return _finish("rand", masks, steps, rounds=phases)
 
 

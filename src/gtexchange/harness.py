@@ -181,9 +181,13 @@ class BatchConfig:
         check_pmnk_size(self.m, self.n, self.k)
         if self.oracle not in ("exact", "skip"):
             raise ValueError(f"oracle mode must be exact or skip, got {self.oracle!r}")
+        TieRule(mode=self.tie_mode)  # refuses an unknown tie mode
         unknown = [a for a in self.algorithms if a not in ALGORITHM_IDS]
         if unknown:
             raise ValueError(f"unknown algorithm ids: {unknown}")
+        repeated = sorted({a for a in self.algorithms if self.algorithms.count(a) > 1})
+        if repeated:
+            raise ValueError(f"algorithm ids listed more than once: {repeated}")
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
 
     @classmethod
@@ -255,8 +259,10 @@ class BatchReport:
     mean_upper_bound: float
     exact_oracle_runs: int
     oracle_exceeded_runs: int
-    # per algorithm, wall seconds and steps summed over the runs; JSON only,
-    # so the CSV stays byte-deterministic
+    # per algorithm, wall seconds and steps summed over the runs, and with
+    # the exact oracle an "oracle" entry: its wall seconds, the instances it
+    # searched and the states it visited; JSON only, so the CSV stays
+    # byte-deterministic
     metrics: dict[str, dict]
 
     def to_json_dict(self) -> dict:
@@ -340,6 +346,8 @@ def run_batch(config: BatchConfig) -> BatchReport:
     exceeded = 0
     ub_total = 0
     metrics = {alg: {"wall_s": 0.0, "steps": 0} for alg in config.algorithms}
+    if config.oracle == "exact":
+        metrics["oracle"] = {"wall_s": 0.0, "searched": 0, "visited": 0}
     for t in range(config.runs):
         inst_seed = derive_seed(config.seed, t, "instance")
         instance = gen_instance(
@@ -361,7 +369,12 @@ def run_batch(config: BatchConfig) -> BatchReport:
         exact: bool | None = None
         if config.oracle == "exact":
             best = max(runs, key=lambda run: run.alpha, default=None)
+            start = time.perf_counter()
             result = solve_optimal(instance, config.limits, incumbent=best)
+            metrics["oracle"]["wall_s"] += time.perf_counter() - start
+            # the search visits at least the root unless the incumbent meets the bound
+            metrics["oracle"]["searched"] += result.visited > 0
+            metrics["oracle"]["visited"] += result.visited
             exact = result.exact
             if exact:
                 optimal = result.alpha

@@ -70,16 +70,6 @@ class OracleResult:
     visited: int
 
 
-class OracleLimitError(RuntimeError):
-    """Search budget exceeded; carries the best lower bound found so far."""
-
-    def __init__(self, message: str, best_alpha: int, witness: Schedule, visited: int):
-        super().__init__(message)
-        self.best_alpha = best_alpha
-        self.witness = witness
-        self.visited = visited
-
-
 class _Abort(Exception):
     pass
 
@@ -254,19 +244,3 @@ def solve_optimal(
         return OracleResult(search.best_leaf, witness, exact, search.visited)
     return OracleResult(incumbent.alpha, incumbent.schedule, exact, search.visited)
 
-
-def optimal_alpha(
-    instance: Instance, limits: SearchLimits = SearchLimits()
-) -> tuple[int, Schedule]:
-    """Like :func:`solve_optimal`, but raises :class:`OracleLimitError` when
-    the budget runs out first."""
-    result = solve_optimal(instance, limits)
-    if not result.exact:
-        raise OracleLimitError(
-            f"search limit exceeded after {result.visited} states; "
-            f"best lower bound found: {result.alpha}",
-            best_alpha=result.alpha,
-            witness=result.witness,
-            visited=result.visited,
-        )
-    return result.alpha, result.witness

@@ -18,13 +18,13 @@ from gtexchange import (
     gen_instance,
     initial_state,
     is_maximal,
-    optimal_alpha,
     pmnk_exact,
     randomized_lower_bound,
     run_algorithm,
     run_batch,
     run_greedy_links,
     run_polygon,
+    solve_optimal,
 )
 from gtexchange.core import gt_masks
 from conftest import criterion_03_grid
@@ -104,7 +104,9 @@ def test_criterion_02_randomized_simulation_matches_reference():
 def test_criterion_03_oracle_equivalence():
     start = time.perf_counter()
     for instance in criterion_03_grid():
-        memoized, _ = optimal_alpha(instance)
+        optimum = solve_optimal(instance)
+        assert optimum.exact
+        memoized = optimum.alpha
         reference = brute_force_optimal(instance)
         enumerated = max(
             aggregate_cardinality(final)
@@ -217,7 +219,9 @@ def test_criterion_05_greedy_links_matches_oracle_at_m4_equal_k():
         k = rng.choice([1, 2, 3])
         instance = gen_instance(4, n, k, seed=rng.getrandbits(48))
         greedy = run_greedy_links(instance).alpha
-        best, _ = optimal_alpha(instance)
+        optimum = solve_optimal(instance)
+        assert optimum.exact
+        best = optimum.alpha
         if greedy != best:
             mismatches.append((n, k, [s.to_list() for s in instance.initial_sets], greedy, best))
         if min(_greedy_links_alphas_over_all_ties(instance)) != best:
@@ -241,7 +245,9 @@ def test_criterion_06_greedy_links_attains_full_coverage_optima():
         k = rng.choice([1, 2, 3])
         instance = gen_instance(4, n, k, seed=rng.getrandbits(48))
         u = len(instance.realized_universe)
-        best, _ = optimal_alpha(instance)
+        optimum = solve_optimal(instance)
+        assert optimum.exact
+        best = optimum.alpha
         if best != 4 * u:
             continue
         qualifying += 1

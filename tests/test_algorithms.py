@@ -16,13 +16,13 @@ from gtexchange import (
     initial_state,
     is_maximal,
     links,
-    optimal_alpha,
     run_algorithm,
     run_greedy_incremental,
     run_greedy_links,
     run_polygon,
     run_randomized,
     run_rarest_first,
+    solve_optimal,
     upper_bound,
 )
 from conftest import build_instance, instances, no_initial_universe_holder
@@ -100,7 +100,9 @@ def test_greedy_links_breaks_link_count_ties_by_gain():
     # after the first step three pairs leave no link alive; the lowest of
     # them ends at 17, the one with the largest gain at the optimum 18
     inst = build_instance(5, [0, 1, 2], [0, 1, 2], [0, 1, 3], [2, 3, 4])
-    assert run_greedy_links(inst).alpha == 18 == optimal_alpha(inst)[0]
+    optimum = solve_optimal(inst)
+    assert optimum.exact
+    assert run_greedy_links(inst).alpha == 18 == optimum.alpha
 
 
 def test_greedy_links_is_optimal_at_four_nodes_with_equal_k():
@@ -111,7 +113,9 @@ def test_greedy_links_is_optimal_at_four_nodes_with_equal_k():
             subsets = list(itertools.combinations(range(n), k))
             for sets in itertools.combinations_with_replacement(subsets, 4):
                 inst = build_instance(n, *sets)
-                assert run_greedy_links(inst).alpha == optimal_alpha(inst)[0], sets
+                optimum = solve_optimal(inst)
+                assert optimum.exact, sets
+                assert run_greedy_links(inst).alpha == optimum.alpha, sets
                 checked += 1
     assert checked == 1766
 
@@ -120,7 +124,9 @@ def test_greedy_links_reaches_full_coverage_when_optimum_does():
     # optimum is 4u here (singletons merge pairwise, then across)
     inst = build_instance(4, [0], [1], [2], [3])
     run = run_greedy_links(inst)
-    assert run.alpha == 16 == optimal_alpha(inst)[0]
+    optimum = solve_optimal(inst)
+    assert optimum.exact
+    assert run.alpha == 16 == optimum.alpha
 
 
 # --------------------------------------------------------- greedy incremental
@@ -270,7 +276,9 @@ def test_polygon_is_optimal_when_every_node_holds_a_unique_segment():
         if not unique_everywhere:
             continue
         checked += 1
-        assert run_polygon(inst).alpha == optimal_alpha(inst)[0]
+        optimum = solve_optimal(inst)
+        assert optimum.exact
+        assert run_polygon(inst).alpha == optimum.alpha
 
 
 def _union_of_others(masks, i):
@@ -344,7 +352,9 @@ def test_universe_holder_appears_iff_the_union_covers_it(instance, seed):
 
 @given(instances(max_m=4, max_n=5), st.integers(0, 2**16))
 def test_no_run_beats_the_oracle(instance, seed):
-    best, _ = optimal_alpha(instance)
+    optimum = solve_optimal(instance)
+    assert optimum.exact
+    best = optimum.alpha
     for run in run_all(instance, seed=seed):
         assert run.alpha <= best
     if no_initial_universe_holder(instance):

@@ -315,6 +315,39 @@ def test_batch_config_with_a_wrong_type_is_a_clean_error(tmp_path, capsys, confi
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _no_instance_may_run(*args, **kwargs):
+    raise AssertionError("an instance was generated")
+
+
+def test_batch_with_a_repeated_algorithm_is_refused_before_any_run(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr("gtexchange.harness.gen_instance", _no_instance_may_run)
+    csv_path = tmp_path / "rows.csv"
+    code, out, err = invoke(
+        capsys, "batch", "-m", "4", "-n", "5", "-k", "2", "--runs", "3",
+        "--algs", "rand,rand", "--csv", str(csv_path),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "rand" in err
+    assert not csv_path.exists()
+
+
+def test_batch_config_with_an_unknown_tie_mode_is_refused_before_any_run(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr("gtexchange.harness.gen_instance", _no_instance_may_run)
+    cfg = tmp_path / "cfg.json"
+    csv_path = tmp_path / "rows.csv"
+    cfg.write_text(json.dumps({"m": 3, "n": 4, "k": 2, "tie_mode": "bogus"}))
+    code, out, err = invoke(capsys, "batch", "--config", str(cfg), "--csv", str(csv_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "bogus" in err
+    assert not csv_path.exists()
+
+
 def test_table_config_that_is_no_list_is_a_clean_error(tmp_path, capsys):
     cfg = tmp_path / "table.json"
     cfg.write_text("5")

@@ -16,7 +16,7 @@ from gtexchange import (
     initial_state,
     is_maximal,
     links,
-    optimal_alpha,
+    solve_optimal,
     upper_bound,
 )
 from gtexchange.core import exchange
@@ -300,7 +300,9 @@ def test_upper_bound_counts_initial_universe_holders():
     """Node 0 holds the realized universe from the start and never changes,
     so the other two may both reach it: the optimum is 3 * 2."""
     instance = build_instance(2, [0, 1], [0], [1], strict=False)
-    assert upper_bound(instance) == 6 == optimal_alpha(instance)[0]
+    optimum = solve_optimal(instance)
+    assert optimum.exact
+    assert upper_bound(instance) == 6 == optimum.alpha
 
 
 @given(relaxed_instances(max_m=5, max_n=4))

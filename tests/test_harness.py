@@ -12,7 +12,9 @@ from gtexchange import (
     derive_seed,
     gen_instance,
     pmnk_exact,
+    run_algorithm,
     run_batch,
+    solve_optimal,
     upper_bound,
 )
 from gtexchange.harness import (
@@ -171,6 +173,10 @@ def test_batch_config_validation():
         BatchConfig(m=3, n=4, k=2, oracle="sometimes")
     with pytest.raises(ValueError):
         BatchConfig(m=3, n=4, k=2, algorithms=("rand", "quantum"))
+    with pytest.raises(ValueError, match="more than once"):
+        BatchConfig(m=3, n=4, k=2, algorithms=("rand", "glink", "rand"))
+    with pytest.raises(ValueError, match="bogus"):
+        BatchConfig(m=3, n=4, k=2, tie_mode="bogus")
 
 
 def test_degenerate_batch_everyone_identical():
@@ -229,8 +235,28 @@ def test_batch_skip_oracle_leaves_success_columns_empty():
     report = run_batch(config)
     assert all(row["optimal"] is None for row in report.rows)
     assert all(s.success_rate is None for s in report.stats.values())
+    assert list(report.metrics) == list(config.algorithms)  # no oracle counters
     text = rows_to_csv(list(report.rows))
     assert rows_from_csv(text) == list(report.rows)
+
+
+def _direct_oracle_counts(config):
+    """(instances searched, states visited) of direct ``solve_optimal`` calls
+    on a batch's instances, each from the run's best heuristic."""
+    visited = []
+    for t in range(config.runs):
+        instance = gen_instance(
+            config.m, config.n, config.k, derive_seed(config.seed, t, "instance")
+        )
+        best = max(
+            (
+                run_algorithm(alg, instance, seed=derive_seed(config.seed, t, "alg", alg))
+                for alg in config.algorithms
+            ),
+            key=lambda run: run.alpha,
+        )
+        visited.append(solve_optimal(instance, config.limits, incumbent=best).visited)
+    return sum(v > 0 for v in visited), sum(visited)
 
 
 def test_batch_json_summary(tmp_path):
@@ -241,16 +267,30 @@ def test_batch_json_summary(tmp_path):
     assert data["m"] == 3 and data["runs"] == 5
     assert data["pmnk"] == {"value": pmnk_exact(3, 4, 2).value}
     assert data["algorithms"]["glink"]["mean_alpha"] == report.stats["glink"].mean_alpha
-    # per-algorithm wall time and steps, summed over the runs, in the JSON only
-    assert list(data["metrics"]) == list(config.algorithms)
-    for alg, metrics in data["metrics"].items():
+    # per-algorithm wall time and steps, summed over the runs, then the
+    # oracle's counters, in the JSON only
+    assert list(data["metrics"]) == [*config.algorithms, "oracle"]
+    for alg in config.algorithms:
+        metrics = data["metrics"][alg]
         assert set(metrics) == {"wall_s", "steps"}
         assert isinstance(metrics["wall_s"], float) and metrics["wall_s"] >= 0
         assert metrics["steps"] == sum(
             row["steps"] for row in report.rows if row["algorithm"] == alg
         )
-    assert "wall_s" not in rows_to_csv(list(report.rows))
-    assert "wall_s" not in report_text(report)
+    oracle = data["metrics"]["oracle"]
+    assert set(oracle) == {"wall_s", "searched", "visited"}
+    assert isinstance(oracle["wall_s"], float) and oracle["wall_s"] >= 0
+    assert (oracle["searched"], oracle["visited"]) == _direct_oracle_counts(config)
+    # a batch where the heuristics miss the bound on two instances
+    searching = BatchConfig(m=5, n=6, k=2, runs=5, seed=0)
+    counts = run_batch(searching).metrics["oracle"]
+    assert (counts["searched"], counts["visited"]) == _direct_oracle_counts(searching)
+    assert counts["searched"] == 2
+    csv_text = rows_to_csv(list(report.rows))
+    text = report_text(report)
+    for key in ("wall_s", "searched", "visited"):
+        assert key not in csv_text
+        assert key not in text
 
 
 def test_random_tie_batches_are_reproducible():

@@ -31,6 +31,7 @@ from gtexchange import (
     run_randomized,
     run_rarest_first,
 )
+from gtexchange.algorithms import _permute
 from gtexchange.core import (
     exchange,
     exchange_kept,
@@ -115,6 +116,21 @@ def test_polygon_final_sweep_takes_the_lowest_pair_each_step(instance):
 def test_randomized_matches_a_link_rescan_per_phase(instance, seed):
     run = run_randomized(instance, seed)
     assert (pairs_of(run), run.rounds) == reference_randomized(instance, seed)
+
+
+def test_randomized_draws_are_the_draws_of_random_shuffle():
+    """rand permutes each phase from ``getrandbits`` directly; every order,
+    and the generator state after five phases, must match ``random.shuffle``
+    at every m up to 130, across the 64- and 128-bit draw widths."""
+    for m in range(2, 131):
+        for seed in (0, 1, m, 2**40 + m):
+            drawn, shuffled = list(range(m)), list(range(m))
+            source, reference = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                _permute(drawn, source.getrandbits)
+                reference.shuffle(shuffled)
+                assert drawn == shuffled, (m, seed)
+            assert source.getrandbits(32) == reference.getrandbits(32), (m, seed)
 
 
 @pytest.mark.parametrize("mnk", [(10, 6, 3), (10, 8, 4)])

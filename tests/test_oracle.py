@@ -7,14 +7,12 @@ from gtexchange import (
     BatchConfig,
     Instance,
     Link,
-    OracleLimitError,
     SearchLimits,
     aggregate_cardinality,
     apply_schedule,
     canonical_key,
     initial_state,
     is_maximal,
-    optimal_alpha,
     run_algorithm,
     run_batch,
     solve_optimal,
@@ -42,48 +40,52 @@ GREEDY_SUBOPTIMAL = ([0, 1], [0, 2], [0, 1, 3], [2, 3, 4])
 
 
 def test_optimal_examples():
-    alpha, witness = optimal_alpha(build_instance(2, [0], [1]))
-    assert alpha == 4
-    assert witness.link_list() == [Link(0, 1)]
+    result = solve_optimal(build_instance(2, [0], [1]))
+    assert result.exact and result.alpha == 4
+    assert result.witness.link_list() == [Link(0, 1)]
 
-    alpha, witness = optimal_alpha(build_instance(3, [0], [1], [2]))
-    assert alpha == 8  # odd node count: one node always stays short
+    result = solve_optimal(build_instance(3, [0], [1], [2]))
+    assert result.exact
+    assert result.alpha == 8  # odd node count: one node always stays short
 
-    alpha, witness = optimal_alpha(build_instance(3, [0], [0, 1]))
-    assert alpha == 3
-    assert len(witness) == 0
+    result = solve_optimal(build_instance(3, [0], [0, 1]))
+    assert result.exact and result.alpha == 3
+    assert len(result.witness) == 0
 
 
 def test_search_goes_beyond_the_greedy_presolve():
     inst = build_instance(5, *GREEDY_SUBOPTIMAL)
     assert run_algorithm("glink", inst).alpha == 18
-    alpha, witness = optimal_alpha(inst)
-    assert alpha == 20
-    final, _ = apply_schedule(inst, witness.link_list())
+    result = solve_optimal(inst)
+    assert result.exact and result.alpha == 20
+    final, _ = apply_schedule(inst, result.witness.link_list())
     assert aggregate_cardinality(final) == 20
     assert is_maximal(final)
 
 
 @given(instances(max_m=4, max_n=5))
 def test_memoized_equals_brute_force_and_enumeration(instance):
-    alpha, _ = optimal_alpha(instance)
-    assert alpha == brute_force_optimal(instance)
-    assert alpha == enumeration_optimal(instance)
+    result = solve_optimal(instance)
+    assert result.exact
+    assert result.alpha == brute_force_optimal(instance)
+    assert result.alpha == enumeration_optimal(instance)
 
 
 @given(instances(max_m=4, max_n=5))
 def test_witness_replays_to_the_optimum(instance):
-    alpha, witness = optimal_alpha(instance)
-    final, _ = apply_schedule(instance, witness.link_list())
-    assert aggregate_cardinality(final) == alpha
+    result = solve_optimal(instance)
+    assert result.exact
+    final, _ = apply_schedule(instance, result.witness.link_list())
+    assert aggregate_cardinality(final) == result.alpha
     assert is_maximal(final)
 
 
 @given(instances(max_m=4, max_n=5), st.integers(0, 2**16))
 def test_oracle_dominates_every_algorithm(instance, seed):
-    alpha, _ = optimal_alpha(instance)
+    result = solve_optimal(instance)
+    assert result.exact
     for alg in ALGORITHM_IDS:
-        assert run_algorithm(alg, instance, seed=seed).alpha <= alpha
+        assert run_algorithm(alg, instance, seed=seed).alpha <= result.alpha
 
 
 @given(instances(max_m=4, max_n=5), st.randoms(use_true_random=False))
@@ -98,13 +100,17 @@ def test_relabelled_nodes_share_a_key_and_an_optimum(instance, rng):
     assert canonical_key(initial_state(permuted)) == canonical_key(
         initial_state(instance)
     )
-    assert optimal_alpha(permuted)[0] == optimal_alpha(instance)[0]
+    relabelled, original = solve_optimal(permuted), solve_optimal(instance)
+    assert relabelled.exact and original.exact
+    assert relabelled.alpha == original.alpha
 
 
 @given(instances(max_m=4, max_n=5))
 def test_oracle_bounds(instance):
     assume(no_initial_universe_holder(instance))
-    alpha, _ = optimal_alpha(instance)
+    result = solve_optimal(instance)
+    assert result.exact
+    alpha = result.alpha
     assert alpha <= upper_bound(instance)
     sizes = sorted(len(s) for s in instance.initial_sets)
     floor = 2 * len(instance.realized_universe) + sum(sizes) - sizes[-1] - sizes[-2]
@@ -123,14 +129,15 @@ def test_limits_must_be_positive():
         SearchLimits(max_seconds=float("nan"))  # would never expire
 
 
-def test_budget_overrun_raises_with_a_lower_bound():
+def test_budget_overrun_reports_a_lower_bound():
     inst = build_instance(5, *GREEDY_SUBOPTIMAL)
-    with pytest.raises(OracleLimitError) as err:
-        optimal_alpha(inst, SearchLimits(max_states=1, max_seconds=60))
-    assert "limit exceeded" in str(err.value)
-    assert err.value.best_alpha == 18  # the greedy presolve's value
-    final, _ = apply_schedule(inst, err.value.witness.link_list())
+    result = solve_optimal(inst, SearchLimits(max_states=1, max_seconds=60))
+    assert result.exact is False
+    assert result.visited == 2  # the root, then the state past the budget
+    assert result.alpha == 18  # the greedy presolve's value
+    final, _ = apply_schedule(inst, result.witness.link_list())
     assert aggregate_cardinality(final) == 18
+    assert is_maximal(final)
 
 
 def test_solve_optimal_flags_inexact_results():
