@@ -10,7 +10,8 @@ emitting a maximal schedule plus the final state:
 * ``rare``  -- rarest-first availability balancing.
 
 Every scheduler keeps the node masks as one list of ints and activates
-through :func:`~gtexchange.core.exchange`, which updates the list in place;
+through :func:`~gtexchange.core.exchange`, which updates the list in place
+and returns the raw step record the run's schedule keeps;
 ``glink``, ``ginc`` and ``rare`` also keep the linked set pairs in a set
 table (:func:`~gtexchange.core.set_table`) that each activation moves
 (:func:`~gtexchange.core.exchange_kept`).  The final
@@ -27,8 +28,8 @@ from typing import Callable, Sequence
 
 from .core import (
     Instance,
+    Record,
     Schedule,
-    ScheduleStep,
     SegmentSet,
     SystemState,
     count_incomparable,
@@ -95,14 +96,14 @@ class AlgorithmRun:
 def _finish(
     algorithm: str,
     masks: list[int],
-    steps: list[ScheduleStep],
+    records: list[Record],
     rounds: int | None = None,
     post_sweep_steps: int = 0,
 ) -> AlgorithmRun:
     return AlgorithmRun(
         algorithm=algorithm,
-        schedule=Schedule(steps=tuple(steps)),
-        final_state=SystemState(sets=tuple(map(SegmentSet, masks)), step=len(steps)),
+        schedule=Schedule(records=tuple(records)),
+        final_state=SystemState(sets=tuple(map(SegmentSet, masks)), step=len(records)),
         alpha=sum(mask.bit_count() for mask in masks),
         rounds=rounds,
         post_sweep_steps=post_sweep_steps,
@@ -150,21 +151,21 @@ def run_randomized(instance: Instance, seed: int) -> AlgorithmRun:
     """
     bits = random.Random(seed).getrandbits
     masks = [s.mask for s in instance.initial_sets]
-    steps: list[ScheduleStep] = []
+    records: list[Record] = []
     phases = 0
     order = list(range(instance.m))
     linked = next(set_links(masks), None) is not None
     while linked:
         phases += 1
         _permute(order, bits)
-        before = len(steps)
+        before = len(records)
         for at in range(0, instance.m - 1, 2):
             i, j = order[at], order[at + 1]
             if gt_masks(masks[i], masks[j]):
-                steps.append(exchange(masks, i, j))
-        if len(steps) > before:
+                records.append(exchange(masks, i, j))
+        if len(records) > before:
             linked = next(set_links(masks), None) is not None
-    return _finish("rand", masks, steps, rounds=phases)
+    return _finish("rand", masks, records, rounds=phases)
 
 
 def run_greedy_links(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmRun:
@@ -199,7 +200,7 @@ def run_greedy_links(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmR
     incomparable: dict[int, int] = {}  # N; current for the keys in kept only
     kept: set[int] = set()  # the keys of the step before
     x = y = 0  # the last activation; nothing is kept before the first
-    steps: list[ScheduleStep] = []
+    records: list[Record] = []
     while pairs:
         keys = {*holders, *pairs.values()}
         move_incomparable(incomparable, keys & kept, x, y)
@@ -217,8 +218,8 @@ def run_greedy_links(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmR
         winners = _argmax(winners, [(a ^ b).bit_count() for a, b in winners])
         i, j = pick(node_pairs(holders, winners))
         x, y = masks[i], masks[j]
-        steps.append(exchange_kept(masks, holders, pairs, i, j))
-    return _finish("glink", masks, steps)
+        records.append(exchange_kept(masks, holders, pairs, i, j))
+    return _finish("glink", masks, records)
 
 
 def run_greedy_incremental(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmRun:
@@ -233,12 +234,12 @@ def run_greedy_incremental(instance: Instance, tie: TieRule = TieRule()) -> Algo
     pick = tie.picker()
     masks = [s.mask for s in instance.initial_sets]
     holders, pairs = set_table(masks)
-    steps: list[ScheduleStep] = []
+    records: list[Record] = []
     while pairs:
         winners = _argmax(list(pairs), [(x ^ y).bit_count() for x, y in pairs])
         i, j = pick(node_pairs(holders, winners))
-        steps.append(exchange_kept(masks, holders, pairs, i, j))
-    return _finish("ginc", masks, steps)
+        records.append(exchange_kept(masks, holders, pairs, i, j))
+    return _finish("ginc", masks, records)
 
 
 def _holders(masks: Sequence[int], n: int) -> list[int]:
@@ -278,7 +279,7 @@ def run_rarest_first(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmR
     holders = _holders(masks, instance.n)
     classes = _holder_classes(holders, instance.m)
     nodes, pairs = set_table(masks)  # holders here count segments
-    steps: list[ScheduleStep] = []
+    records: list[Record] = []
     while pairs:
         candidates = [pair for pair, u in pairs.items() if u != full] or list(pairs)
         for cls in classes[1:]:
@@ -289,9 +290,9 @@ def run_rarest_first(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmR
                     candidates, [((x ^ y) & cls).bit_count() for x, y in candidates]
                 )
         i, j = pick(node_pairs(nodes, candidates))
-        step = exchange_kept(masks, nodes, pairs, i, j)
-        steps.append(step)
-        for gained in (step.gained_i.mask, step.gained_j.mask):
+        record = exchange_kept(masks, nodes, pairs, i, j)
+        records.append(record)
+        for gained in record[2:]:
             while gained:
                 bit = gained & -gained
                 gained ^= bit
@@ -299,7 +300,7 @@ def run_rarest_first(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmR
                 classes[holders[e]] ^= bit
                 holders[e] += 1
                 classes[holders[e]] |= bit
-    return _finish("rare", masks, steps)
+    return _finish("rare", masks, records)
 
 
 def find_unique_set(state: SystemState) -> list[int]:
@@ -352,7 +353,7 @@ def run_polygon(instance: Instance) -> AlgorithmRun:
     links so the run always ends maximal.
     """
     masks = [s.mask for s in instance.initial_sets]
-    steps: list[ScheduleStep] = []
+    records: list[Record] = []
     rounds = 0
     while True:
         members = _unique_set(masks)
@@ -363,16 +364,16 @@ def run_polygon(instance: Instance) -> AlgorithmRun:
             for at in range(0, len(order) - 1, 2):
                 i, j = order[at], order[at + 1]
                 if gt_masks(masks[i], masks[j]):
-                    steps.append(exchange(masks, i, j))
+                    records.append(exchange(masks, i, j))
             order = order[1:] + order[:1]
             rounds += 1
     post_sweep = 0
     # The first set pair scanned holds the lowest node pair: its first set is
     # the earliest one with a link, its second the earliest linked to that.
     while first := next(set_links(masks), None):
-        steps.append(exchange(masks, masks.index(first[0]), masks.index(first[1])))
+        records.append(exchange(masks, masks.index(first[0]), masks.index(first[1])))
         post_sweep += 1
-    return _finish("poly", masks, steps, rounds=rounds, post_sweep_steps=post_sweep)
+    return _finish("poly", masks, records, rounds=rounds, post_sweep_steps=post_sweep)
 
 
 def run_algorithm(

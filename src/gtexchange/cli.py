@@ -70,7 +70,7 @@ def _cmd_run(args) -> int:
         print(f"rounds: {result.rounds}")
     print(f"post_sweep_steps: {result.post_sweep_steps}")
     print(f"upper_bound: {upper_bound(instance)}")
-    print("schedule:", " ".join(_fmt_link(s.link) for s in result.schedule.steps))
+    print("schedule:", " ".join(map(_fmt_link, result.schedule.link_list())))
     if args.out:
         save_schedule(result.schedule, args.out)
         print(f"wrote schedule to {args.out}")
@@ -87,7 +87,7 @@ def _cmd_optimal(args) -> int:
     print(f"exact: {str(result.exact).lower()}")
     print(f"visited_states: {result.visited}")
     print(f"upper_bound: {upper_bound(instance)}")
-    print("witness:", " ".join(_fmt_link(s.link) for s in result.witness.steps))
+    print("witness:", " ".join(map(_fmt_link, result.witness.link_list())))
     if args.out:
         save_schedule(result.witness, args.out)
         print(f"wrote witness schedule to {args.out}")

@@ -11,17 +11,22 @@ aggregate cardinality.
 The public values are immutable after construction, and :func:`activate`
 returns a fresh state.  Underneath, every activation in the library runs
 through one kernel on a list of raw node masks, :func:`exchange`, which
-updates the list in place: the schedulers, schedule replay and the oracle's
-witness replay keep such a list and build a :class:`SystemState` only at
-the end.  Links are found over the *distinct* node sets: the oracle and
-the stopping tests scan them lazily (:func:`set_links`), while the greedy
-schedulers keep a set table, the holders of each distinct set and every
-linked set pair with its union, built once (:func:`set_table`) and moved
-in O(D) per activation (:func:`exchange_kept`).  Greedy-links and the
-oracle count the links an activation keeps alive through
-:func:`move_incomparable` and :func:`count_incomparable`, and the
-schedulers expand only the set pairs they choose into node pairs
-(:func:`node_pairs`).
+updates the list in place and returns a raw record
+``(i, j, gained_i, gained_j)`` of ints: the schedulers, schedule replay and
+the oracle's witness replay keep such a list, collect the records into a
+:class:`Schedule`, and build a :class:`SystemState` only at the end.  The
+:class:`Link`, :class:`SegmentSet` and :class:`ScheduleStep` views of a
+schedule are built when they are read (:attr:`Schedule.steps`,
+:meth:`Schedule.link_list`), so no activation constructs them.
+
+Links are found over the *distinct* node sets: the oracle and the stopping
+tests scan them lazily (:func:`set_links`), while the greedy schedulers
+keep a set table, the holders of each distinct set and every linked set
+pair with its union, built once (:func:`set_table`) and moved in O(D) per
+activation (:func:`exchange_kept`).  Greedy-links and the oracle count
+the links an activation keeps alive through :func:`move_incomparable` and
+:func:`count_incomparable`, and the schedulers expand only the set pairs
+they choose into node pairs (:func:`node_pairs`).
 
 Node and segment indices are 0-based throughout the library; file formats
 and CLI output use 1-based ids (see the harness module).
@@ -194,17 +199,33 @@ class ScheduleStep:
     gained_j: SegmentSet
 
 
+Record = tuple[int, int, int, int]  # one activation: (i, j, gained_i, gained_j), i < j
+
+
+def _step(record: Record) -> ScheduleStep:
+    i, j, gained_i, gained_j = record
+    return ScheduleStep(Link(i, j), SegmentSet(gained_i), SegmentSet(gained_j))
+
+
 @dataclass(frozen=True)
 class Schedule:
-    """An ordered activation trace; nonempty gains certify every step was legal."""
+    """An ordered activation trace; nonempty gains certify every step was legal.
 
-    steps: tuple[ScheduleStep, ...] = ()
+    It keeps the raw records :func:`exchange` returns; the :class:`ScheduleStep`
+    and :class:`Link` views are built when they are read.
+    """
+
+    records: tuple[Record, ...] = ()
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.records)
+
+    @property
+    def steps(self) -> tuple[ScheduleStep, ...]:
+        return tuple(map(_step, self.records))
 
     def link_list(self) -> list[Link]:
-        return [step.link for step in self.steps]
+        return [Link(i, j) for i, j, _, _ in self.records]
 
 
 def initial_state(instance: Instance) -> SystemState:
@@ -289,12 +310,12 @@ def _join(holders: Holders, pairs: SetPairs, u: int, nodes: list[int]) -> None:
 
 def exchange_kept(
     masks: list[int], holders: Holders, pairs: SetPairs, i: int, j: int
-) -> ScheduleStep:
+) -> Record:
     """:func:`exchange`, moving the set table of ``masks`` along in O(D) for
     D distinct sets: a set left with no holder drops its pairs, and the
     union, when it is a new set, gains its own."""
     x, y = masks[i], masks[j]
-    step = exchange(masks, i, j)
+    record = exchange(masks, i, j)
     for old, node in ((x, i), (y, j)):
         held = holders[old]
         held.remove(node)
@@ -304,7 +325,7 @@ def exchange_kept(
                 pairs.pop((old, z), None)
                 pairs.pop((z, old), None)
     _join(holders, pairs, x | y, [i, j])
-    return step
+    return record
 
 
 def move_incomparable(
@@ -352,24 +373,26 @@ def is_maximal(state: SystemState) -> bool:
     return next(set_links(state.masks()), None) is None
 
 
-def exchange(masks: list[int], i: int, j: int) -> ScheduleStep:
+def exchange(masks: list[int], i: int, j: int) -> Record:
     """Full exchange between nodes ``i`` and ``j`` of ``masks``, in place.
 
-    Both entries become the union of the two; the returned step names the
-    link with ``i < j`` and what each endpoint gained.  Raises
-    :class:`InvalidActivationError` and leaves ``masks`` unchanged when the
-    give-and-take criterion fails.
+    Both entries become the union of the two; the returned record
+    ``(i, j, gained_i, gained_j)`` orders the pair ``i < j`` and gives what
+    each endpoint gained as a mask.  Raises :class:`InvalidActivationError`
+    and leaves ``masks`` unchanged when the give-and-take criterion fails
+    (as it does for ``i == j``).  Callers pass in-range node ids.
     """
-    link = Link(i, j)
-    a, b = masks[link.i], masks[link.j]
+    if i > j:
+        i, j = j, i
+    a, b = masks[i], masks[j]
     gained_i, gained_j = b & ~a, a & ~b
     if not (gained_i and gained_j):
         raise InvalidActivationError(
-            f"invalid activation: link ({link.i},{link.j}) does not satisfy "
+            f"invalid activation: link ({i},{j}) does not satisfy "
             f"the give-and-take criterion"
         )
-    masks[link.i] = masks[link.j] = a | b
-    return ScheduleStep(link, SegmentSet(gained_i), SegmentSet(gained_j))
+    masks[i] = masks[j] = a | b
+    return i, j, gained_i, gained_j
 
 
 def activate_traced(state: SystemState, link: Link) -> tuple[SystemState, ScheduleStep]:
@@ -377,10 +400,10 @@ def activate_traced(state: SystemState, link: Link) -> tuple[SystemState, Schedu
     _check_node(len(state.sets), link.i)
     _check_node(len(state.sets), link.j)
     masks = [s.mask for s in state.sets]
-    step = exchange(masks, link.i, link.j)
+    record = exchange(masks, link.i, link.j)
     sets = list(state.sets)
     sets[link.i] = sets[link.j] = SegmentSet(masks[link.i])
-    return SystemState(sets=tuple(sets), step=state.step + 1), step
+    return SystemState(sets=tuple(sets), step=state.step + 1), _step(record)
 
 
 def activate(state: SystemState, link: Link) -> SystemState:
@@ -404,18 +427,18 @@ def apply_schedule(
     was not available at its activation time.
     """
     masks = [s.mask for s in instance.initial_sets]
-    steps: list[ScheduleStep] = []
+    records: list[Record] = []
     for idx, link in enumerate(schedule):
         _check_node(instance.m, link.i)
         _check_node(instance.m, link.j)
         try:
-            steps.append(exchange(masks, link.i, link.j))
+            records.append(exchange(masks, link.i, link.j))
         except InvalidActivationError:
             raise InvalidActivationError(
                 f"invalid activation at step {idx + 1}: link ({link.i},{link.j})"
             ) from None
-    state = SystemState(sets=tuple(map(SegmentSet, masks)), step=len(steps))
-    return state, Schedule(steps=tuple(steps))
+    state = SystemState(sets=tuple(map(SegmentSet, masks)), step=len(records))
+    return state, Schedule(records=tuple(records))
 
 
 def _state_bound(masks: Sequence[int], u_mask: int, u_size: int) -> int:

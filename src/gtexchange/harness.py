@@ -261,8 +261,9 @@ class BatchReport:
     oracle_exceeded_runs: int
     # per algorithm, wall seconds and steps summed over the runs, and with
     # the exact oracle an "oracle" entry: its wall seconds, the instances it
-    # searched and the states it visited; JSON only, so the CSV stays
-    # byte-deterministic
+    # searched, the states it visited, its memo entries and the gap from
+    # each instance's upper bound to the alpha it reported, each summed over
+    # the instances; JSON only, so the CSV stays byte-deterministic
     metrics: dict[str, dict]
 
     def to_json_dict(self) -> dict:
@@ -347,13 +348,20 @@ def run_batch(config: BatchConfig) -> BatchReport:
     ub_total = 0
     metrics = {alg: {"wall_s": 0.0, "steps": 0} for alg in config.algorithms}
     if config.oracle == "exact":
-        metrics["oracle"] = {"wall_s": 0.0, "searched": 0, "visited": 0}
+        metrics["oracle"] = {
+            "wall_s": 0.0,
+            "searched": 0,
+            "visited": 0,
+            "memo": 0,
+            "gap": 0,
+        }
     for t in range(config.runs):
         inst_seed = derive_seed(config.seed, t, "instance")
         instance = gen_instance(
             config.m, config.n, config.k, inst_seed, strict=config.strict
         )
-        ub_total += upper_bound(instance)
+        ub = upper_bound(instance)
+        ub_total += ub
         runs = []
         for alg in config.algorithms:
             random_ties = config.tie_mode == "random"
@@ -375,6 +383,8 @@ def run_batch(config: BatchConfig) -> BatchReport:
             # the search visits at least the root unless the incumbent meets the bound
             metrics["oracle"]["searched"] += result.visited > 0
             metrics["oracle"]["visited"] += result.visited
+            metrics["oracle"]["memo"] += result.memo
+            metrics["oracle"]["gap"] += ub - result.alpha
             exact = result.exact
             if exact:
                 optimal = result.alpha

@@ -62,12 +62,17 @@ class SearchLimits:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Outcome of an optimum computation; ``exact`` is False on budget overrun."""
+    """Outcome of an optimum computation; ``exact`` is False on budget overrun.
+
+    ``visited`` counts the states the search expanded and ``memo`` the memo
+    entries it held when it ended; both are 0 when no search ran.
+    """
 
     alpha: int
     witness: Schedule
     exact: bool
     visited: int
+    memo: int
 
 
 class _Abort(Exception):
@@ -212,7 +217,9 @@ def _replay(instance: Instance, set_pairs: tuple[tuple[int, int], ...]) -> Sched
     """Schedule activating each set pair in turn, on the lowest nodes holding it."""
     masks = [s.mask for s in instance.initial_sets]
     return Schedule(
-        steps=tuple(exchange(masks, masks.index(x), masks.index(y)) for x, y in set_pairs)
+        records=tuple(
+            exchange(masks, masks.index(x), masks.index(y)) for x, y in set_pairs
+        )
     )
 
 
@@ -240,7 +247,8 @@ def solve_optimal(
             exact = False
     # a finished search's best leaf is the optimum
     if search.best_leaf > incumbent.alpha:
-        witness = _replay(instance, search.best_path)
-        return OracleResult(search.best_leaf, witness, exact, search.visited)
-    return OracleResult(incumbent.alpha, incumbent.schedule, exact, search.visited)
+        alpha, witness = search.best_leaf, _replay(instance, search.best_path)
+    else:
+        alpha, witness = incumbent.alpha, incumbent.schedule
+    return OracleResult(alpha, witness, exact, search.visited, len(search.memo))
 

@@ -87,16 +87,16 @@ class MaximalScheduleStream:
         self._count += 1
         return item
 
-    def _generate(self, state, steps):
+    def _generate(self, state, records):
         available = sorted(links(state))
         if not available:
-            yield Schedule(steps=tuple(steps)), state
+            yield Schedule(records=tuple(records)), state
             return
         for link in available:
             next_state, step = activate_traced(state, link)
-            steps.append(step)
-            yield from self._generate(next_state, steps)
-            steps.pop()
+            records.append((link.i, link.j, step.gained_i.mask, step.gained_j.mask))
+            yield from self._generate(next_state, records)
+            records.pop()
 
 
 def enumerate_maximal_schedules(instance, cap=None):

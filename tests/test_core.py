@@ -185,11 +185,9 @@ def test_activate_leaves_other_nodes_alone():
 
 def test_exchange_orders_the_pair_and_updates_both_masks_in_place():
     masks = [0b0001, 0b0010, 0b0110, 0b1000, 0b0100, 0b1001]
-    step = exchange(masks, 5, 2)
-    assert step.link == Link(2, 5)
-    # node 2 held {1,2} and gains node 5's {0,3}; node 5 gains {1,2}
-    assert step.gained_i == SegmentSet.from_iterable([0, 3])
-    assert step.gained_j == SegmentSet.from_iterable([1, 2])
+    # the record orders the pair: node 2 held {1,2} and gains node 5's {0,3};
+    # node 5 gains {1,2}
+    assert exchange(masks, 5, 2) == (2, 5, 0b1001, 0b0110)
     assert masks == [0b0001, 0b0010, 0b1111, 0b1000, 0b0100, 0b1111]
 
 

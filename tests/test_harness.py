@@ -241,9 +241,11 @@ def test_batch_skip_oracle_leaves_success_columns_empty():
 
 
 def _direct_oracle_counts(config):
-    """(instances searched, states visited) of direct ``solve_optimal`` calls
-    on a batch's instances, each from the run's best heuristic."""
-    visited = []
+    """The batch JSON's oracle counters (instances searched, states visited,
+    memo entries, gap from the upper bound to the reported alpha) of direct
+    ``solve_optimal`` calls on a batch's instances, each from the run's best
+    heuristic."""
+    counts = {"searched": 0, "visited": 0, "memo": 0, "gap": 0}
     for t in range(config.runs):
         instance = gen_instance(
             config.m, config.n, config.k, derive_seed(config.seed, t, "instance")
@@ -255,8 +257,12 @@ def _direct_oracle_counts(config):
             ),
             key=lambda run: run.alpha,
         )
-        visited.append(solve_optimal(instance, config.limits, incumbent=best).visited)
-    return sum(v > 0 for v in visited), sum(visited)
+        result = solve_optimal(instance, config.limits, incumbent=best)
+        counts["searched"] += result.visited > 0
+        counts["visited"] += result.visited
+        counts["memo"] += result.memo
+        counts["gap"] += upper_bound(instance) - result.alpha
+    return counts
 
 
 def test_batch_json_summary(tmp_path):
@@ -278,17 +284,19 @@ def test_batch_json_summary(tmp_path):
             row["steps"] for row in report.rows if row["algorithm"] == alg
         )
     oracle = data["metrics"]["oracle"]
-    assert set(oracle) == {"wall_s", "searched", "visited"}
-    assert isinstance(oracle["wall_s"], float) and oracle["wall_s"] >= 0
-    assert (oracle["searched"], oracle["visited"]) == _direct_oracle_counts(config)
+    wall_s = oracle.pop("wall_s")
+    assert isinstance(wall_s, float) and wall_s >= 0
+    assert oracle == _direct_oracle_counts(config)
     # a batch where the heuristics miss the bound on two instances
     searching = BatchConfig(m=5, n=6, k=2, runs=5, seed=0)
     counts = run_batch(searching).metrics["oracle"]
-    assert (counts["searched"], counts["visited"]) == _direct_oracle_counts(searching)
+    assert counts.pop("wall_s") >= 0
+    assert counts == _direct_oracle_counts(searching)
     assert counts["searched"] == 2
+    assert counts["memo"] > 0 and counts["gap"] > 0
     csv_text = rows_to_csv(list(report.rows))
     text = report_text(report)
-    for key in ("wall_s", "searched", "visited"):
+    for key in ("wall_s", "searched", "visited", "memo", "gap"):
         assert key not in csv_text
         assert key not in text
 

@@ -18,9 +18,12 @@ from hypothesis import given
 
 from gtexchange import (
     ALGORITHM_IDS,
+    InvalidActivationError,
     Link,
     TieRule,
     activate,
+    activate_traced,
+    apply_schedule,
     initial_state,
     is_maximal,
     links,
@@ -201,6 +204,25 @@ def test_kept_set_table_matches_a_fresh_scan_after_every_exchange(instance, seed
         before = list(masks)
         step = exchange_kept(masks, holders, pairs, i, j)
         assert step == exchange(before, i, j) and masks == before
+
+
+@given(any_instances, tie_rules, st.integers(0, 2**32))
+def test_schedule_views_match_a_traced_replay(instance, tie, seed):
+    """A run keeps raw records; its step and link views, built on reading,
+    are what replaying its links through the state-based API yields."""
+    for algorithm in ALGORITHM_IDS:
+        run = run_algorithm(algorithm, instance, seed=seed, tie=tie)
+        state, traced = initial_state(instance), []
+        for link in run.schedule.link_list():
+            state, step = activate_traced(state, link)
+            traced.append(step)
+        assert run.schedule.steps == tuple(traced)
+        assert state == run.final_state
+        assert apply_schedule(instance, run.schedule.link_list())[1] == run.schedule
+    masks = [s.mask for s in instance.initial_sets]
+    with pytest.raises(InvalidActivationError):
+        exchange(masks, 1, 1)
+    assert masks == [s.mask for s in instance.initial_sets]
 
 
 # sha256 of run_batch's CSV for seed 20261018, oracle skipped, all five
