@@ -16,7 +16,7 @@ Usage: python scripts/benchmark_heuristics.py [--preset small] [--runs 100]
 import argparse
 import os
 
-from gtexchange import BatchConfig, SearchLimits, report_text, run_batch
+from gtexchange import BatchConfig, SearchLimits, compare_table, run_batch
 
 # per-search budget at (15,20,5): certifies all but about 1 in 100 instances
 MID_LIMITS = SearchLimits(max_seconds=5)
@@ -55,11 +55,8 @@ def main() -> int:
     args = parser.parse_args()
     if args.csv_dir:
         os.makedirs(args.csv_dir, exist_ok=True)
-    blocks = []
-    for config in configs_for(args.preset, args.runs, args.seed, args.csv_dir):
-        report = run_batch(config)
-        blocks.append(report_text(report))
-    print("\n\n".join(blocks))
+    configs = configs_for(args.preset, args.runs, args.seed, args.csv_dir)
+    print(compare_table([run_batch(config) for config in configs]))
     return 0
 
 

@@ -26,17 +26,9 @@ from .core import (
     InvalidActivationError,
     Link,
     Schedule,
-    ScheduleStep,
     SegmentSet,
     SystemState,
-    activate,
-    activate_traced,
-    aggregate_cardinality,
     apply_schedule,
-    gt_satisfied,
-    initial_state,
-    is_maximal,
-    links,
     upper_bound,
 )
 from .harness import (

@@ -63,11 +63,12 @@ class TieRule:
     The rule applies to the pairs still tied after a heuristic's own keys
     (for ``glink``: links left alive, then the immediate gain).  ``lowest``
     picks the canonically smallest (i, j) pair, giving fully deterministic
-    runs; ``random`` picks uniformly with its own seed.
+    runs; ``random`` picks uniformly with a generator seeded by ``seed``,
+    so a run is reproducible under either rule.
     """
 
     mode: str = TIE_LOWEST
-    seed: int | None = None
+    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.mode not in (TIE_LOWEST, TIE_RANDOM):
@@ -303,19 +304,15 @@ def run_rarest_first(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmR
     return _finish("rare", masks, records)
 
 
-def find_unique_set(state: SystemState) -> list[int]:
+def find_unique_set(masks: Sequence[int]) -> list[int]:
     """Greedy pass admitting nodes that keep at least one unique segment.
 
-    Scanning nodes in ascending index order, node i joins when it holds a
-    segment outside the union of the members so far *and* every member so
-    far still holds a segment outside node i's set.  Any two admitted nodes
-    therefore satisfy the give-and-take criterion with each other.
+    Scanning the node masks in ascending index order, node i joins when it
+    holds a segment outside the union of the members so far *and* every
+    member so far still holds a segment outside node i's set.  Any two
+    admitted nodes therefore satisfy the give-and-take criterion with each
+    other.
     """
-    return _unique_set(state.masks())
-
-
-def _unique_set(masks: Sequence[int]) -> list[int]:
-    """:func:`find_unique_set` on raw node masks."""
     chosen: list[int] = []
     union_mask = 0
     for i, mask in enumerate(masks):
@@ -356,7 +353,7 @@ def run_polygon(instance: Instance) -> AlgorithmRun:
     records: list[Record] = []
     rounds = 0
     while True:
-        members = _unique_set(masks)
+        members = find_unique_set(masks)
         if len(members) < 2:
             break
         order = _polygon_order(masks, members)

@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--seed", type=int, default=0, help="seed for the randomized algorithm")
     p.add_argument("--tie", choices=("lowest", "random"), default="lowest")
-    p.add_argument("--tie-seed", type=int, default=None)
+    p.add_argument("--tie-seed", type=int, default=0)
     p.add_argument("--relax", action="store_true")
     p.add_argument("--out", help="write the emitted schedule here")
     p.set_defaults(func=_cmd_run)

@@ -2,22 +2,23 @@
 
 A group of nodes each holds a subset of a fixed universe of data segments.
 Two nodes may run a *full exchange* only when each offers at least one
-segment the other lacks (the give-and-take criterion); afterwards both hold
-the union of their two sets.  This module provides the substrate everything
-else runs on: segment sets as bit masks, problem instances, system states,
-links, activation, schedule replay, and the parity-aware upper bound on the
-aggregate cardinality.
+segment the other lacks (the give-and-take criterion, :func:`gt_masks`);
+afterwards both hold the union of their two sets.  This module provides the
+substrate everything else runs on: segment sets as bit masks, problem
+instances, system states, links, the exchange kernel, schedule replay, and
+the parity-aware upper bound on the aggregate cardinality.
 
-The public values are immutable after construction, and :func:`activate`
-returns a fresh state.  Underneath, every activation in the library runs
+The model is computed in one place.  Every activation in the library runs
 through one kernel on a list of raw node masks, :func:`exchange`, which
 updates the list in place and returns a raw record
-``(i, j, gained_i, gained_j)`` of ints: the schedulers, schedule replay and
-the oracle's witness replay keep such a list, collect the records into a
-:class:`Schedule`, and build a :class:`SystemState` only at the end.  The
-:class:`Link`, :class:`SegmentSet` and :class:`ScheduleStep` views of a
-schedule are built when they are read (:attr:`Schedule.steps`,
-:meth:`Schedule.link_list`), so no activation constructs them.
+``(i, j, gained_i, gained_j)`` of ints: the schedulers, schedule replay
+(:func:`apply_schedule`) and the oracle's witness replay keep such a list,
+collect the records into a :class:`Schedule`, and build a
+:class:`SystemState` only at the end.  The :class:`Link` view of a
+schedule is built when it is read (:meth:`Schedule.link_list`), so no
+activation constructs one.  :class:`Link`, :class:`SegmentSet`,
+:class:`Instance`, :class:`SystemState` and :class:`Schedule` are the
+immutable values at the API and file boundary.
 
 Links are found over the *distinct* node sets: the oracle and the stopping
 tests scan them lazily (:func:`set_links`), while the greedy schedulers
@@ -190,29 +191,15 @@ class SystemState:
         return tuple(s.mask for s in self.sets)
 
 
-@dataclass(frozen=True)
-class ScheduleStep:
-    """One activation together with what each endpoint gained from it."""
-
-    link: Link
-    gained_i: SegmentSet
-    gained_j: SegmentSet
-
-
 Record = tuple[int, int, int, int]  # one activation: (i, j, gained_i, gained_j), i < j
-
-
-def _step(record: Record) -> ScheduleStep:
-    i, j, gained_i, gained_j = record
-    return ScheduleStep(Link(i, j), SegmentSet(gained_i), SegmentSet(gained_j))
 
 
 @dataclass(frozen=True)
 class Schedule:
     """An ordered activation trace; nonempty gains certify every step was legal.
 
-    It keeps the raw records :func:`exchange` returns; the :class:`ScheduleStep`
-    and :class:`Link` views are built when they are read.
+    It keeps the raw records :func:`exchange` returns; the :class:`Link` view
+    is built when it is read.
     """
 
     records: tuple[Record, ...] = ()
@@ -220,30 +207,13 @@ class Schedule:
     def __len__(self) -> int:
         return len(self.records)
 
-    @property
-    def steps(self) -> tuple[ScheduleStep, ...]:
-        return tuple(map(_step, self.records))
-
     def link_list(self) -> list[Link]:
         return [Link(i, j) for i, j, _, _ in self.records]
-
-
-def initial_state(instance: Instance) -> SystemState:
-    return SystemState(sets=instance.initial_sets, step=0)
 
 
 def _check_node(m: int, idx: int) -> None:
     if not 0 <= idx < m:
         raise ValueError(f"node index {idx} out of range for {m} nodes")
-
-
-def gt_satisfied(state: SystemState, i: int, j: int) -> bool:
-    """True iff nodes ``i`` and ``j`` may exchange: each holds a segment the other lacks."""
-    _check_node(len(state.sets), i)
-    _check_node(len(state.sets), j)
-    if i == j:
-        raise ValueError(f"a link needs two distinct nodes, got ({i},{j})")
-    return gt_masks(state.sets[i].mask, state.sets[j].mask)
 
 
 def set_links(masks: Iterable[int]) -> Iterator[tuple[int, int]]:
@@ -362,17 +332,6 @@ def count_incomparable(
         incomparable[key] = value
 
 
-def links(state: SystemState) -> set[Link]:
-    """All currently available links, as canonical (i < j) pairs."""
-    holders, pairs = set_table(state.masks())
-    return {Link(i, j) for i, j in node_pairs(holders, pairs)}
-
-
-def is_maximal(state: SystemState) -> bool:
-    """True iff no further activation is possible anywhere in the group."""
-    return next(set_links(state.masks()), None) is None
-
-
 def exchange(masks: list[int], i: int, j: int) -> Record:
     """Full exchange between nodes ``i`` and ``j`` of ``masks``, in place.
 
@@ -393,28 +352,6 @@ def exchange(masks: list[int], i: int, j: int) -> Record:
         )
     masks[i] = masks[j] = a | b
     return i, j, gained_i, gained_j
-
-
-def activate_traced(state: SystemState, link: Link) -> tuple[SystemState, ScheduleStep]:
-    """Activate ``link`` and return the new state plus the traced step."""
-    _check_node(len(state.sets), link.i)
-    _check_node(len(state.sets), link.j)
-    masks = [s.mask for s in state.sets]
-    record = exchange(masks, link.i, link.j)
-    sets = list(state.sets)
-    sets[link.i] = sets[link.j] = SegmentSet(masks[link.i])
-    return SystemState(sets=tuple(sets), step=state.step + 1), _step(record)
-
-
-def activate(state: SystemState, link: Link) -> SystemState:
-    """Full exchange across ``link``: both endpoints end up with the union."""
-    new_state, _ = activate_traced(state, link)
-    return new_state
-
-
-def aggregate_cardinality(state: SystemState) -> int:
-    """Sum of per-node set sizes: the social objective."""
-    return sum(s.mask.bit_count() for s in state.sets)
 
 
 def apply_schedule(

@@ -128,6 +128,8 @@ def schedule_from_dict(data: dict) -> list[Link]:
         raw_steps = data["steps"]
     except (KeyError, TypeError):
         raise ValueError("schedule file needs a steps field") from None
+    if not isinstance(raw_steps, list):
+        raise ValueError("schedule file's steps must be a list of node-id pairs")
     link_seq = []
     for idx, raw in enumerate(raw_steps):
         if (
@@ -365,7 +367,7 @@ def run_batch(config: BatchConfig) -> BatchReport:
         runs = []
         for alg in config.algorithms:
             random_ties = config.tie_mode == "random"
-            tie_seed = derive_seed(config.seed, t, "tie", alg) if random_ties else None
+            tie_seed = derive_seed(config.seed, t, "tie", alg) if random_ties else 0
             # only rand reads its seed
             seed = derive_seed(config.seed, t, "alg", alg) if alg == "rand" else 0
             tie = TieRule(mode=config.tie_mode, seed=tie_seed)

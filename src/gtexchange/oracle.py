@@ -31,17 +31,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Generator
+from typing import Generator, Iterable
 
 from .algorithms import AlgorithmRun, run_greedy_links
 from .core import (
     Instance,
     Schedule,
-    SystemState,
     _state_bound,
     count_incomparable,
     exchange,
-    initial_state,
     move_incomparable,
     set_links,
 )
@@ -79,14 +77,14 @@ class _Abort(Exception):
     pass
 
 
-def canonical_key(state: SystemState) -> tuple[int, ...]:
-    """Memo key for a state: its node masks as a sorted multiset.
+def canonical_key(masks: Iterable[int]) -> tuple[int, ...]:
+    """Memo key for a state given by its node masks: the sorted multiset.
 
     States that agree up to node relabelling share a key, and both the
     available-link structure and the best reachable aggregate cardinality
     are functions of the key alone.
     """
-    return tuple(sorted(state.masks()))
+    return tuple(sorted(masks))
 
 
 def _scored(
@@ -237,7 +235,7 @@ def solve_optimal(
     """
     if incumbent is None:
         incumbent = run_greedy_links(instance)
-    root = canonical_key(initial_state(instance))
+    root = canonical_key(s.mask for s in instance.initial_sets)
     search = _Search(root, instance.realized_universe.mask, limits)
     exact = True
     if incumbent.alpha < search.bound:

@@ -1,8 +1,9 @@
 """Independent reference computations the tests check the library against.
 
 Everything here is deliberately brute force and shares no code path with
-the implementations under test: a memo-free recursive optimum, an
-enumerator of every maximal schedule (built on the core model only),
+the implementations under test: it imports only value types from the
+package and runs every exchange as an inline union.  A memo-free recursive
+optimum, an enumerator of every maximal schedule,
 coverage probability by exhaustive tuple enumeration, by
 inclusion-exclusion over rationals, by a composition sum and by sampling,
 a pair-scan link finder, rarest-first's preference rows, and schedulers
@@ -16,16 +17,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb, sqrt
 
-from gtexchange import (
-    Link,
-    Schedule,
-    SystemState,
-    activate_traced,
-    aggregate_cardinality,
-    gt_satisfied,
-    initial_state,
-    links,
-)
+from gtexchange import Link, Schedule, SegmentSet, SystemState
 
 
 def brute_force_optimal(instance):
@@ -68,7 +60,7 @@ class MaximalScheduleStream:
         self.truncated = False
         self._cap = cap
         self._count = 0
-        self._walk = self._generate(initial_state(instance), [])
+        self._walk = self._generate([s.mask for s in instance.initial_sets], [])
 
     def __iter__(self):
         return self
@@ -87,16 +79,19 @@ class MaximalScheduleStream:
         self._count += 1
         return item
 
-    def _generate(self, state, records):
-        available = sorted(links(state))
+    def _generate(self, masks, records):
+        available = pair_scan_links(masks)
         if not available:
-            yield Schedule(records=tuple(records)), state
+            final = SystemState(sets=tuple(map(SegmentSet, masks)), step=len(records))
+            yield Schedule(records=tuple(records)), final
             return
-        for link in available:
-            next_state, step = activate_traced(state, link)
-            records.append((link.i, link.j, step.gained_i.mask, step.gained_j.mask))
-            yield from self._generate(next_state, records)
+        for i, j in available:
+            a, b = masks[i], masks[j]
+            masks[i] = masks[j] = a | b
+            records.append((i, j, b & ~a, a & ~b))
+            yield from self._generate(masks, records)
             records.pop()
+            masks[i], masks[j] = a, b
 
 
 def enumerate_maximal_schedules(instance, cap=None):
@@ -107,17 +102,8 @@ def enumerate_maximal_schedules(instance, cap=None):
 def enumeration_optimal(instance):
     """Maximum aggregate cardinality over every enumerated maximal schedule."""
     return max(
-        aggregate_cardinality(final)
-        for _, final in enumerate_maximal_schedules(instance)
+        sum(map(len, final.sets)) for _, final in enumerate_maximal_schedules(instance)
     )
-
-
-def pair_scan_links(state):
-    """All (i, j) pairs satisfying the exchange criterion, one pair at a time."""
-    m = len(state.sets)
-    return {
-        (i, j) for i in range(m - 1) for j in range(i + 1, m) if gt_satisfied(state, i, j)
-    }
 
 
 def coverage_by_enumeration(m, n, k):
@@ -202,8 +188,9 @@ def chain_by_inclusion(state):
     )
 
 
-def _mask_links(masks):
-    """Every (i, j), i < j, whose masks satisfy the exchange criterion."""
+def pair_scan_links(masks):
+    """Every (i, j), i < j, whose masks satisfy the exchange criterion, in
+    ascending order, testing one node pair at a time."""
     m = len(masks)
     return [
         (i, j)
@@ -234,7 +221,7 @@ def reference_greedy_links(instance, mode="lowest", seed=None):
     m = len(masks)
     schedule = []
     while True:
-        available = _mask_links(masks)
+        available = pair_scan_links(masks)
         if not available:
             return schedule
         degree = [sum(1 for p in available if t in p) for t in range(m)]
@@ -271,7 +258,7 @@ def _preference_rows(masks, n):
     full = (1 << n) - 1
     holders = [sum(1 for x in masks if x >> e & 1) for e in range(n)]
     rows = {}
-    for i, j in _mask_links(masks):
+    for i, j in pair_scan_links(masks):
         sym = masks[i] ^ masks[j]
         rows[i, j] = (int(masks[i] | masks[j] != full),) + tuple(
             sum(1 for e in range(n) if holders[e] == p and sym >> e & 1)
@@ -280,9 +267,10 @@ def _preference_rows(masks, n):
     return rows
 
 
-def rarest_first_rows(state, n):
-    """Preference row for every available link of ``state``, keyed by link."""
-    rows = _preference_rows(state.masks(), n)
+def rarest_first_rows(masks, n):
+    """Preference row for every available link among the node ``masks``,
+    keyed by link."""
+    rows = _preference_rows(masks, n)
     return {Link(i, j): row for (i, j), row in rows.items()}
 
 
@@ -311,7 +299,7 @@ def reference_randomized(instance, seed):
     order = list(range(m))
     schedule = []
     phases = 0
-    while _mask_links(masks):
+    while pair_scan_links(masks):
         phases += 1
         rng.shuffle(order)
         for at in range(0, m - 1, 2):
@@ -330,7 +318,7 @@ def reference_greedy_incremental(instance, mode="lowest", seed=None):
     masks = [s.mask for s in instance.initial_sets]
     schedule = []
     while True:
-        available = _mask_links(masks)
+        available = pair_scan_links(masks)
         if not available:
             return schedule
 
@@ -349,7 +337,7 @@ def reference_lowest_pair_sweep(masks):
     masks = list(masks)
     schedule = []
     while True:
-        available = _mask_links(masks)
+        available = pair_scan_links(masks)
         if not available:
             return schedule
         i, j = min(available)

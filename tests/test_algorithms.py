@@ -9,13 +9,8 @@ from gtexchange import (
     ALGORITHM_IDS,
     Link,
     TieRule,
-    activate,
-    aggregate_cardinality,
     apply_schedule,
     find_unique_set,
-    initial_state,
-    is_maximal,
-    links,
     run_algorithm,
     run_greedy_incremental,
     run_greedy_links,
@@ -25,8 +20,9 @@ from gtexchange import (
     solve_optimal,
     upper_bound,
 )
+from gtexchange.core import exchange
 from conftest import build_instance, instances, no_initial_universe_holder
-from oracles import chain_by_inclusion, rarest_first_rows
+from oracles import chain_by_inclusion, pair_scan_links, rarest_first_rows
 
 
 def run_all(instance, seed=0):
@@ -65,7 +61,7 @@ def test_randomized_is_deterministic_given_seed():
 def test_greedy_links_takes_the_only_link():
     inst = build_instance(3, [0, 1], [1, 2], [1])
     run = run_greedy_links(inst)
-    assert run.schedule.steps[0].link == Link(0, 1)
+    assert run.schedule.link_list()[0] == Link(0, 1)
 
 
 def test_greedy_links_first_choice_maximizes_resulting_links():
@@ -77,23 +73,27 @@ def test_greedy_links_first_choice_maximizes_resulting_links():
             size = rng.randint(1, n - 1)
             sets.append(sorted(rng.sample(range(n), size)))
         inst = build_instance(n, *sets)
-        state = initial_state(inst)
-        available = sorted(links(state))
+        masks = [s.mask for s in inst.initial_sets]
+        available = pair_scan_links(masks)
         if not available:
             continue
-        chosen = run_greedy_links(inst).schedule.steps[0].link
-        counts = {link: len(links(activate(state, link))) for link in available}
+        chosen = run_greedy_links(inst).schedule.records[0][:2]
+        counts = {}
+        for pair in available:
+            after = list(masks)
+            exchange(after, *pair)
+            counts[pair] = len(pair_scan_links(after))
         assert counts[chosen] == max(counts.values())
         # ties go to the largest gain, then to the canonically smallest pair
         best = max(counts.values())
-        tied = [l for l, c in counts.items() if c == best]
-        gains = {l: _gain(state, l) for l in tied}
-        assert chosen == min(l for l in tied if gains[l] == max(gains.values()))
+        tied = [p for p, c in counts.items() if c == best]
+        gains = {p: _gain(masks, p) for p in tied}
+        assert chosen == min(p for p in tied if gains[p] == max(gains.values()))
 
 
-def _gain(state, link):
-    union = state.sets[link.i] | state.sets[link.j]
-    return 2 * len(union) - len(state.sets[link.i]) - len(state.sets[link.j])
+def _gain(masks, pair):
+    a, b = (masks[i] for i in pair)
+    return 2 * (a | b).bit_count() - a.bit_count() - b.bit_count()
 
 
 def test_greedy_links_breaks_link_count_ties_by_gain():
@@ -135,29 +135,22 @@ def test_greedy_links_reaches_full_coverage_when_optimum_does():
 def test_greedy_incremental_weight_examples():
     # sets {0,1} and {1,2}: union 3, weight 2*3-2-2 = 2 segments gained
     inst = build_instance(3, [0, 1], [1, 2])
-    run = run_greedy_incremental(inst)
-    step = run.schedule.steps[0]
-    assert len(step.gained_i) + len(step.gained_j) == 2
+    _, _, gained_i, gained_j = run_greedy_incremental(inst).schedule.records[0]
+    assert gained_i.bit_count() + gained_j.bit_count() == 2
     # disjoint pair of sizes a, b gains a + b
     inst = build_instance(5, [0, 1], [2, 3, 4])
-    run = run_greedy_incremental(inst)
-    step = run.schedule.steps[0]
-    assert len(step.gained_i) + len(step.gained_j) == 5
+    _, _, gained_i, gained_j = run_greedy_incremental(inst).schedule.records[0]
+    assert gained_i.bit_count() + gained_j.bit_count() == 5
 
 
 @given(instances(max_m=4, max_n=5))
 def test_greedy_incremental_each_step_takes_the_max_gain(instance):
     run = run_greedy_incremental(instance)
-    state = initial_state(instance)
-    for step in run.schedule.steps:
-        gains = {
-            link: 2 * len(state.sets[link.i] | state.sets[link.j])
-            - len(state.sets[link.i])
-            - len(state.sets[link.j])
-            for link in links(state)
-        }
-        assert gains[step.link] == max(gains.values())
-        state = activate(state, step.link)
+    masks = [s.mask for s in instance.initial_sets]
+    for i, j, _, _ in run.schedule.records:
+        gains = {pair: _gain(masks, pair) for pair in pair_scan_links(masks)}
+        assert gains[i, j] == max(gains.values())
+        exchange(masks, i, j)
 
 
 def test_two_nodes_all_algorithms_agree():
@@ -171,7 +164,7 @@ def test_two_nodes_all_algorithms_agree():
 def test_rarest_first_rows_hand_checked():
     # three nodes over four segments: {0,1}, {1,2}, {2,3}
     inst = build_instance(4, [0, 1], [1, 2], [2, 3])
-    rows = rarest_first_rows(initial_state(inst), inst.n)
+    rows = rarest_first_rows([s.mask for s in inst.initial_sets], inst.n)
     assert rows == {
         Link(0, 1): (1, 1, 1, 0),
         Link(0, 2): (0, 2, 2, 0),
@@ -179,27 +172,23 @@ def test_rarest_first_rows_hand_checked():
     }
     # (0,1) and (1,2) tie on the largest row; deterministic rule takes (0,1)
     run = run_rarest_first(inst)
-    assert run.schedule.steps[0].link == Link(0, 1)
+    assert run.schedule.link_list()[0] == Link(0, 1)
 
 
 def test_rarest_first_takes_the_only_link():
     inst = build_instance(3, [0, 1], [1, 2], [1])
     run = run_rarest_first(inst)
-    assert run.schedule.steps[0].link == Link(0, 1)
+    assert run.schedule.link_list()[0] == Link(0, 1)
 
 
 @given(instances(max_m=4, max_n=5))
 def test_rarest_first_never_shrinks_availability(instance):
     run = run_rarest_first(instance)
-    state = initial_state(instance)
-    for step in run.schedule.steps:
-        before = [
-            sum(1 for s in state.sets if e in s) for e in range(instance.n)
-        ]
-        state = activate(state, step.link)
-        after = [
-            sum(1 for s in state.sets if e in s) for e in range(instance.n)
-        ]
+    masks = [s.mask for s in instance.initial_sets]
+    for i, j, _, _ in run.schedule.records:
+        before = [sum(x >> e & 1 for x in masks) for e in range(instance.n)]
+        exchange(masks, i, j)
+        after = [sum(x >> e & 1 for x in masks) for e in range(instance.n)]
         assert all(b <= a for b, a in zip(before, after))
 
 
@@ -208,17 +197,11 @@ def test_rarest_first_never_shrinks_availability(instance):
 
 def test_find_unique_set_examples():
     # third node's contribution vanishes inside the union of the first two
-    assert find_unique_set(
-        initial_state(build_instance(3, [0, 1], [1, 2], [0, 2]))
-    ) == [0, 1]
+    assert find_unique_set([0b011, 0b110, 0b101]) == [0, 1]
     # pairwise disjoint nonempty sets admit everyone
-    assert find_unique_set(
-        initial_state(build_instance(6, [0], [1, 2], [3], [4, 5]))
-    ) == [0, 1, 2, 3]
+    assert find_unique_set([0b1, 0b110, 0b1000, 0b110000]) == [0, 1, 2, 3]
     # a duplicate contributes nothing new
-    assert find_unique_set(
-        initial_state(build_instance(2, [0], [0], strict=False))
-    ) == [0]
+    assert find_unique_set([0b1, 0b1]) == [0]
 
 
 # ------------------------------------------------------------------- polygon
@@ -237,7 +220,7 @@ def test_polygon_odd_singletons_leave_one_node_short():
     assert run.alpha == 48
     short = [s for s in run.final_state.sets if len(s) < 7]
     assert len(short) == 1 and len(short[0]) == 6
-    assert is_maximal(run.final_state)
+    assert not pair_scan_links(run.final_state.masks())
 
 
 def test_polygon_without_enough_unique_holders_just_sweeps():
@@ -255,7 +238,7 @@ def test_polygon_post_sweep_finishes_leftover_links():
     run = run_polygon(inst)
     assert run.alpha == 16
     assert run.post_sweep_steps == 1
-    assert is_maximal(run.final_state)
+    assert not pair_scan_links(run.final_state.masks())
 
 
 def test_polygon_is_optimal_when_every_node_holds_a_unique_segment():
@@ -303,7 +286,7 @@ def test_seeded_random_ties_are_reproducible():
     a = run_greedy_links(inst, tie)
     b = run_greedy_links(inst, tie)
     assert a.schedule == b.schedule
-    assert is_maximal(a.final_state)
+    assert not pair_scan_links(a.final_state.masks())
 
 
 # ------------------------------------------------- shared run-level contracts
@@ -312,10 +295,10 @@ def test_seeded_random_ties_are_reproducible():
 @given(instances(), st.integers(0, 2**32))
 def test_every_run_is_maximal_and_replays_exactly(instance, seed):
     u = len(instance.realized_universe)
-    slack = (instance.m * u - aggregate_cardinality(initial_state(instance))) // 2
+    slack = (instance.m * u - sum(map(len, instance.initial_sets))) // 2
     for run in run_all(instance, seed=seed):
-        assert is_maximal(run.final_state)
-        assert run.alpha == aggregate_cardinality(run.final_state)
+        assert not pair_scan_links(run.final_state.masks())
+        assert run.alpha == sum(map(len, run.final_state.sets))
         assert len(run.schedule) <= slack
         replay_state, replay_trace = apply_schedule(instance, run.schedule.link_list())
         assert replay_state == run.final_state

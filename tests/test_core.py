@@ -8,24 +8,17 @@ from gtexchange import (
     Link,
     SegmentSet,
     SystemState,
-    activate,
-    activate_traced,
-    aggregate_cardinality,
     apply_schedule,
-    gt_satisfied,
-    initial_state,
-    is_maximal,
-    links,
     solve_optimal,
     upper_bound,
 )
-from gtexchange.core import exchange
+from gtexchange.core import exchange, gt_masks, node_pairs, set_links, set_table
 from conftest import build_instance, instances, relaxed_instances
 from oracles import brute_force_optimal, chain_by_inclusion, pair_scan_links
 
 
-def state_of(n, *raw_sets):
-    return SystemState(sets=tuple(SegmentSet.from_iterable(s) for s in raw_sets))
+def masks_of(*raw_sets):
+    return [SegmentSet.from_iterable(s).mask for s in raw_sets]
 
 
 # ---------------------------------------------------------------- SegmentSet
@@ -118,69 +111,57 @@ def test_instance_derived_properties():
     assert inst2.equal_cardinality == 2
 
 
-# -------------------------------------------------------------- gt_satisfied
+# ------------------------------------------------------------ give-and-take
 
 
 def test_gt_satisfied_examples():
-    st_ = state_of(3, [0, 1], [1, 2])
-    assert gt_satisfied(st_, 0, 1)
-    st_ = state_of(2, [0], [0, 1])  # subset pairs never link
-    assert not gt_satisfied(st_, 0, 1)
-    st_ = state_of(2, [0, 1], [0, 1])  # identical sets never link
-    assert not gt_satisfied(st_, 0, 1)
-
-
-def test_gt_satisfied_argument_errors():
-    st_ = state_of(2, [0], [1])
-    with pytest.raises(ValueError):
-        gt_satisfied(st_, 0, 2)
-    with pytest.raises(ValueError):
-        gt_satisfied(st_, 1, 1)
+    assert gt_masks(*masks_of([0, 1], [1, 2]))
+    assert not gt_masks(*masks_of([0], [0, 1]))  # subset pairs never link
+    assert not gt_masks(*masks_of([0, 1], [0, 1]))  # identical sets never link
 
 
 # --------------------------------------------------------------------- links
 
 
 def test_links_examples():
-    assert links(state_of(2, [0], [1])) == {Link(0, 1)}
-    assert links(state_of(1, [0], [0], [0])) == set()
+    assert node_pairs(*set_table(masks_of([0], [1]))) == [(0, 1)]
+    assert node_pairs(*set_table(masks_of([0], [0], [0]))) == []
     # node 2 is a superset of both others, so only (0,1) links
-    assert links(state_of(3, [0, 1], [1, 2], [0, 1, 2])) == {Link(0, 1)}
+    assert node_pairs(*set_table(masks_of([0, 1], [1, 2], [0, 1, 2]))) == [(0, 1)]
 
 
 @given(instances())
 def test_links_match_pair_scan(instance):
-    state = initial_state(instance)
-    assert {(l.i, l.j) for l in links(state)} == pair_scan_links(state)
+    masks = [s.mask for s in instance.initial_sets]
+    assert node_pairs(*set_table(masks)) == pair_scan_links(masks)
 
 
 # ------------------------------------------------------------------ activate
 
 
 def test_activate_union_semantics():
-    st_ = state_of(3, [0, 1], [1, 2])
-    out = activate(st_, Link(0, 1))
-    assert out.sets[0].to_list() == [0, 1, 2]
-    assert out.sets[1].to_list() == [0, 1, 2]
-    assert out.step == 1
+    masks = masks_of([0, 1], [1, 2])
+    exchange(masks, 0, 1)
+    assert masks == masks_of([0, 1, 2], [0, 1, 2])
 
 
 def test_activate_is_order_insensitive():
-    st_ = state_of(3, [0, 1], [1, 2])
-    assert activate(st_, Link(0, 1)) == activate(st_, Link(1, 0))
+    forward, backward = masks_of([0, 1], [1, 2]), masks_of([0, 1], [1, 2])
+    assert exchange(forward, 0, 1) == exchange(backward, 1, 0)
+    assert forward == backward
 
 
 def test_activate_rejects_subset_pair():
-    st_ = state_of(2, [0], [0, 1])
+    masks = masks_of([0], [0, 1])
     with pytest.raises(InvalidActivationError) as err:
-        activate(st_, Link(0, 1))
+        exchange(masks, 1, 0)
     assert "(0,1)" in str(err.value)
 
 
 def test_activate_leaves_other_nodes_alone():
-    st_ = state_of(4, [0], [1], [2, 3])
-    out = activate(st_, Link(0, 1))
-    assert out.sets[2] == st_.sets[2]
+    masks = masks_of([0], [1], [2, 3])
+    exchange(masks, 0, 1)
+    assert masks[2] == 0b1100
 
 
 def test_exchange_orders_the_pair_and_updates_both_masks_in_place():
@@ -200,18 +181,15 @@ def test_exchange_rejects_subset_and_equal_pairs_untouched(pair):
 
 
 def test_traced_gains_follow_the_canonical_link():
-    state = state_of(3, [0], [1, 2])
-    out, step = activate_traced(state, Link(1, 0))
-    assert step.link == Link(0, 1)
-    assert step.gained_i == SegmentSet.from_iterable([1, 2])  # what node 0 gained
-    assert step.gained_j == SegmentSet.from_iterable([0])
-    assert out.sets[0] == out.sets[1] == SegmentSet.from_iterable([0, 1, 2])
+    inst = build_instance(3, [0], [1, 2])
+    final, trace = apply_schedule(inst, [Link(1, 0)])
+    # node 0 gained {1,2}, node 1 gained {0}
+    assert trace.records == ((0, 1, 0b110, 0b001),)
+    assert trace.link_list() == [Link(0, 1)]
+    assert final.sets[0] == final.sets[1] == SegmentSet.from_iterable([0, 1, 2])
 
 
 def test_out_of_range_nodes_are_value_errors():
-    state = state_of(3, [0], [1])
-    with pytest.raises(ValueError, match="out of range"):
-        activate_traced(state, Link(0, 2))
     with pytest.raises(ValueError, match="out of range"):
         apply_schedule(build_instance(3, [0], [1]), [Link(0, 2)])
 
@@ -220,62 +198,57 @@ def test_out_of_range_nodes_are_value_errors():
 def test_activation_invariants(instance):
     """Endpoints strictly grow, others stay, realized universe is conserved,
     and the aggregate cardinality gains at least 2 per activation."""
-    state = initial_state(instance)
+    masks = [s.mask for s in instance.initial_sets]
     universe = instance.realized_universe.mask
-    for link in sorted(links(state)):
-        out, step = activate_traced(state, link)
-        assert len(step.gained_i) >= 1 and len(step.gained_j) >= 1
-        assert state.sets[link.i].issubset(out.sets[link.i])
-        assert state.sets[link.j].issubset(out.sets[link.j])
-        assert len(out.sets[link.i]) > len(state.sets[link.i])
-        assert len(out.sets[link.j]) > len(state.sets[link.j])
+    for i, j in node_pairs(*set_table(masks)):
+        out = list(masks)
+        _, _, gained_i, gained_j = exchange(out, i, j)
+        assert gained_i and gained_j
+        assert out[i] == out[j] == masks[i] | masks[j]
+        assert out[i] == masks[i] | gained_i and out[j] == masks[j] | gained_j
+        assert not masks[i] & gained_i and not masks[j] & gained_j
         for t in range(instance.m):
-            if t not in (link.i, link.j):
-                assert out.sets[t] == state.sets[t]
+            if t not in (i, j):
+                assert out[t] == masks[t]
         union = 0
-        for s in out.sets:
-            union |= s.mask
+        for mask in out:
+            union |= mask
         assert union == universe
-        gain = aggregate_cardinality(out) - aggregate_cardinality(state)
-        assert gain == len(step.gained_i) + len(step.gained_j) >= 2
+        gain = sum(x.bit_count() for x in out) - sum(x.bit_count() for x in masks)
+        assert gain == gained_i.bit_count() + gained_j.bit_count() >= 2
 
 
-# ---------------------------------------------------------------- is_maximal
+# ---------------------------------------------------------------- maximality
 
 
 def test_is_maximal_examples():
-    assert is_maximal(state_of(2, [0], [0, 1]))
-    assert not is_maximal(state_of(2, [0], [1]))
+    assert next(set_links(masks_of([0], [0, 1])), None) is None
+    assert next(set_links(masks_of([0], [1])), None) == (0b01, 0b10)
 
 
 def test_saturating_any_state_reaches_a_maximal_chain():
-    state = initial_state(build_instance(5, [0, 4], [1], [2, 3], [0, 2]))
-    while not is_maximal(state):
-        state = activate(state, min(links(state)))
-    assert chain_by_inclusion(state)
+    masks = masks_of([0, 4], [1], [2, 3], [0, 2])
+    while pairs := node_pairs(*set_table(masks)):
+        exchange(masks, *pairs[0])
+    assert not pair_scan_links(masks)
+    assert chain_by_inclusion(SystemState(sets=tuple(map(SegmentSet, masks))))
 
 
-# ------------------------------------------------------- aggregate & replay
-
-
-def test_aggregate_cardinality_examples():
-    assert aggregate_cardinality(state_of(3, [0, 1], [1, 2], [2])) == 5
-    full = [0, 1, 2, 3, 4]
-    assert aggregate_cardinality(state_of(5, full, full, full, full)) == 20
+# ---------------------------------------------------------------- replay
 
 
 def test_apply_schedule_empty_is_identity():
     inst = build_instance(2, [0], [1])
     final, trace = apply_schedule(inst, [])
-    assert final == initial_state(inst)
+    assert final == SystemState(sets=inst.initial_sets)
     assert len(trace) == 0
 
 
 def test_apply_schedule_single_link():
     inst = build_instance(2, [0], [1])
     final, trace = apply_schedule(inst, [Link(0, 1)])
-    assert aggregate_cardinality(final) == 4
-    assert trace.steps[0].gained_i.to_list() == [1]
+    assert sum(map(len, final.sets)) == 4 and final.step == 1
+    assert trace.records == ((0, 1, 0b10, 0b01),)
 
 
 def test_apply_schedule_reports_failing_step():
@@ -311,11 +284,11 @@ def test_upper_bound_caps_the_optimum_of_relaxed_instances(instance):
 @given(instances())
 def test_schedule_length_is_bounded(instance):
     """Every activation gains >= 2, so schedules cannot exceed the slack."""
-    state = initial_state(instance)
+    masks = [s.mask for s in instance.initial_sets]
     u = len(instance.realized_universe)
-    slack = (instance.m * u - aggregate_cardinality(state)) / 2
+    slack = (instance.m * u - sum(map(len, instance.initial_sets))) / 2
     count = 0
-    while not is_maximal(state):
-        state = activate(state, min(links(state)))
+    while pairs := node_pairs(*set_table(masks)):
+        exchange(masks, *pairs[0])
         count += 1
     assert count <= slack

@@ -1,12 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gtexchange import (
     BatchConfig,
     Link,
-    aggregate_cardinality,
     apply_schedule,
     compare_table,
     derive_seed,
@@ -33,6 +36,8 @@ from gtexchange.harness import (
     reference_bound_configs,
 )
 from conftest import build_instance
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # ------------------------------------------------------------- gen_instance
@@ -141,7 +146,7 @@ def test_schedule_file_round_trip(tmp_path):
     loaded = load_schedule(str(path))
     assert loaded == link_seq
     final, _ = apply_schedule(inst, loaded)
-    assert aggregate_cardinality(final) > 0
+    assert sum(map(len, final.sets)) > 0
 
 
 def test_schedule_from_dict_rejects_malformed_input():
@@ -153,6 +158,10 @@ def test_schedule_from_dict_rejects_malformed_input():
         schedule_from_dict({"steps": [[0, 1]]})  # node ids are 1-based
     with pytest.raises(ValueError):
         schedule_from_dict({"steps": [[True, 2]]})  # JSON true is no node id
+    with pytest.raises(ValueError):
+        schedule_from_dict({"steps": 5})
+    with pytest.raises(ValueError):
+        schedule_from_dict({"steps": None})
 
 
 def test_schedule_dict_accepts_enriched_schedules():
@@ -324,6 +333,40 @@ def test_compare_table_reference_rows_trimmed():
         assert "analytic lower bound" in block
         assert f"coverage p(m,n,k) = {report.pmnk_value:.6g} (exact)" in block
         assert report.stats["rand"].mean_alpha >= report.rand_lower_bound
+
+
+def test_benchmark_script_prints_one_report_per_size():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH")))
+    )
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "benchmark_heuristics.py"), "--runs", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    blocks = done.stdout.rstrip("\n").split("\n\n")
+    assert [block.splitlines()[0] for block in blocks] == [
+        "(m=4, n=5, k=2)  runs=2  seed=0  oracle=exact",
+        "(m=15, n=20, k=5)  runs=2  seed=0  oracle=exact",
+    ]
+
+
+def test_readme_library_quickstart_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    # each print line ends in a comment giving what it prints
+    expected = [
+        line.rsplit("#", 1)[1].strip()
+        for line in code.splitlines()
+        if line.startswith("print(")
+    ]
+    exec(compile(code, "README.md", "exec"), {})
+    assert expected and capsys.readouterr().out.split("\n")[:-1] == expected
 
 
 @pytest.mark.parametrize(

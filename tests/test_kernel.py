@@ -21,12 +21,7 @@ from gtexchange import (
     InvalidActivationError,
     Link,
     TieRule,
-    activate,
-    activate_traced,
     apply_schedule,
-    initial_state,
-    is_maximal,
-    links,
     run_algorithm,
     run_greedy_incremental,
     run_greedy_links,
@@ -156,21 +151,20 @@ def test_schedulers_match_the_references_on_crowded_instances(mnk):
 
 @given(any_instances, tie_rules)
 def test_every_rarest_first_step_takes_a_maximal_row(instance, tie):
-    state = initial_state(instance)
+    masks = [s.mask for s in instance.initial_sets]
     for link in run_rarest_first(instance, tie).schedule.link_list():
-        rows = rarest_first_rows(state, instance.n)
+        rows = rarest_first_rows(masks, instance.n)
         assert rows[link] == max(rows.values())
-        state = activate(state, link)
-    assert rarest_first_rows(state, instance.n) == {}
+        exchange(masks, link.i, link.j)
+    assert rarest_first_rows(masks, instance.n) == {}
 
 
 @given(st.one_of(any_instances, crowded_instances), st.integers(0, 2**32))
 def test_set_scan_matches_a_pair_scan_along_a_random_walk(instance, seed):
     rng = random.Random(seed)
-    state = initial_state(instance)
+    masks = [s.mask for s in instance.initial_sets]
     while True:
-        expected = sorted(pair_scan_links(state))
-        masks = state.masks()
+        expected = pair_scan_links(masks)
         set_pairs = list(set_links(masks))
         assert len({frozenset(p) for p in set_pairs}) == len(set_pairs)
         assert node_pairs(grouped(masks), set_pairs) == expected
@@ -179,13 +173,14 @@ def test_set_scan_matches_a_pair_scan_along_a_random_walk(instance, seed):
         assert node_pairs(grouped(masks), chosen) == [
             (i, j) for i, j in expected if frozenset((masks[i], masks[j])) in wanted
         ]
-        expected_links = {Link(i, j) for i, j in expected}
-        assert links(state) == expected_links
-        assert set(rarest_first_rows(state, instance.n)) == expected_links
-        assert is_maximal(state) == (not expected)
+        assert node_pairs(*set_table(masks)) == expected
+        assert set(rarest_first_rows(masks, instance.n)) == {
+            Link(i, j) for i, j in expected
+        }
+        assert (next(set_links(masks), None) is None) == (not expected)
         if not expected:
             break
-        state = activate(state, Link(*rng.choice(expected)))
+        exchange(masks, *rng.choice(expected))
 
 
 @given(st.one_of(any_instances, crowded_instances), st.integers(0, 2**32))
@@ -208,16 +203,15 @@ def test_kept_set_table_matches_a_fresh_scan_after_every_exchange(instance, seed
 
 @given(any_instances, tie_rules, st.integers(0, 2**32))
 def test_schedule_views_match_a_traced_replay(instance, tie, seed):
-    """A run keeps raw records; its step and link views, built on reading,
-    are what replaying its links through the state-based API yields."""
+    """A run keeps raw records; its link view, built on reading, replays
+    through the kernel to the same records and the run's final state."""
     for algorithm in ALGORITHM_IDS:
         run = run_algorithm(algorithm, instance, seed=seed, tie=tie)
-        state, traced = initial_state(instance), []
-        for link in run.schedule.link_list():
-            state, step = activate_traced(state, link)
-            traced.append(step)
-        assert run.schedule.steps == tuple(traced)
-        assert state == run.final_state
+        masks = [s.mask for s in instance.initial_sets]
+        traced = [exchange(masks, link.i, link.j) for link in run.schedule.link_list()]
+        assert run.schedule.records == tuple(traced)
+        assert tuple(masks) == run.final_state.masks()
+        assert run.final_state.step == len(traced)
         assert apply_schedule(instance, run.schedule.link_list())[1] == run.schedule
     masks = [s.mask for s in instance.initial_sets]
     with pytest.raises(InvalidActivationError):
@@ -275,10 +269,7 @@ def test_full_runs_are_identical_to_the_state_based_schedulers():
                     run = run_algorithm(algorithm, instance, seed=seed, tie=tie)
                     record = (
                         run.algorithm,
-                        [
-                            (s.link.i, s.link.j, s.gained_i.mask, s.gained_j.mask)
-                            for s in run.schedule.steps
-                        ],
+                        list(run.schedule.records),
                         run.final_state.masks(),
                         run.final_state.step,
                         run.alpha,

@@ -8,17 +8,14 @@ from gtexchange import (
     Instance,
     Link,
     SearchLimits,
-    aggregate_cardinality,
     apply_schedule,
     canonical_key,
-    initial_state,
-    is_maximal,
     run_algorithm,
     run_batch,
     solve_optimal,
     upper_bound,
 )
-from gtexchange.core import _state_bound, activate, links
+from gtexchange.core import _state_bound, exchange
 from gtexchange.harness import derive_seed, gen_instance
 from conftest import (
     build_instance,
@@ -32,6 +29,7 @@ from oracles import (
     chain_by_inclusion,
     enumerate_maximal_schedules,
     enumeration_optimal,
+    pair_scan_links,
 )
 
 # greedy-links reaches 18 here while the optimum is 20, so the presolve
@@ -59,8 +57,8 @@ def test_search_goes_beyond_the_greedy_presolve():
     result = solve_optimal(inst)
     assert result.exact and result.alpha == 20
     final, _ = apply_schedule(inst, result.witness.link_list())
-    assert aggregate_cardinality(final) == 20
-    assert is_maximal(final)
+    assert sum(map(len, final.sets)) == 20
+    assert not pair_scan_links(final.masks())
 
 
 @given(instances(max_m=4, max_n=5))
@@ -76,8 +74,8 @@ def test_witness_replays_to_the_optimum(instance):
     result = solve_optimal(instance)
     assert result.exact
     final, _ = apply_schedule(instance, result.witness.link_list())
-    assert aggregate_cardinality(final) == result.alpha
-    assert is_maximal(final)
+    assert sum(map(len, final.sets)) == result.alpha
+    assert not pair_scan_links(final.masks())
 
 
 @given(instances(max_m=4, max_n=5), st.integers(0, 2**16))
@@ -97,8 +95,8 @@ def test_relabelled_nodes_share_a_key_and_an_optimum(instance, rng):
         n=instance.n,
         initial_sets=tuple(instance.initial_sets[i] for i in order),
     )
-    assert canonical_key(initial_state(permuted)) == canonical_key(
-        initial_state(instance)
+    assert canonical_key(s.mask for s in permuted.initial_sets) == canonical_key(
+        s.mask for s in instance.initial_sets
     )
     relabelled, original = solve_optimal(permuted), solve_optimal(instance)
     assert relabelled.exact and original.exact
@@ -136,8 +134,8 @@ def test_budget_overrun_reports_a_lower_bound():
     assert result.visited == 2  # the root, then the state past the budget
     assert result.alpha == 18  # the greedy presolve's value
     final, _ = apply_schedule(inst, result.witness.link_list())
-    assert aggregate_cardinality(final) == 18
-    assert is_maximal(final)
+    assert sum(map(len, final.sets)) == 18
+    assert not pair_scan_links(final.masks())
 
 
 def test_solve_optimal_flags_inexact_results():
@@ -183,11 +181,11 @@ def test_state_bound_is_the_same_along_random_maximal_schedules(instance, rng):
     # serves every state of a search
     u_mask = instance.realized_universe.mask
     u_size = u_mask.bit_count()
-    state = initial_state(instance)
-    bound = _state_bound(state.masks(), u_mask, u_size)
-    while available := sorted(links(state)):
-        state = activate(state, rng.choice(available))
-        assert _state_bound(state.masks(), u_mask, u_size) == bound
+    masks = [s.mask for s in instance.initial_sets]
+    bound = _state_bound(masks, u_mask, u_size)
+    while available := pair_scan_links(masks):
+        exchange(masks, *rng.choice(available))
+        assert _state_bound(masks, u_mask, u_size) == bound
 
 
 def _best_heuristic_run(instance):
@@ -202,7 +200,7 @@ def test_seeded_and_unseeded_searches_agree_on_the_criterion_03_grid():
         assert seeded.exact and unseeded.exact
         assert seeded.alpha == unseeded.alpha
         final, _ = apply_schedule(instance, seeded.witness.link_list())
-        assert aggregate_cardinality(final) == seeded.alpha
+        assert sum(map(len, final.sets)) == seeded.alpha
 
 
 def test_overrun_reports_no_less_than_the_incumbent():
@@ -218,7 +216,7 @@ def test_overrun_reports_no_less_than_the_incumbent():
         assert not result.exact
         assert result.alpha >= rand.alpha
         final, _ = apply_schedule(instance, result.witness.link_list())
-        assert aggregate_cardinality(final) == result.alpha
+        assert sum(map(len, final.sets)) == result.alpha
 
 
 def test_batch_without_heuristics_still_certifies():
@@ -259,8 +257,8 @@ def test_enumerate_singletons_m3():
     assert len(outcomes) == 6  # 3 first choices x 2 second choices
     universe = inst.realized_universe
     for schedule, final in outcomes:
-        assert is_maximal(final)
-        assert aggregate_cardinality(final) == 8
+        assert not pair_scan_links(final.masks())
+        assert sum(map(len, final.sets)) == 8
         assert sum(1 for s in final.sets if s == universe) >= 2
         assert chain_by_inclusion(final)
         replayed, _ = apply_schedule(inst, schedule.link_list())
