@@ -32,11 +32,10 @@ from .core import (
     Schedule,
     SegmentSet,
     SystemState,
-    count_incomparable,
     exchange,
     exchange_kept,
     gt_masks,
-    move_incomparable,
+    links_alive,
     node_pairs,
     set_links,
     set_table,
@@ -181,11 +180,10 @@ def run_greedy_links(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmR
     pair alone, so each step scores the linked pairs of distinct sets.
 
     The linked set pairs are kept across steps (:func:`~gtexchange.core.set_table`),
-    and ``N`` is kept for every distinct set and linked union: an activation
-    moves only the keys comparable with x, y or x|y
-    (:func:`~gtexchange.core.move_incomparable`), and a new key is counted
-    over the D distinct sets.  A step costs O(D) for the table, one pass
-    over the kept pairs and keys, plus O(D) per new key.
+    and so is ``N`` of the step before, which the next step moves instead of
+    counting it again (:func:`~gtexchange.core.links_alive`).  A step costs
+    O(D) for the table, one pass over the kept pairs and keys, plus O(D)
+    per new key.
 
     Set pairs tied on that count are ordered by their immediate gain
     ``2*|x | y| - |x| - |y| = |x ^ y|``, larger first (the ``ginc``
@@ -198,24 +196,14 @@ def run_greedy_links(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmR
     pick = tie.picker()
     masks = [s.mask for s in instance.initial_sets]
     holders, pairs = set_table(masks)
-    incomparable: dict[int, int] = {}  # N; current for the keys in kept only
-    kept: set[int] = set()  # the keys of the step before
+    incomparable: dict[int, int] = {}  # N of the step before
     x = y = 0  # the last activation; nothing is kept before the first
     records: list[Record] = []
     while pairs:
-        keys = {*holders, *pairs.values()}
-        move_incomparable(incomparable, keys & kept, x, y)
-        distinct = [(z, len(held)) for z, held in holders.items()]
-        count_incomparable(incomparable, distinct, keys - kept)
-        kept = keys
+        counts = {z: len(held) for z, held in holders.items()}
         # live + 1 is common to every pair
-        winners = _argmax(
-            list(pairs),
-            [
-                2 * incomparable[w] - incomparable[a] - incomparable[b]
-                for (a, b), w in pairs.items()
-            ],
-        )
+        score, incomparable = links_alive(counts, pairs, incomparable, x, y)
+        winners = _argmax(list(pairs), score)
         winners = _argmax(winners, [(a ^ b).bit_count() for a, b in winners])
         i, j = pick(node_pairs(holders, winners))
         x, y = masks[i], masks[j]

@@ -18,6 +18,7 @@ coverage probability is the same reduced fraction on every platform.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, log2
@@ -108,11 +109,14 @@ def randomized_lower_bound(m: int, n: int, k: int) -> tuple[float, BoundTrace]:
 
     Iterates ``s <- s + s*(1 - s/n) * max(m - 2^(p-1), 0)/(m - 1)`` from
     ``s = k``, stopping at the first phase whose factor is zero; the bound
-    is ``m`` times the final iterate.
+    is ``m`` times the final iterate.  Each iterate stays at most ``n``, so
+    ``m*n`` must be a finite float.
     """
     if m < 2:
         raise ValueError(f"need at least two nodes, got m={m}")
     _check_mnk(m, n, k)
+    if m * n >= sys.float_info.max:
+        raise ValueError("the bound needs m*n below the largest float, about 1.8e308")
     sizes = [float(k)]
     factors: list[float] = []
     phase = 1

@@ -26,6 +26,7 @@ from .harness import (
     gen_instance,
     instance_to_dict,
     load_instance,
+    read_json,
     report_text,
     run_batch,
     save_instance,
@@ -121,8 +122,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_batch(args) -> int:
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = read_json(args.config)
         config = BatchConfig.from_dict(data)
         seed = args.seed if args.seed is not None else data.get("seed")
         config = replace(
@@ -162,8 +162,7 @@ def _cmd_batch(args) -> int:
 
 def _cmd_table(args) -> int:
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = read_json(args.config)
         if not isinstance(data, list):
             raise ValueError("a table config must be a JSON list of batch configs")
         configs = [BatchConfig.from_dict(d) for d in data]

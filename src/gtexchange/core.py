@@ -24,10 +24,10 @@ Links are found over the *distinct* node sets: the oracle and the stopping
 tests scan them lazily (:func:`set_links`), while the greedy schedulers
 keep a set table, the holders of each distinct set and every linked set
 pair with its union, built once (:func:`set_table`) and moved in O(D) per
-activation (:func:`exchange_kept`).  Greedy-links and the oracle count
-the links an activation keeps alive through :func:`move_incomparable` and
-:func:`count_incomparable`, and the schedulers expand only the set pairs
-they choose into node pairs (:func:`node_pairs`).
+activation (:func:`exchange_kept`).  Greedy-links and the oracle score
+set pairs by the links an activation keeps alive in one place
+(:func:`links_alive`), and the schedulers expand only the set pairs they
+choose into node pairs (:func:`node_pairs`).
 
 Node and segment indices are 0-based throughout the library; file formats
 and CLI output use 1-based ids (see the harness module).
@@ -298,38 +298,44 @@ def exchange_kept(
     return record
 
 
-def move_incomparable(
-    incomparable: dict[int, int], keys: Iterable[int], x: int, y: int
-) -> None:
-    """Move ``N(K)``, the number of nodes holding a set incomparable (``~``)
-    with K, past one activation of the set pair (x, y) for every K in
-    ``keys``, in place.  One node moves from x and one from y to x|y, so K
-    moves by ``2*[x|y ~ K] - [x ~ K] - [y ~ K]``: only keys comparable with
-    x, y or x|y can move."""
+def links_alive(
+    counts: dict[int, int], pairs: SetPairs, before: dict[int, int], x: int, y: int
+) -> tuple[list[int], dict[int, int]]:
+    """Score every linked set pair (a, b) of a state by the links activating
+    it leaves alive, up to a constant: ``2*N(a|b) - N(a) - N(b)``, in
+    ``pairs`` order, where ``N(K)`` counts the nodes whose set is
+    incomparable with K.  Also returns N over the state's distinct sets
+    (``counts``, each with its holder count) and linked unions.
+
+    ``before`` holds N of the state before, whose activated set pair was
+    (x, y); empty when there is none.  A key found there is moved: one node
+    moves from x and one from y to x|y, so N(K) moves by
+    ``2*[x|y ~ K] - [x ~ K] - [y ~ K]``, which is 0 unless K is comparable
+    with x, y or x|y.  Any other key is counted over the distinct sets."""
     u = x | y
-    for key in keys:
+    distinct = list(counts.items())
+    incomparable: dict[int, int] = {}
+    for key in {*counts, *pairs.values()}:
+        value = before.get(key)
         outside = ~key
-        if not key & ~u:
-            incomparable[key] -= (key & ~x != 0 and x & outside != 0) + (
+        if value is None:
+            value = 0
+            for z, c in distinct:
+                if z & outside and key & ~z:
+                    value += c
+        elif not key & ~u:
+            value -= (key & ~x != 0 and x & outside != 0) + (
                 key & ~y != 0 and y & outside != 0
             )
-        elif not x & outside or not y & outside:
-            if u & outside:  # K holds x or y but not u
-                incomparable[key] += 2 - (x & outside != 0) - (y & outside != 0)
-
-
-def count_incomparable(
-    incomparable: dict[int, int], distinct: list[tuple[int, int]], keys: Iterable[int]
-) -> None:
-    """Count ``N(K)`` afresh for every K in ``keys``, in place, over the
-    ``distinct`` (set, holder count) pairs: O(D) per key."""
-    for key in keys:
-        outside = ~key
-        value = 0
-        for z, c in distinct:
-            if z & outside and key & ~z:
-                value += c
+        elif (not x & outside or not y & outside) and u & outside:
+            # K holds x or y but not u
+            value += 2 - (x & outside != 0) - (y & outside != 0)
         incomparable[key] = value
+    score = [
+        2 * incomparable[w] - incomparable[a] - incomparable[b]
+        for (a, b), w in pairs.items()
+    ]
+    return score, incomparable
 
 
 def exchange(masks: list[int], i: int, j: int) -> Record:
@@ -378,29 +384,21 @@ def apply_schedule(
     return state, Schedule(records=tuple(records))
 
 
-def _state_bound(masks: Sequence[int], u_mask: int, u_size: int) -> int:
-    """Largest final aggregate cardinality reachable from a state's masks.
-
-    ``holders`` nodes already have the whole realized universe ``u_mask``
-    and never change; new holders appear in pairs (a node's last activation
-    hands the union to its partner as well), so at most an even number of
-    the rest can still join them, and whoever does not tops out at
-    ``u_size - 1`` segments.
-    """
-    m = len(masks)
-    holders = sum(1 for mask in masks if mask == u_mask)
-    reachable = holders + ((m - holders) // 2) * 2
-    return u_size * reachable + (u_size - 1) * (m - reachable)
-
-
 def upper_bound(instance: Instance) -> int:
-    """Parity-aware cap on the aggregate cardinality: the state bound of the root.
+    """Parity-aware cap on the aggregate cardinality of every reachable state.
 
-    With ``u`` the realized-universe size and no node starting with the whole
-    realized universe (every strict instance), this is ``m*u`` for even ``m``
-    and ``m*u - 1`` for odd ``m``: nodes reaching full coverage appear in
-    pairs, so with an odd node count one node always falls short.
+    Nodes holding the whole realized universe never change; new holders
+    appear in pairs (a node's last activation hands the union to its
+    partner as well), so at most an even number of the rest can still join
+    them, and whoever does not tops out at ``u - 1`` segments, ``u`` being
+    the realized-universe size.  Exchanges keep the realized universe, so
+    every state reachable from the instance has this bound.  No node of a
+    strict instance starts with the whole realized universe, so it is
+    ``m*u`` for even ``m`` and ``m*u - 1`` for odd ``m``.
     """
     u_mask = instance.realized_universe.mask
-    masks = [s.mask for s in instance.initial_sets]
-    return _state_bound(masks, u_mask, u_mask.bit_count())
+    u_size = u_mask.bit_count()
+    m = instance.m
+    holders = sum(1 for s in instance.initial_sets if s.mask == u_mask)
+    reachable = holders + ((m - holders) // 2) * 2
+    return u_size * reachable + (u_size - 1) * (m - reachable)

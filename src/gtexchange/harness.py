@@ -113,9 +113,18 @@ def save_instance(instance: Instance, path: str) -> None:
         fh.write("\n")
 
 
-def load_instance(path: str, strict: bool = True) -> Instance:
+def read_json(path: str):
+    """The JSON value in the file at ``path``.  Nesting too deep for the
+    parser is a ValueError, like any other malformed file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_dict(json.load(fh), strict=strict)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def load_instance(path: str, strict: bool = True) -> Instance:
+    return instance_from_dict(read_json(path), strict=strict)
 
 
 def schedule_to_dict(schedule: Schedule | list[Link]) -> dict:
@@ -149,8 +158,7 @@ def save_schedule(schedule: Schedule | list[Link], path: str) -> None:
 
 
 def load_schedule(path: str) -> list[Link]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return schedule_from_dict(json.load(fh))
+    return schedule_from_dict(read_json(path))
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ The search stays exhaustive; three things let it stop early or not start:
   incumbent meeting the bound is certified without a search, and so is one
   that a finished search does not beat, its schedule being the witness;
 * child order: a state's children are tried by the number of links they
-  keep alive, most first (the greedy-links score), so the first leaves
-  reached tend to be good ones.  The order decides only which leaf comes
-  first.
+  keep alive, most first (the greedy-links score,
+  :func:`~gtexchange.core.links_alive`), so the first leaves reached tend
+  to be good ones.  The order decides only which leaf comes first.
 
 Budgets are enforced per search.  On an overrun the result is flagged
 inexact and carries the better of the incumbent and the best leaf reached,
@@ -34,15 +34,7 @@ from dataclasses import dataclass
 from typing import Generator, Iterable
 
 from .algorithms import AlgorithmRun, run_greedy_links
-from .core import (
-    Instance,
-    Schedule,
-    _state_bound,
-    count_incomparable,
-    exchange,
-    move_incomparable,
-    set_links,
-)
+from .core import Instance, Schedule, exchange, links_alive, set_links, upper_bound
 
 
 @dataclass(frozen=True)
@@ -87,34 +79,9 @@ def canonical_key(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(masks))
 
 
-def _scored(
-    count: dict[int, int], kept: dict[int, int], x: int, y: int
-) -> tuple[list[tuple[int, int]], list[int], dict[int, int]]:
-    """A state's linked set pairs, the links activating each removes net,
-    ``N(a) + N(b) - 2*N(a|b)`` for the pair (a, b), and the state's N.
-    ``kept`` holds N as of the state before the activation of the set pair
-    (x, y), empty when there is none; its keys are moved
-    (:func:`~gtexchange.core.move_incomparable`), the rest counted afresh."""
-    pairs = list(set_links(count))
-    if not pairs:
-        return [], [], {}
-    unions = [a | b for a, b in pairs]
-    keys = {*count, *unions}
-    incomparable = {key: kept[key] for key in keys if key in kept}
-    move_incomparable(incomparable, incomparable, x, y)
-    count_incomparable(
-        incomparable, list(count.items()), [key for key in keys if key not in kept]
-    )
-    loss = [
-        incomparable[a] + incomparable[b] - 2 * incomparable[u]
-        for (a, b), u in zip(pairs, unions)
-    ]
-    return pairs, loss, incomparable
-
-
 class _Search:
-    def __init__(self, root: tuple[int, ...], u_mask: int, limits: SearchLimits):
-        self.bound = _state_bound(root, u_mask, u_mask.bit_count())
+    def __init__(self, bound: int, limits: SearchLimits):
+        self.bound = bound
         self.limits = limits
         self.memo: dict[tuple[int, ...], int] = {}
         self.visited = 0
@@ -124,7 +91,7 @@ class _Search:
         self.best_path: tuple[tuple[int, int], ...] = ()
         self.path: list[tuple[int, int]] = []
         # N of the state whose child is asked for next, and the set pair
-        # that child activates (see core.move_incomparable)
+        # that child activates (see core.links_alive)
         self.handoff: tuple[dict[int, int], int, int] = ({}, 0, 0)
         self.deadline = time.monotonic() + limits.max_seconds
 
@@ -181,7 +148,7 @@ class _Search:
         count: dict[int, int] = {}
         for mask in key:
             count[mask] = count.get(mask, 0) + 1
-        pairs, loss, incomparable = _scored(count, *self.handoff)
+        pairs = {(a, b): a | b for a, b in set_links(count)}
         if not pairs:
             best = sum(mask.bit_count() for mask in key)
             if best > self.best_leaf:
@@ -189,19 +156,21 @@ class _Search:
                 self.best_path = tuple(self.path)
             self.memo[key] = best
             return best
-        # Children go in order of loss, ties in pair order.  While the first
-        # child's subtree is searched this state keeps only O(m) data, so a
-        # deep descent holds no O(m^2) pair list per level; if the search
-        # comes back, the pairs are scored again from scratch.
-        first = self._child(key, pairs[loss.index(min(loss))], incomparable)
-        del pairs, loss, incomparable
+        # Children go by links kept alive, most first, ties in pair order.
+        # While the first child's subtree is searched this state keeps only
+        # O(m) data, so a deep descent holds no O(m^2) pair list per level;
+        # if the search comes back, the pairs are scored again from scratch.
+        score, incomparable = links_alive(count, pairs, *self.handoff)
+        first = self._child(key, list(pairs)[score.index(max(score))], incomparable)
+        del pairs, score, incomparable
         best = yield first
         self.path.pop()
         if best < self.bound:
-            pairs, loss, incomparable = _scored(count, {}, 0, 0)
-            order = sorted(range(len(pairs)), key=loss.__getitem__)
-            for at in order[1:]:
-                value = yield self._child(key, pairs[at], incomparable)
+            pairs = {(a, b): a | b for a, b in set_links(count)}
+            score, incomparable = links_alive(count, pairs, {}, 0, 0)
+            ranked = dict(zip(pairs, score))
+            for pair in sorted(ranked, key=ranked.__getitem__, reverse=True)[1:]:
+                value = yield self._child(key, pair, incomparable)
                 self.path.pop()
                 if value > best:
                     best = value
@@ -236,7 +205,7 @@ def solve_optimal(
     if incumbent is None:
         incumbent = run_greedy_links(instance)
     root = canonical_key(s.mask for s in instance.initial_sets)
-    search = _Search(root, instance.realized_universe.mask, limits)
+    search = _Search(upper_bound(instance), limits)
     exact = True
     if incumbent.alpha < search.bound:
         try:

@@ -194,6 +194,22 @@ def test_bound_prints_reference_value(capsys):
     assert "phase" in out
 
 
+@pytest.mark.parametrize("exponent", [400, 308])
+def test_bound_beyond_float_range_is_a_clean_error(capsys, exponent):
+    # the bound is at most m*n, which must be a finite float
+    m = str(10**exponent)
+    code, out, err = invoke(capsys, "bound", "-m", m, "-n", "5", "-k", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_bound_at_a_huge_finite_size_prints_a_finite_value(capsys):
+    code, out, _ = invoke(capsys, "bound", "-m", str(10**300), "-n", "5", "-k", "2")
+    assert code == 0
+    value = float(out.splitlines()[0].rsplit(" ", 1)[1])
+    assert 0 < value < float("inf")
+
+
 def test_batch_with_flags(tmp_path, capsys):
     csv_path = tmp_path / "rows.csv"
     json_path = tmp_path / "summary.json"
@@ -285,6 +301,33 @@ def test_malformed_instance_is_a_clean_error(tmp_path, capsys):
     code, _, err = invoke(capsys, "optimal", "--instance", str(bad))
     assert code == 2
     assert "strictly increasing" in err
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--alg", "rand", "--instance"),
+        ("optimal", "--instance"),
+        ("batch", "--config"),
+        ("table", "--config"),
+    ],
+)
+def test_deeply_nested_json_is_a_clean_error(tmp_path, capsys, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    code, out, err = invoke(capsys, *argv, str(deep))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_deeply_nested_schedule_file_is_a_value_error(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    with pytest.raises(ValueError):
+        load_schedule(str(deep))
 
 
 def test_unknown_batch_config_field_is_a_clean_error(tmp_path, capsys):

@@ -33,6 +33,7 @@ from gtexchange.algorithms import _permute
 from gtexchange.core import (
     exchange,
     exchange_kept,
+    links_alive,
     node_pairs,
     set_links,
     set_table,
@@ -199,6 +200,29 @@ def test_kept_set_table_matches_a_fresh_scan_after_every_exchange(instance, seed
         before = list(masks)
         step = exchange_kept(masks, holders, pairs, i, j)
         assert step == exchange(before, i, j) and masks == before
+
+
+@given(st.one_of(any_instances, crowded_instances), st.integers(0, 2**32))
+def test_moved_links_alive_matches_a_fresh_count_after_every_exchange(instance, seed):
+    """N handed on from the state before and moved past its activation equals
+    N counted afresh, and each kept pair's score is what activating it on
+    its first holders does to the number of live links, less one."""
+    rng = random.Random(seed)
+    masks = [s.mask for s in instance.initial_sets]
+    holders, pairs = set_table(masks)
+    incomparable, x, y = {}, 0, 0
+    while pairs:
+        counts = {mask: len(held) for mask, held in holders.items()}
+        score, incomparable = links_alive(counts, pairs, incomparable, x, y)
+        assert (score, incomparable) == links_alive(counts, pairs, {}, 0, 0)
+        live = len(pair_scan_links(masks))
+        for (a, b), value in zip(pairs, score):
+            after = list(masks)
+            exchange(after, after.index(a), after.index(b))
+            assert value == len(pair_scan_links(after)) - live - 1
+        i, j = rng.choice(node_pairs(holders, list(pairs)))
+        x, y = masks[i], masks[j]
+        exchange_kept(masks, holders, pairs, i, j)
 
 
 @given(any_instances, tie_rules, st.integers(0, 2**32))

@@ -8,6 +8,7 @@ from gtexchange import (
     Instance,
     Link,
     SearchLimits,
+    SegmentSet,
     apply_schedule,
     canonical_key,
     run_algorithm,
@@ -15,7 +16,7 @@ from gtexchange import (
     solve_optimal,
     upper_bound,
 )
-from gtexchange.core import _state_bound, exchange
+from gtexchange.core import exchange
 from gtexchange.harness import derive_seed, gen_instance
 from conftest import (
     build_instance,
@@ -176,16 +177,15 @@ def test_certified_optima_match_the_unordered_search():
 
 
 @given(st.one_of(instances(max_m=6, max_n=6), relaxed_instances()), st.randoms())
-def test_state_bound_is_the_same_along_random_maximal_schedules(instance, rng):
-    # holders of the realized universe appear two at a time, so one bound
-    # serves every state of a search
-    u_mask = instance.realized_universe.mask
-    u_size = u_mask.bit_count()
+def test_upper_bound_is_the_same_along_random_maximal_schedules(instance, rng):
+    # holders of the realized universe appear two at a time, and exchanges
+    # keep the realized universe, so one bound serves every state of a search
+    bound = upper_bound(instance)
     masks = [s.mask for s in instance.initial_sets]
-    bound = _state_bound(masks, u_mask, u_size)
     while available := pair_scan_links(masks):
         exchange(masks, *rng.choice(available))
-        assert _state_bound(masks, u_mask, u_size) == bound
+        sets = tuple(map(SegmentSet, masks))
+        assert upper_bound(Instance(instance.m, instance.n, sets, strict=False)) == bound
 
 
 def _best_heuristic_run(instance):
