@@ -15,7 +15,6 @@ from .algorithms import (
 )
 from .analysis import (
     BoundTrace,
-    ExactProbability,
     approx_condition_holds,
     pmnk_exact,
     randomized_lower_bound,

@@ -32,26 +32,6 @@ PMNK_MAX_POWER_BITS = 2**18
 PMNK_MAX_SUM_BITS = 2**25
 
 
-@dataclass(frozen=True)
-class ExactProbability:
-    """A probability as an exact reduced fraction plus its float rendering."""
-
-    numerator: int
-    denominator: int
-
-    @classmethod
-    def from_fraction(cls, value: Fraction) -> "ExactProbability":
-        return cls(numerator=value.numerator, denominator=value.denominator)
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    @property
-    def value(self) -> float:
-        return self.numerator / self.denominator
-
-
 def _check_mnk(m: int, n: int, k: int) -> None:
     if m < 1:
         raise ValueError(f"need at least one node, got m={m}")
@@ -78,8 +58,9 @@ def check_pmnk_size(m: int, n: int, k: int) -> None:
         )
 
 
-def pmnk_exact(m: int, n: int, k: int) -> ExactProbability:
-    """Exact probability that m uniform k-subsets of an n-universe cover it.
+def pmnk_exact(m: int, n: int, k: int) -> Fraction:
+    """Exact probability that m uniform k-subsets of an n-universe cover it,
+    as a reduced fraction.
 
     Inclusion-exclusion over the segments left uncovered:
     ``sum_i (-1)^i C(n,i) C(n-i,k)^m / C(n,k)^m``, in integers.  Sizes past
@@ -87,12 +68,12 @@ def pmnk_exact(m: int, n: int, k: int) -> ExactProbability:
     """
     check_pmnk_size(m, n, k)
     if m * k < n:
-        return ExactProbability.from_fraction(Fraction(0))
+        return Fraction(0)
     favourable = sum(
         (-1) ** miss * comb(n, miss) * comb(n - miss, k) ** m
         for miss in range(n - k + 1)
     )
-    return ExactProbability.from_fraction(Fraction(favourable, comb(n, k) ** m))
+    return Fraction(favourable, comb(n, k) ** m)
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,17 @@
 Subcommands: ``gen`` (emit an instance file), ``run`` (one algorithm on an
 instance file), ``optimal`` (exact oracle, seeded with the best of the five
 heuristics), ``batch`` (benchmark run), ``pmnk`` (coverage probability),
-``bound`` (randomized lower-bound recursion), ``table`` (multi-config
-comparison).  All node and segment ids printed or read here are 1-based;
-seeds are always explicit (``batch`` falls back to the ``GTX_SEED``
-environment variable, then 0).
+``bound`` (randomized lower-bound recursion), ``table`` (one summary block
+per config of a preset or a JSON list).  All node and segment ids printed
+or read here are 1-based; seeds are always explicit (``batch`` and
+``table`` fall back to the ``GTX_SEED`` environment variable, then 0).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -20,18 +21,19 @@ from .algorithms import ALGORITHM_IDS, ALGORITHM_LABELS, TieRule, run_algorithm
 from .analysis import pmnk_exact, randomized_lower_bound
 from .core import upper_bound
 from .harness import (
+    TABLE_PRESETS,
     BatchConfig,
     compare_table,
     default_master_seed,
     gen_instance,
     instance_to_dict,
     load_instance,
+    preset_configs,
     read_json,
     report_text,
     run_batch,
     save_instance,
     save_schedule,
-    reference_bound_configs,
 )
 from .oracle import SearchLimits, solve_optimal
 
@@ -102,7 +104,7 @@ def _cmd_pmnk(args) -> int:
         if prob.denominator < 10**FRACTION_MAX_DIGITS
         else ""
     )
-    print(f"p({args.m},{args.n},{args.k}) = {fraction}{prob.value:.10g} (exact)")
+    print(f"p({args.m},{args.n},{args.k}) = {fraction}{float(prob):.10g} (exact)")
     return 0
 
 
@@ -165,13 +167,26 @@ def _cmd_table(args) -> int:
         data = read_json(args.config)
         if not isinstance(data, list):
             raise ValueError("a table config must be a JSON list of batch configs")
+        if not data:
+            raise ValueError("a table config must list at least one batch config")
         configs = [BatchConfig.from_dict(d) for d in data]
-    elif args.preset == "bounds":
-        configs = reference_bound_configs(
-            runs=args.runs, seed=default_master_seed(args.seed)
+    elif args.preset:
+        configs = preset_configs(
+            args.preset, runs=args.runs, seed=default_master_seed(args.seed)
         )
     else:
-        raise SystemExit("table needs --config or --preset bounds")
+        raise SystemExit("table needs --config or --preset")
+    if args.csv_dir:
+        name = "batch_m{0.m}_n{0.n}_k{0.k}.csv"
+        configs = [
+            replace(c, out_csv=os.path.join(args.csv_dir, name.format(c))) for c in configs
+        ]
+    paths = [os.path.abspath(p) for c in configs for p in (c.out_csv, c.out_json) if p]
+    repeated = sorted({p for p in paths if paths.count(p) > 1})
+    if repeated:
+        raise ValueError(f"more than one table config writes {repeated}")
+    if args.csv_dir:
+        os.makedirs(args.csv_dir, exist_ok=True)
     print(compare_table([run_batch(config) for config in configs]))
     return 0
 
@@ -183,6 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
         "coverage probability, and benchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    budget = SearchLimits()  # the default search budget of optimal and batch
 
     p = sub.add_parser("gen", help="generate a random instance file")
     _add_mnk(p)
@@ -203,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimal", help="exact optimum (oracle) for an instance file")
     p.add_argument("--instance", required=True)
-    p.add_argument("--max-states", type=int, default=10_000_000)
-    p.add_argument("--max-seconds", type=float, default=60.0)
+    p.add_argument("--max-states", type=int, default=budget.max_states)
+    p.add_argument("--max-seconds", type=float, default=budget.max_seconds)
     p.add_argument("--relax", action="store_true")
     p.add_argument("--out", help="write the witness schedule here")
     p.set_defaults(func=_cmd_optimal)
@@ -227,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", choices=("exact", "skip"), default="exact")
     p.add_argument("--tie", choices=("lowest", "random"), default="lowest")
     p.add_argument("--relax", action="store_true")
-    p.add_argument("--max-states", type=int, default=10_000_000)
-    p.add_argument("--max-seconds", type=float, default=60.0)
+    p.add_argument("--max-states", type=int, default=budget.max_states)
+    p.add_argument("--max-seconds", type=float, default=budget.max_seconds)
     p.add_argument("--csv", help="write per-run rows here")
     p.add_argument("--json", dest="json_out", help="write the summary here")
     p.add_argument("--config", help="JSON file mirroring the batch config fields")
@@ -236,9 +252,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="summary blocks for several configs")
     p.add_argument("--config", help="JSON list of batch config objects")
-    p.add_argument("--preset", choices=("bounds",))
+    p.add_argument(
+        "--preset",
+        choices=TABLE_PRESETS,
+        help="bounds: rand against its lower bound; small, large: the five "
+        "heuristics against the exact optimum",
+    )
     p.add_argument("--runs", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--csv-dir", help="write each config's per-run rows here")
     p.set_defaults(func=_cmd_table)
 
     return parser

@@ -23,11 +23,11 @@ immutable values at the API and file boundary.
 Links are found over the *distinct* node sets: the oracle and the stopping
 tests scan them lazily (:func:`set_links`), while the greedy schedulers
 keep a set table, the holders of each distinct set and every linked set
-pair with its union, built once (:func:`set_table`) and moved in O(D) per
-activation (:func:`exchange_kept`).  Greedy-links and the oracle score
-set pairs by the links an activation keeps alive in one place
-(:func:`links_alive`), and the schedulers expand only the set pairs they
-choose into node pairs (:func:`node_pairs`).
+pair with its union, built once from that scan (:func:`set_table`) and
+moved in O(D) per activation (:func:`exchange_kept`).  Greedy-links and
+the oracle score set pairs by the links an activation keeps alive in one
+place (:func:`links_alive`), and the schedulers expand only the set pairs
+they choose into node pairs (:func:`node_pairs`).
 
 Node and segment indices are 0-based throughout the library; file formats
 and CLI output use 1-based ids (see the harness module).
@@ -259,23 +259,9 @@ def set_table(masks: Sequence[int]) -> tuple[Holders, SetPairs]:
     union.  :func:`exchange_kept` keeps it current, so a scheduler picking
     one set pair per step scores the kept pairs instead of scanning again."""
     holders: Holders = {}
-    pairs: SetPairs = {}
     for i, mask in enumerate(masks):
-        _join(holders, pairs, mask, [i])
-    return holders, pairs
-
-
-def _join(holders: Holders, pairs: SetPairs, u: int, nodes: list[int]) -> None:
-    """Make ``nodes`` holders of u; a new set links to every incomparable set."""
-    held = holders.get(u)
-    if held is None:
-        outside = ~u
-        for z in holders:
-            if z & outside and u & ~z:
-                pairs[z, u] = z | u
-        holders[u] = nodes
-    else:
-        held += nodes
+        holders.setdefault(mask, []).append(i)
+    return holders, {(x, y): x | y for x, y in set_links(holders)}
 
 
 def exchange_kept(
@@ -294,7 +280,16 @@ def exchange_kept(
             for z in holders:
                 pairs.pop((old, z), None)
                 pairs.pop((z, old), None)
-    _join(holders, pairs, x | y, [i, j])
+    u = x | y
+    held = holders.get(u)
+    if held is None:
+        outside = ~u
+        for z in holders:
+            if z & outside and u & ~z:
+                pairs[z, u] = z | u
+        holders[u] = [i, j]
+    else:
+        held += [i, j]
     return record
 
 

@@ -195,6 +195,8 @@ class BatchConfig:
         unknown = [a for a in self.algorithms if a not in ALGORITHM_IDS]
         if unknown:
             raise ValueError(f"unknown algorithm ids: {unknown}")
+        if not self.algorithms:
+            raise ValueError("a batch needs at least one algorithm id")
         repeated = sorted({a for a in self.algorithms if self.algorithms.count(a) > 1})
         if repeated:
             raise ValueError(f"algorithm ids listed more than once: {repeated}")
@@ -386,7 +388,7 @@ def run_batch(config: BatchConfig) -> BatchReport:
         optimal = None
         exact: bool | None = None
         if config.oracle == "exact":
-            best = max(runs, key=lambda run: run.alpha, default=None)
+            best = max(runs, key=lambda run: run.alpha)
             start = time.perf_counter()
             result = solve_optimal(instance, config.limits, incumbent=best)
             metrics["oracle"]["wall_s"] += time.perf_counter() - start
@@ -419,7 +421,7 @@ def run_batch(config: BatchConfig) -> BatchReport:
         config=config,
         rows=tuple(rows),
         stats=summarize_rows(rows),
-        pmnk_value=pmnk_exact(config.m, config.n, config.k).value,
+        pmnk_value=float(pmnk_exact(config.m, config.n, config.k)),
         rand_lower_bound=bound,
         mean_upper_bound=ub_total / config.runs,
         exact_oracle_runs=exact_runs,
@@ -535,6 +537,31 @@ def reference_bound_configs(runs: int = 100, seed: int = 0) -> list[BatchConfig]
             oracle="skip",
         )
         for m, n, k in rows
+    ]
+
+
+# The heuristics against the exact oracle, as (m, n, k, oracle, limits);
+# every row takes the master seed as is.  At (15,20,5) each search gets 5
+# seconds, which certifies all but about 1 in 100 instances; (40,50,5)
+# reports means, intervals and the parity bound without the oracle.
+SMALL_ROWS = (
+    (4, 5, 2, "exact", SearchLimits()),
+    (15, 20, 5, "exact", SearchLimits(max_seconds=5)),
+)
+HEURISTIC_PRESETS = {
+    "small": SMALL_ROWS,
+    "large": SMALL_ROWS + ((40, 50, 5, "skip", SearchLimits()),),
+}
+TABLE_PRESETS = ("bounds", *HEURISTIC_PRESETS)
+
+
+def preset_configs(preset: str, runs: int = 100, seed: int = 0) -> list[BatchConfig]:
+    """The batch configs of a named table preset (:data:`TABLE_PRESETS`)."""
+    if preset == "bounds":
+        return reference_bound_configs(runs=runs, seed=seed)
+    return [
+        BatchConfig(m=m, n=n, k=k, runs=runs, seed=seed, oracle=oracle, limits=limits)
+        for m, n, k, oracle, limits in HEURISTIC_PRESETS[preset]
     ]
 
 

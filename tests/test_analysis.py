@@ -12,7 +12,7 @@ from gtexchange import (
     randomized_lower_bound,
 )
 from gtexchange.analysis import check_pmnk_size
-from gtexchange.harness import reference_bound_configs
+from gtexchange.harness import TABLE_PRESETS, preset_configs
 from oracles import (
     coverage_by_composition,
     coverage_by_enumeration,
@@ -33,18 +33,18 @@ REFERENCE_ROWS = [
 
 
 def test_pmnk_small_cases():
-    assert pmnk_exact(2, 2, 1).fraction == Fraction(1, 2)
-    assert pmnk_exact(2, 2, 1).fraction == coverage_by_enumeration(2, 2, 1)
-    assert pmnk_exact(2, 4, 1).fraction == 0  # too few picks to cover
-    assert pmnk_exact(2, 3, 3).fraction == 1  # everyone holds everything
-    assert pmnk_exact(1, 4, 4).fraction == 1
-    assert pmnk_exact(1, 4, 3).fraction == 0
+    assert pmnk_exact(2, 2, 1) == Fraction(1, 2)
+    assert pmnk_exact(2, 2, 1) == coverage_by_enumeration(2, 2, 1)
+    assert pmnk_exact(2, 4, 1) == 0  # too few picks to cover
+    assert pmnk_exact(2, 3, 3) == 1  # everyone holds everything
+    assert pmnk_exact(1, 4, 4) == 1
+    assert pmnk_exact(1, 4, 3) == 0
 
 
 def test_pmnk_fraction_is_reduced_and_in_range():
     prob = pmnk_exact(3, 4, 2)
     assert gcd(prob.numerator, prob.denominator) == 1
-    assert 0 <= prob.value <= 1
+    assert 0 <= prob <= 1
 
 
 def test_pmnk_argument_errors():
@@ -59,21 +59,23 @@ def test_pmnk_argument_errors():
 
 
 def test_pmnk_covers_the_universe_cap_and_deep_groups():
-    assert pmnk_exact(1, MAX_SEGMENTS, MAX_SEGMENTS).fraction == 1
+    assert pmnk_exact(1, MAX_SEGMENTS, MAX_SEGMENTS) == 1
     # m = 1200 nodes: far deeper than the composition sum could recurse
     prob = pmnk_exact(1200, 1200, 1)
-    assert prob.fraction == Fraction(factorial(1200), 1200**1200)
-    assert prob.value == 0.0
+    assert prob == Fraction(factorial(1200), 1200**1200)
+    assert float(prob) == 0.0
 
 
 def test_pmnk_size_caps_keep_every_size_in_use():
-    # the benchmark, scripts, README and tests use these sizes
+    # the benchmark, table presets, README and tests use these sizes
     in_use = [(4, 5, 2), (15, 20, 5), (40, 50, 5), (200, 300, 15), (1200, 1200, 1)]
-    in_use += [(c.m, c.n, c.k) for c in reference_bound_configs(runs=1)]
+    in_use += [
+        (c.m, c.n, c.k) for p in TABLE_PRESETS for c in preset_configs(p, runs=1)
+    ]
     for mnk in in_use:
         check_pmnk_size(*mnk)
     # too few picks to cover: no sum is taken, whatever m is
-    assert pmnk_exact(100, MAX_SEGMENTS, 40).fraction == 0
+    assert pmnk_exact(100, MAX_SEGMENTS, 40) == 0
     for mnk in [(1000, 4096, 50), (400, 4096, 50), (100, 4096, 2048), (400000, 4, 2)]:
         with pytest.raises(ValueError, match="too large"):
             pmnk_exact(*mnk)
@@ -83,14 +85,14 @@ def test_pmnk_matches_enumeration_small_grid():
     for m in range(1, 4):
         for n in range(1, 6):
             for k in range(1, n + 1):
-                assert pmnk_exact(m, n, k).fraction == coverage_by_enumeration(m, n, k)
+                assert pmnk_exact(m, n, k) == coverage_by_enumeration(m, n, k)
 
 
 def test_pmnk_matches_inclusion_exclusion_wider_grid():
     for m in range(1, 7):
         for n in range(2, 9):
             for k in range(1, n + 1):
-                assert pmnk_exact(m, n, k).fraction == coverage_by_inclusion_exclusion(
+                assert pmnk_exact(m, n, k) == coverage_by_inclusion_exclusion(
                     m, n, k
                 )
 
@@ -99,21 +101,21 @@ def test_pmnk_matches_composition_sum():
     for m in range(1, 7):
         for n in range(2, 9):
             for k in range(1, n + 1):
-                assert pmnk_exact(m, n, k).fraction == coverage_by_composition(m, n, k)
+                assert pmnk_exact(m, n, k) == coverage_by_composition(m, n, k)
     # the batch sizes whose coverage used to be sampled
     for m, n, k, _ in REFERENCE_ROWS:
-        assert pmnk_exact(m, n, k).fraction == coverage_by_composition(m, n, k)
+        assert pmnk_exact(m, n, k) == coverage_by_composition(m, n, k)
     for m, n, k in [(15, 20, 5), (40, 50, 5)]:
-        assert pmnk_exact(m, n, k).fraction == coverage_by_composition(m, n, k)
+        assert pmnk_exact(m, n, k) == coverage_by_composition(m, n, k)
 
 
 def test_pmnk_is_monotone_in_m_and_k():
     for n in range(2, 9):
         for k in range(1, min(n, 6) + 1):
-            values = [pmnk_exact(m, n, k).fraction for m in range(1, 7)]
+            values = [pmnk_exact(m, n, k) for m in range(1, 7)]
             assert all(a <= b for a, b in zip(values, values[1:]))
         for m in range(1, 7):
-            values = [pmnk_exact(m, n, k).fraction for k in range(1, min(n, 6) + 1)]
+            values = [pmnk_exact(m, n, k) for k in range(1, min(n, 6) + 1)]
             assert all(a <= b for a, b in zip(values, values[1:]))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -157,7 +158,7 @@ def test_pmnk_long_fraction_prints_the_float_only(capsys):
     # the denominator C(300,15)^200 has far more digits than int -> str allows
     code, out, err = invoke(capsys, "pmnk", "-m", "200", "-n", "300", "-k", "15")
     assert code == 0 and err == ""
-    assert out == f"p(200,300,15) = {pmnk_exact(200, 300, 15).value:.10g} (exact)\n"
+    assert out == f"p(200,300,15) = {float(pmnk_exact(200, 300, 15)):.10g} (exact)\n"
 
 
 def test_pmnk_beyond_the_universe_cap_is_a_clean_error(capsys):
@@ -279,6 +280,69 @@ def test_table_from_config_file(tmp_path, capsys):
     assert out.count("analytic lower bound") == 2
 
 
+# sha256 of stdout and of each per-run CSV, recorded with the former
+# heuristics script at the same sizes, runs and seed 0
+PRESET_DIGESTS = {
+    ("small", "2"): (
+        "dfd18ee53b156412bc47ccd6252f89d113e7b873d2070d4add18327824a7492d",
+        {
+            "batch_m4_n5_k2.csv": "a03f4e2f67693203787f995489402c12e806f2ee222e13c73d1d488d18a7f127",
+            "batch_m15_n20_k5.csv": "5f8d87b5660c35ad4f7ed70e997bd7da1522c05c54ce9dc38254f9802b19041c",
+        },
+    ),
+    ("large", "1"): (
+        "c889735a500bec104071c61947971a099d307905928aa49a3b250fe50798a33f",
+        {
+            "batch_m4_n5_k2.csv": "5175722d78a61d26a0d68f5ff909660a53567909025369f59194bf61103174d1",
+            "batch_m15_n20_k5.csv": "5cb9ad6570b92050ccfc1799d91e74cc63c95d153bf2410677b0919ba4d1537e",
+            "batch_m40_n50_k5.csv": "62af91f94d9f48914fcf9e71c0258e7ba7de584c20469a7d87b172f81111bd42",
+        },
+    ),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("preset, runs", sorted(PRESET_DIGESTS))
+def test_table_preset_matches_the_recorded_report(
+    tmp_path, capsys, monkeypatch, preset, runs
+):
+    monkeypatch.delenv("GTX_SEED", raising=False)
+    out_dir = tmp_path / "out"
+    code, out, err = invoke(
+        capsys, "table", "--preset", preset, "--runs", runs, "--csv-dir", str(out_dir)
+    )
+    assert (code, err) == (0, "")
+    stdout_digest, csv_digests = PRESET_DIGESTS[preset, runs]
+    assert _sha256(out) == stdout_digest
+    assert {p.name: _sha256(p.read_text()) for p in out_dir.iterdir()} == csv_digests
+
+
+def test_table_refuses_two_configs_writing_one_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("gtexchange.harness.gen_instance", _no_instance_may_run)
+    cfg = tmp_path / "table.json"
+    same = {"m": 3, "n": 4, "k": 2, "runs": 2, "oracle": "skip"}
+    cfg.write_text(json.dumps([same, {**same, "seed": 5}]))
+    out_dir = tmp_path / "out"
+    code, out, err = invoke(
+        capsys, "table", "--config", str(cfg), "--csv-dir", str(out_dir)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "batch_m3_n4_k2.csv" in err
+    assert not out_dir.exists()
+
+
+def test_table_config_with_no_batch_is_a_clean_error(tmp_path, capsys):
+    cfg = tmp_path / "table.json"
+    cfg.write_text("[]")
+    code, out, err = invoke(capsys, "table", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_missing_file_is_a_clean_error(capsys):
     code, _, err = invoke(capsys, "run", "--alg", "rand", "--instance", "missing.json")
     assert code == 2
@@ -397,6 +461,19 @@ def test_batch_config_with_an_unknown_tie_mode_is_refused_before_any_run(
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
     assert "bogus" in err
+    assert not csv_path.exists()
+
+
+def test_batch_config_with_no_algorithm_is_refused_before_any_run(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr("gtexchange.harness.gen_instance", _no_instance_may_run)
+    cfg = tmp_path / "cfg.json"
+    csv_path = tmp_path / "rows.csv"
+    cfg.write_text(json.dumps({"m": 3, "n": 4, "k": 2, "algorithms": []}))
+    code, out, err = invoke(capsys, "batch", "--config", str(cfg), "--csv", str(csv_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
     assert not csv_path.exists()
 
 

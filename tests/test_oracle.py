@@ -4,7 +4,6 @@ import hypothesis.strategies as st
 
 from gtexchange import (
     ALGORITHM_IDS,
-    BatchConfig,
     Instance,
     Link,
     SearchLimits,
@@ -12,7 +11,6 @@ from gtexchange import (
     apply_schedule,
     canonical_key,
     run_algorithm,
-    run_batch,
     solve_optimal,
     upper_bound,
 )
@@ -219,10 +217,11 @@ def test_overrun_reports_no_less_than_the_incumbent():
         assert sum(map(len, final.sets)) == result.alpha
 
 
-def test_batch_without_heuristics_still_certifies():
-    report = run_batch(BatchConfig(m=15, n=20, k=5, runs=10, seed=0, algorithms=()))
-    assert report.rows == ()
-    assert report.exact_oracle_runs == 10
+def test_search_without_an_incumbent_still_certifies():
+    # with no incumbent the search starts from its greedy-links presolve
+    for t in range(10):
+        instance = gen_instance(15, 20, 5, derive_seed(0, t, "instance"))
+        assert solve_optimal(instance).exact
 
 
 def test_deep_search_reports_an_overrun_instead_of_overflowing_the_stack():
