@@ -6,7 +6,12 @@ heuristics), ``batch`` (benchmark run), ``pmnk`` (coverage probability),
 ``bound`` (randomized lower-bound recursion), ``table`` (one summary block
 per config of a preset or a JSON list).  All node and segment ids printed
 or read here are 1-based; seeds are always explicit (``batch`` and
-``table`` fall back to the ``GTX_SEED`` environment variable, then 0).
+``table`` default to 0).
+
+``batch`` builds its config one way: the ``--config`` file's JSON object, or
+an empty one, with every flag given laid over it under the field's name,
+then validated once by :meth:`~gtexchange.harness.BatchConfig.from_dict`;
+so the config's own defaults are the only ones.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from .harness import (
     TABLE_PRESETS,
     BatchConfig,
     compare_table,
-    default_master_seed,
     gen_instance,
     instance_to_dict,
     load_instance,
@@ -123,36 +127,16 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    if args.config:
-        data = read_json(args.config)
-        config = BatchConfig.from_dict(data)
-        seed = args.seed if args.seed is not None else data.get("seed")
-        config = replace(
-            config,
-            seed=default_master_seed(seed),
-            out_csv=args.csv or config.out_csv,
-            out_json=args.json_out or config.out_json,
-        )
-    else:
-        for name in ("m", "n", "k"):
-            if getattr(args, name) is None:
-                raise SystemExit(f"batch needs -{name} (or --config)")
-        config = BatchConfig(
-            m=args.m,
-            n=args.n,
-            k=args.k,
-            runs=args.runs,
-            seed=default_master_seed(args.seed),
-            algorithms=tuple(args.algs.split(",")) if args.algs else ALGORITHM_IDS,
-            oracle=args.oracle,
-            tie_mode=args.tie,
-            strict=not args.relax,
-            limits=SearchLimits(
-                max_states=args.max_states, max_seconds=args.max_seconds
-            ),
-            out_csv=args.csv,
-            out_json=args.json_out,
-        )
+    # the batch parser sets only the flags given, each under its field's name
+    flags = dict(vars(args))
+    del flags["command"], flags["func"]
+    data = read_json(flags.pop("config")) if "config" in flags else {}
+    limits = {k: flags.pop(k) for k in ("max_states", "max_seconds") if k in flags}
+    if isinstance(data, dict):  # from_dict refuses anything else
+        if limits and isinstance(data.get("limits", {}), dict):
+            flags["limits"] = {**data.get("limits", {}), **limits}
+        data = {**data, **flags}
+    config = BatchConfig.from_dict(data)
     report = run_batch(config)
     print(report_text(report))
     if config.out_csv:
@@ -163,19 +147,21 @@ def _cmd_batch(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    options = {k: v for k, v in vars(args).items() if k in ("runs", "seed")}
     if args.config:
+        if options:
+            raise ValueError(
+                "table --runs and --seed go with --preset only: "
+                "each config in a table file sets its own"
+            )
         data = read_json(args.config)
         if not isinstance(data, list):
             raise ValueError("a table config must be a JSON list of batch configs")
         if not data:
             raise ValueError("a table config must list at least one batch config")
         configs = [BatchConfig.from_dict(d) for d in data]
-    elif args.preset:
-        configs = preset_configs(
-            args.preset, runs=args.runs, seed=default_master_seed(args.seed)
-        )
     else:
-        raise SystemExit("table needs --config or --preset")
+        configs = preset_configs(args.preset, **options)
     if args.csv_dir:
         name = "batch_m{0.m}_n{0.n}_k{0.k}.csv"
         configs = [
@@ -198,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         "coverage probability, and benchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    budget = SearchLimits()  # the default search budget of optimal and batch
+    budget = SearchLimits()  # the default search budget of optimal
 
     p = sub.add_parser("gen", help="generate a random instance file")
     _add_mnk(p)
@@ -233,33 +219,48 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mnk(p)
     p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("batch", help="benchmark algorithms over random instances")
+    # no defaults: a flag not given leaves its field to the file or BatchConfig
+    p = sub.add_parser(
+        "batch",
+        help="benchmark algorithms over random instances",
+        argument_default=argparse.SUPPRESS,
+    )
     p.add_argument("-m", type=int)
     p.add_argument("-n", type=int)
     p.add_argument("-k", type=int)
-    p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--algs", help="comma-separated ids, default all five")
-    p.add_argument("--oracle", choices=("exact", "skip"), default="exact")
-    p.add_argument("--tie", choices=("lowest", "random"), default="lowest")
-    p.add_argument("--relax", action="store_true")
-    p.add_argument("--max-states", type=int, default=budget.max_states)
-    p.add_argument("--max-seconds", type=float, default=budget.max_seconds)
-    p.add_argument("--csv", help="write per-run rows here")
-    p.add_argument("--json", dest="json_out", help="write the summary here")
-    p.add_argument("--config", help="JSON file mirroring the batch config fields")
+    p.add_argument("--runs", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument(
+        "--algs",
+        dest="algorithms",
+        type=lambda ids: ids.split(","),
+        help="comma-separated ids, default all five",
+    )
+    p.add_argument("--oracle", choices=("exact", "skip"))
+    p.add_argument("--tie", dest="tie_mode", choices=("lowest", "random"))
+    p.add_argument("--relax", dest="strict", action="store_false")
+    p.add_argument("--max-states", type=int)
+    p.add_argument("--max-seconds", type=float)
+    p.add_argument("--csv", dest="out_csv", help="write per-run rows here")
+    p.add_argument("--json", dest="out_json", help="write the summary here")
+    p.add_argument(
+        "--config",
+        help="JSON object of batch config fields; a flag given replaces its field",
+    )
     p.set_defaults(func=_cmd_batch)
 
     p = sub.add_parser("table", help="summary blocks for several configs")
-    p.add_argument("--config", help="JSON list of batch config objects")
-    p.add_argument(
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="JSON list of batch config objects")
+    source.add_argument(
         "--preset",
         choices=TABLE_PRESETS,
         help="bounds: rand against its lower bound; small, large: the five "
         "heuristics against the exact optimum",
     )
-    p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
+    # preset only, and set only when given
+    p.add_argument("--runs", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="master seed")
     p.add_argument("--csv-dir", help="write each config's per-run rows here")
     p.set_defaults(func=_cmd_table)
 

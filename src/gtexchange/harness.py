@@ -11,7 +11,8 @@ File formats (all 1-based on disk, 0-based in memory):
 * instance file: ``{"m": 4, "n": 5, "sets": [[1, 2], [2, 3], [3, 4], [4, 5]]}``
   where each list is strictly increasing;
 * schedule file: ``{"steps": [[1, 3], [1, 2], [2, 4]]}`` of node pairs;
-* batch config file: a JSON object mirroring :class:`BatchConfig` fields.
+* batch config file: a JSON object of :class:`BatchConfig` fields, at
+  least ``m``, ``n`` and ``k``; ``limits`` is an object of its own.
 """
 
 from __future__ import annotations
@@ -20,19 +21,16 @@ import csv
 import hashlib
 import io
 import json
-import os
 import random
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from math import sqrt
 
 from .algorithms import ALGORITHM_IDS, ALGORITHM_LABELS, TieRule, run_algorithm
 from .analysis import check_pmnk_size, pmnk_exact, randomized_lower_bound
 from .core import Instance, Link, Schedule, SegmentSet, upper_bound
 from .oracle import SearchLimits, solve_optimal
-
-SEED_ENV_VAR = "GTX_SEED"
 
 CSV_COLUMNS = (
     "run",
@@ -183,6 +181,26 @@ class BatchConfig:
     out_json: str | None = None
 
     def __post_init__(self) -> None:
+        # types first, so that the checks below meet no bool, string or float
+        for name, value in vars(self).items():
+            if name in ("m", "n", "k", "runs", "seed"):
+                ok = _is_int(value)
+            elif name in ("oracle", "tie_mode"):
+                ok = isinstance(value, str)
+            elif name in ("out_csv", "out_json"):
+                ok = value is None or isinstance(value, str)
+            elif name == "strict":
+                ok = isinstance(value, bool)
+            elif name == "algorithms":
+                ok = isinstance(value, (list, tuple)) and all(
+                    isinstance(a, str) for a in value
+                )
+            else:  # limits
+                ok = isinstance(value, SearchLimits)
+            if not ok:
+                raise ValueError(
+                    f"batch config field {name} has the wrong type: {value!r}"
+                )
         if self.runs < 1:
             raise ValueError(f"need at least one run, got {self.runs}")
         if not 1 <= self.k <= self.n:
@@ -204,46 +222,32 @@ class BatchConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BatchConfig":
-        """Config from a parsed JSON object, checking each field's JSON type
-        (``true`` is no integer, a string is no list of ids)."""
-        if not isinstance(data, dict):
-            raise ValueError("a batch config must be a JSON object")
-        kwargs = dict(data)
-        unknown = set(kwargs) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown batch config fields: {sorted(unknown)}")
-        for name, value in kwargs.items():
-            if name in ("m", "n", "k", "runs", "seed"):
-                ok = _is_int(value)
-            elif name in ("oracle", "tie_mode"):
-                ok = isinstance(value, str)
-            elif name in ("out_csv", "out_json"):
-                ok = value is None or isinstance(value, str)
-            elif name == "strict":
-                ok = isinstance(value, bool)
-            elif name == "algorithms":
-                ok = isinstance(value, list) and all(isinstance(a, str) for a in value)
-            else:  # limits
-                ok = isinstance(value, dict)
-            if not ok:
-                raise ValueError(
-                    f"batch config field {name} has the wrong type: {value!r}"
-                )
-        if "algorithms" in kwargs:
-            kwargs["algorithms"] = tuple(kwargs["algorithms"])
+        """Config from a parsed JSON object.  The object's shape is checked
+        here and each field's type by the constructor, as for any caller."""
+        kwargs = _json_fields(cls, data, "batch config")
         if "limits" in kwargs:
-            kwargs["limits"] = _limits_from_dict(kwargs["limits"])
+            kwargs["limits"] = SearchLimits(
+                **_json_fields(SearchLimits, kwargs["limits"], "search limits")
+            )
         return cls(**kwargs)
 
 
-def _limits_from_dict(data: dict) -> SearchLimits:
-    unknown = set(data) - set(SearchLimits.__dataclass_fields__)
+def _json_fields(cls, data, what: str) -> dict:
+    """``data`` as keyword arguments of the dataclass ``cls``: a JSON object
+    that names every field without a default and no other name."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
-        raise ValueError(f"unknown search limit fields: {sorted(unknown)}")
-    for name, value in data.items():
-        if not (_is_int(value) or (name == "max_seconds" and isinstance(value, float))):
-            raise ValueError(f"search limit {name} has the wrong type: {value!r}")
-    return SearchLimits(**data)
+        raise ValueError(f"unknown {what} fields: {unknown}")
+    missing = [
+        f.name
+        for f in fields(cls)
+        if f.name not in data and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ValueError(f"{what} lacks the fields {missing}")
+    return dict(data)
 
 
 @dataclass(frozen=True)
@@ -563,13 +567,3 @@ def preset_configs(preset: str, runs: int = 100, seed: int = 0) -> list[BatchCon
         BatchConfig(m=m, n=n, k=k, runs=runs, seed=seed, oracle=oracle, limits=limits)
         for m, n, k, oracle, limits in HEURISTIC_PRESETS[preset]
     ]
-
-
-def default_master_seed(explicit: int | None) -> int:
-    """Explicit seed wins; otherwise the environment default; otherwise 0."""
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return 0

@@ -45,8 +45,12 @@ class SearchLimits:
     max_seconds: float = 60.0
 
     def __post_init__(self) -> None:
+        states, seconds = self.max_states, self.max_seconds
+        # exact types: a bool is an int to Python, but no budget
+        if type(states) is not int or type(seconds) not in (int, float):
+            raise ValueError(f"search limits have the wrong type: {self}")
         # phrased so that a NaN budget fails too
-        if not (self.max_states > 0 and self.max_seconds > 0):
+        if not (states > 0 and seconds > 0):
             raise ValueError("search limits must be positive")
 
 

@@ -1,16 +1,22 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from gtexchange import (
     ALGORITHM_IDS,
     Instance,
+    SearchLimits,
     SegmentSet,
     apply_schedule,
     pmnk_exact,
     run_algorithm,
+    run_batch,
 )
 from gtexchange.cli import main
 from gtexchange.harness import (
@@ -253,14 +259,39 @@ def test_batch_from_config_file(tmp_path, capsys):
     assert "Polygon" not in out
 
 
-def test_batch_reads_seed_from_environment(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GTX_SEED", "314")
-    code, out, _ = invoke(
-        capsys, "batch", "-m", "3", "-n", "4", "-k", "2", "--runs", "2",
-        "--oracle", "skip",
+def test_every_batch_flag_given_replaces_its_config_file_field(
+    tmp_path, capsys, monkeypatch
+):
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps({
+        "m": 3, "n": 4, "k": 2, "runs": 2, "seed": 9, "algorithms": ["rand"],
+        "oracle": "skip", "limits": {"max_seconds": 30},
+    }))
+    summary, rows = tmp_path / "summary.json", tmp_path / "rows.csv"
+    seen = []
+
+    def recording_run_batch(config):
+        seen.append(config)
+        return run_batch(config)
+
+    monkeypatch.setattr("gtexchange.cli.run_batch", recording_run_batch)
+    code, out, err = invoke(
+        capsys, "batch", "--config", str(cfg), "-m", "5", "--runs", "7",
+        "--algs", "glink", "--oracle", "exact", "--tie", "random",
+        "--max-states", "50", "--seed", "3", "--json", str(summary),
+        "--relax", "--csv", str(rows),
     )
-    assert code == 0
-    assert "seed=314" in out
+    assert (code, err) == (0, "")
+    assert out.startswith("(m=5, n=4, k=2)  runs=7  seed=3  oracle=exact\n")
+    assert "Greedy-Links" in out and "Randomized" not in out
+    data = json.loads(summary.read_text())
+    assert (data["m"], data["n"], data["k"], data["runs"], data["seed"]) == (5, 4, 2, 7, 3)
+    assert (data["oracle"], list(data["algorithms"])) == ("exact", ["glink"])
+    assert rows.read_text().count("\n") == 1 + 7
+    # neither output shows the tie rule, the validation or the search budget
+    [config] = seen
+    assert (config.tie_mode, config.strict) == ("random", False)
+    assert config.limits == SearchLimits(max_states=50, max_seconds=30)
 
 
 def test_table_from_config_file(tmp_path, capsys):
@@ -306,10 +337,7 @@ def _sha256(text: str) -> str:
 
 
 @pytest.mark.parametrize("preset, runs", sorted(PRESET_DIGESTS))
-def test_table_preset_matches_the_recorded_report(
-    tmp_path, capsys, monkeypatch, preset, runs
-):
-    monkeypatch.delenv("GTX_SEED", raising=False)
+def test_table_preset_matches_the_recorded_report(tmp_path, capsys, preset, runs):
     out_dir = tmp_path / "out"
     code, out, err = invoke(
         capsys, "table", "--preset", preset, "--runs", runs, "--csv-dir", str(out_dir)
@@ -333,6 +361,29 @@ def test_table_refuses_two_configs_writing_one_file(tmp_path, capsys, monkeypatc
     assert err.startswith("error:") and err.count("\n") == 1
     assert "batch_m3_n4_k2.csv" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("option", ["--runs", "--seed"])
+def test_table_refuses_a_preset_option_next_to_a_config_file(
+    tmp_path, capsys, monkeypatch, option
+):
+    monkeypatch.setattr("gtexchange.harness.gen_instance", _no_instance_may_run)
+    cfg = tmp_path / "table.json"
+    cfg.write_text(json.dumps([{"m": 3, "n": 4, "k": 2, "runs": 2, "oracle": "skip"}]))
+    code, out, err = invoke(capsys, "table", "--config", str(cfg), option, "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert option in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("table",), ("table", "--preset", "small", "--config", "table.json")]
+)
+def test_table_needs_exactly_one_source(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    assert exit_info.value.code == 2
+    assert "--config" in capsys.readouterr().err
 
 
 def test_table_config_with_no_batch_is_a_clean_error(tmp_path, capsys):
@@ -420,6 +471,7 @@ def test_batch_config_with_coverage_trials_is_rejected(tmp_path, capsys):
         {"m": 4.5, "n": 4, "k": 2},
         {"m": 3, "n": 4, "k": 2, "algorithms": {"rand": 1}},
         [{"m": 3, "n": 4, "k": 2}],
+        {"m": 3, "n": 4},
     ],
 )
 def test_batch_config_with_a_wrong_type_is_a_clean_error(tmp_path, capsys, config):
@@ -429,6 +481,15 @@ def test_batch_config_with_a_wrong_type_is_a_clean_error(tmp_path, capsys, confi
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_table_config_missing_a_size_is_a_clean_error(tmp_path, capsys):
+    cfg = tmp_path / "table.json"
+    cfg.write_text(json.dumps([{"m": 3, "k": 2}]))
+    code, out, err = invoke(capsys, "table", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "'n'" in err
 
 
 def _no_instance_may_run(*args, **kwargs):
@@ -483,6 +544,28 @@ def test_table_config_that_is_no_list_is_a_clean_error(tmp_path, capsys):
     code, _, err = invoke(capsys, "table", "--config", str(cfg))
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def run_module(*argv):
+    """``python -m gtexchange`` in a fresh interpreter on this checkout's source."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "gtexchange", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_module_entry_point_runs_a_command():
+    proc = run_module("pmnk", "-m", "2", "-n", "2", "-k", "1")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "1/2" in proc.stdout
+
+
+def test_module_entry_point_refuses_a_batch_without_k():
+    proc = run_module("batch", "-m", "4", "-n", "5")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "'k'" in proc.stderr
 
 
 def test_optimal_on_a_deep_instance_reports_the_overrun(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from gtexchange import (
     BatchConfig,
     Link,
+    SearchLimits,
     apply_schedule,
     compare_table,
     derive_seed,
@@ -18,7 +19,6 @@ from gtexchange import (
     upper_bound,
 )
 from gtexchange.harness import (
-    default_master_seed,
     instance_from_dict,
     load_instance,
     load_schedule,
@@ -185,6 +185,29 @@ def test_batch_config_validation():
         BatchConfig(m=3, n=4, k=2, algorithms=())
     with pytest.raises(ValueError, match="bogus"):
         BatchConfig(m=3, n=4, k=2, tie_mode="bogus")
+    # types are checked first: no bool for a count or a flag, no string size
+    with pytest.raises(ValueError, match="runs"):
+        BatchConfig(m=4, n=5, k=2, runs=True)
+    with pytest.raises(ValueError, match="strict"):
+        BatchConfig(m=4, n=5, k=2, strict=0)
+    with pytest.raises(ValueError, match="field m"):
+        BatchConfig(m="4", n=5, k=2)
+    with pytest.raises(ValueError, match="limits"):
+        BatchConfig(m=4, n=5, k=2, limits={"max_states": 5})
+    with pytest.raises(ValueError, match="algorithms"):
+        BatchConfig(m=4, n=5, k=2, algorithms="rand")
+
+
+def test_batch_config_from_dict_names_the_missing_fields():
+    with pytest.raises(ValueError, match=r"\['k'\]"):
+        BatchConfig.from_dict({"m": 3, "n": 4})
+    with pytest.raises(ValueError, match=r"\['m', 'n', 'k'\]"):
+        BatchConfig.from_dict({})
+    config = BatchConfig.from_dict(
+        {"m": 3, "n": 4, "k": 2, "algorithms": ["rand"], "limits": {"max_states": 9}}
+    )
+    assert config.algorithms == ("rand",)
+    assert config.limits == SearchLimits(max_states=9)
 
 
 def test_degenerate_batch_everyone_identical():
@@ -365,15 +388,3 @@ def test_report_text_mentions_oracle_budget(tmp_path):
     config = BatchConfig(m=3, n=4, k=2, runs=3, seed=6)
     text = report_text(run_batch(config))
     assert "exact optima on 3/3 runs" in text
-
-
-# ------------------------------------------------------------- seed default
-
-
-def test_default_master_seed(monkeypatch):
-    monkeypatch.delenv("GTX_SEED", raising=False)
-    assert default_master_seed(None) == 0
-    assert default_master_seed(17) == 17
-    monkeypatch.setenv("GTX_SEED", "41")
-    assert default_master_seed(None) == 41
-    assert default_master_seed(17) == 17

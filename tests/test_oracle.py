@@ -124,6 +124,13 @@ def test_limits_must_be_positive():
         SearchLimits(max_seconds=0)
     with pytest.raises(ValueError):
         SearchLimits(max_seconds=float("nan"))  # would never expire
+    # a bool is an int to Python, but no budget
+    with pytest.raises(ValueError):
+        SearchLimits(max_states=True)
+    with pytest.raises(ValueError):
+        SearchLimits(max_seconds=True)
+    with pytest.raises(ValueError):
+        SearchLimits(max_states=2.5)
 
 
 def test_budget_overrun_reports_a_lower_bound():
