@@ -57,7 +57,7 @@ def _add_mnk(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_gen(args) -> int:
-    instance = gen_instance(args.m, args.n, args.k, args.seed, strict=not args.relax)
+    instance = gen_instance(args.m, args.n, args.k, args.seed)
     if args.out:
         save_instance(instance, args.out)
         print(f"wrote instance (m={args.m}, n={args.n}, k={args.k}) to {args.out}")
@@ -67,7 +67,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    instance = load_instance(args.instance, strict=not args.relax)
+    instance = load_instance(args.instance)
     tie = TieRule(mode=args.tie, seed=args.tie_seed)
     result = run_algorithm(args.alg, instance, seed=args.seed, tie=tie)
     print(f"algorithm: {ALGORITHM_LABELS[args.alg]} ({args.alg})")
@@ -85,7 +85,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_optimal(args) -> int:
-    instance = load_instance(args.instance, strict=not args.relax)
+    instance = load_instance(args.instance)
     limits = SearchLimits(max_states=args.max_states, max_seconds=args.max_seconds)
     runs = [run_algorithm(alg, instance) for alg in ALGORITHM_IDS]
     best = max(runs, key=lambda run: run.alpha)
@@ -126,6 +126,14 @@ def _cmd_bound(args) -> int:
     return 0
 
 
+def _refuse_shared_outputs(configs: list[BatchConfig]) -> None:
+    """Refuse configs of which two outputs, CSV or JSON, go to one file."""
+    paths = [os.path.abspath(p) for c in configs for p in (c.out_csv, c.out_json) if p]
+    repeated = sorted({p for p in paths if paths.count(p) > 1})
+    if repeated:
+        raise ValueError(f"more than one output goes to {repeated}")
+
+
 def _cmd_batch(args) -> int:
     # the batch parser sets only the flags given, each under its field's name
     flags = dict(vars(args))
@@ -137,6 +145,7 @@ def _cmd_batch(args) -> int:
             flags["limits"] = {**data.get("limits", {}), **limits}
         data = {**data, **flags}
     config = BatchConfig.from_dict(data)
+    _refuse_shared_outputs([config])
     report = run_batch(config)
     print(report_text(report))
     if config.out_csv:
@@ -167,10 +176,7 @@ def _cmd_table(args) -> int:
         configs = [
             replace(c, out_csv=os.path.join(args.csv_dir, name.format(c))) for c in configs
         ]
-    paths = [os.path.abspath(p) for c in configs for p in (c.out_csv, c.out_json) if p]
-    repeated = sorted({p for p in paths if paths.count(p) > 1})
-    if repeated:
-        raise ValueError(f"more than one table config writes {repeated}")
+    _refuse_shared_outputs(configs)
     if args.csv_dir:
         os.makedirs(args.csv_dir, exist_ok=True)
     print(compare_table([run_batch(config) for config in configs]))
@@ -189,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a random instance file")
     _add_mnk(p)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--relax", action="store_true", help="allow empty/full initial sets")
     p.add_argument("--out", help="output path (default: print to stdout)")
     p.set_defaults(func=_cmd_gen)
 
@@ -199,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for the randomized algorithm")
     p.add_argument("--tie", choices=("lowest", "random"), default="lowest")
     p.add_argument("--tie-seed", type=int, default=0)
-    p.add_argument("--relax", action="store_true")
     p.add_argument("--out", help="write the emitted schedule here")
     p.set_defaults(func=_cmd_run)
 
@@ -207,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--max-states", type=int, default=budget.max_states)
     p.add_argument("--max-seconds", type=float, default=budget.max_seconds)
-    p.add_argument("--relax", action="store_true")
     p.add_argument("--out", help="write the witness schedule here")
     p.set_defaults(func=_cmd_optimal)
 
@@ -238,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--oracle", choices=("exact", "skip"))
     p.add_argument("--tie", dest="tie_mode", choices=("lowest", "random"))
-    p.add_argument("--relax", dest="strict", action="store_false")
     p.add_argument("--max-states", type=int)
     p.add_argument("--max-seconds", type=float)
     p.add_argument("--csv", dest="out_csv", help="write per-run rows here")

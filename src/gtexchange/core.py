@@ -35,7 +35,7 @@ and CLI output use 1-based ids (see the harness module).
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 MAX_SEGMENTS = 4096  # fixed mask width; larger universes are rejected at load
@@ -65,9 +65,6 @@ class SegmentSet:
             mask |= 1 << idx
         return cls(mask)
 
-    def __contains__(self, idx: int) -> bool:
-        return idx >= 0 and (self.mask >> idx) & 1 == 1
-
     def __iter__(self) -> Iterator[int]:
         mask = self.mask
         idx = 0
@@ -80,21 +77,6 @@ class SegmentSet:
     def __len__(self) -> int:
         return self.mask.bit_count()
 
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-    def __or__(self, other: "SegmentSet") -> "SegmentSet":
-        return SegmentSet(self.mask | other.mask)
-
-    def __and__(self, other: "SegmentSet") -> "SegmentSet":
-        return SegmentSet(self.mask & other.mask)
-
-    def __sub__(self, other: "SegmentSet") -> "SegmentSet":
-        return SegmentSet(self.mask & ~other.mask)
-
-    def issubset(self, other: "SegmentSet") -> bool:
-        return self.mask & ~other.mask == 0
-
     def to_list(self) -> list[int]:
         return list(self)
 
@@ -106,17 +88,16 @@ class SegmentSet:
 class Instance:
     """A problem instance: ``m`` nodes over an ``n``-segment universe.
 
-    With ``strict=True`` (the default) every node must start with a
-    non-empty proper subset of the universe; relaxing the check keeps all
-    operations well-defined (a node holding everything simply never links).
+    Every node may start with any subset of the universe: a node that
+    starts empty has nothing to give, and one holding the whole universe
+    nothing to take, so neither ever links.
     """
 
     m: int
     n: int
     initial_sets: tuple[SegmentSet, ...]
-    strict: InitVar[bool] = True
 
-    def __post_init__(self, strict: bool) -> None:
+    def __post_init__(self) -> None:
         object.__setattr__(self, "initial_sets", tuple(self.initial_sets))
         if self.m < 2:
             raise ValueError(f"need at least two nodes, got m={self.m}")
@@ -135,13 +116,6 @@ class Instance:
             if s.mask & ~full:
                 raise ValueError(
                     f"node {i} holds segments outside the {self.n}-segment universe"
-                )
-            if strict and s.mask == 0:
-                raise ValueError(f"node {i} starts empty (relax validation to allow)")
-            if strict and s.mask == full:
-                raise ValueError(
-                    f"node {i} already holds the whole universe "
-                    f"(relax validation to allow)"
                 )
 
     @property
@@ -387,9 +361,9 @@ def upper_bound(instance: Instance) -> int:
     partner as well), so at most an even number of the rest can still join
     them, and whoever does not tops out at ``u - 1`` segments, ``u`` being
     the realized-universe size.  Exchanges keep the realized universe, so
-    every state reachable from the instance has this bound.  No node of a
-    strict instance starts with the whole realized universe, so it is
-    ``m*u`` for even ``m`` and ``m*u - 1`` for odd ``m``.
+    every state reachable from the instance has this bound.  When no node
+    starts with the whole realized universe it is ``m*u`` for even ``m``
+    and ``m*u - 1`` for odd ``m``.
     """
     u_mask = instance.realized_universe.mask
     u_size = u_mask.bit_count()

@@ -9,7 +9,7 @@ a batch are independent and aggregation is order-independent.
 File formats (all 1-based on disk, 0-based in memory):
 
 * instance file: ``{"m": 4, "n": 5, "sets": [[1, 2], [2, 3], [3, 4], [4, 5]]}``
-  where each list is strictly increasing;
+  where each list is strictly increasing and may be empty;
 * schedule file: ``{"steps": [[1, 3], [1, 2], [2, 4]]}`` of node pairs;
 * batch config file: a JSON object of :class:`BatchConfig` fields, at
   least ``m``, ``n`` and ``k``; ``limits`` is an object of its own.
@@ -24,7 +24,7 @@ import json
 import random
 import statistics
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from math import sqrt
 
 from .algorithms import ALGORITHM_IDS, ALGORITHM_LABELS, TieRule, run_algorithm
@@ -51,7 +51,7 @@ def derive_seed(master: int, *parts) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def gen_instance(m: int, n: int, k: int, seed: int, strict: bool = True) -> Instance:
+def gen_instance(m: int, n: int, k: int, seed: int) -> Instance:
     """Instance with m independent uniform k-subsets of an n-universe."""
     if not 1 <= k <= n:
         raise ValueError(f"initial set size k={k} must satisfy 1 <= k <= n={n}")
@@ -60,7 +60,7 @@ def gen_instance(m: int, n: int, k: int, seed: int, strict: bool = True) -> Inst
     sets = tuple(
         SegmentSet.from_iterable(rng.sample(population, k)) for _ in range(m)
     )
-    return Instance(m=m, n=n, initial_sets=sets, strict=strict)
+    return Instance(m=m, n=n, initial_sets=sets)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +80,7 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
-def instance_from_dict(data: dict, strict: bool = True) -> Instance:
+def instance_from_dict(data: dict) -> Instance:
     try:
         m = data["m"]
         n = data["n"]
@@ -102,7 +102,7 @@ def instance_from_dict(data: dict, strict: bool = True) -> Instance:
                 f"set {i + 1} must be strictly increasing (duplicates are an error)"
             )
         sets.append(SegmentSet.from_iterable(e - 1 for e in raw))
-    return Instance(m=m, n=n, initial_sets=tuple(sets), strict=strict)
+    return Instance(m=m, n=n, initial_sets=tuple(sets))
 
 
 def save_instance(instance: Instance, path: str) -> None:
@@ -121,8 +121,8 @@ def read_json(path: str):
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def load_instance(path: str, strict: bool = True) -> Instance:
-    return instance_from_dict(read_json(path), strict=strict)
+def load_instance(path: str) -> Instance:
+    return instance_from_dict(read_json(path))
 
 
 def schedule_to_dict(schedule: Schedule | list[Link]) -> dict:
@@ -175,7 +175,6 @@ class BatchConfig:
     algorithms: tuple[str, ...] = ALGORITHM_IDS
     oracle: str = "exact"
     tie_mode: str = "lowest"
-    strict: bool = True
     limits: SearchLimits = field(default_factory=SearchLimits)
     out_csv: str | None = None
     out_json: str | None = None
@@ -189,8 +188,6 @@ class BatchConfig:
                 ok = isinstance(value, str)
             elif name in ("out_csv", "out_json"):
                 ok = value is None or isinstance(value, str)
-            elif name == "strict":
-                ok = isinstance(value, bool)
             elif name == "algorithms":
                 ok = isinstance(value, (list, tuple)) and all(
                     isinstance(a, str) for a in value
@@ -203,8 +200,6 @@ class BatchConfig:
                 )
         if self.runs < 1:
             raise ValueError(f"need at least one run, got {self.runs}")
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"initial set size k={self.k} must satisfy 1 <= k <= n")
         # the batch reports the exact coverage: refuse its size up front
         check_pmnk_size(self.m, self.n, self.k)
         if self.oracle not in ("exact", "skip"):
@@ -290,6 +285,8 @@ class BatchReport:
             "runs": self.config.runs,
             "seed": self.config.seed,
             "oracle": self.config.oracle,
+            "tie_mode": self.config.tie_mode,
+            "limits": asdict(self.config.limits),
             "pmnk": {"value": self.pmnk_value},
             "rand_lower_bound": self.rand_lower_bound,
             "mean_upper_bound": self.mean_upper_bound,
@@ -373,9 +370,7 @@ def run_batch(config: BatchConfig) -> BatchReport:
         }
     for t in range(config.runs):
         inst_seed = derive_seed(config.seed, t, "instance")
-        instance = gen_instance(
-            config.m, config.n, config.k, inst_seed, strict=config.strict
-        )
+        instance = gen_instance(config.m, config.n, config.k, inst_seed)
         ub = upper_bound(instance)
         ub_total += ub
         runs = []

@@ -52,6 +52,10 @@ class SearchLimits:
         # phrased so that a NaN budget fails too
         if not (states > 0 and seconds > 0):
             raise ValueError("search limits must be positive")
+        try:
+            float(seconds)  # the search's deadline is a float
+        except OverflowError:
+            raise ValueError("search limit max_seconds is too large for a float") from None
 
 
 @dataclass(frozen=True)

@@ -182,10 +182,8 @@ def pmnk_montecarlo(m, n, k, trials, seed):
 
 def chain_by_inclusion(state):
     """True when the node sets are totally ordered by inclusion."""
-    ordered = sorted((s for s in state.sets), key=len)
-    return all(
-        a.issubset(b) for a, b in zip(ordered, ordered[1:])
-    )
+    ordered = sorted((s.mask for s in state.sets), key=int.bit_count)
+    return all(a & ~b == 0 for a, b in zip(ordered, ordered[1:]))
 
 
 def pair_scan_links(masks):

@@ -274,7 +274,7 @@ def test_criterion_07_polygon_parity_optimum_with_unique_segments():
             # the unique-holder scan admits the whole group
             extras = [] if i == 0 else rng.sample(pool, rng.randint(0, len(pool)))
             sets.append(SegmentSet.from_iterable([i] + extras))
-        instance = Instance(m=m, n=n, initial_sets=tuple(sets), strict=False)
+        instance = Instance(m=m, n=n, initial_sets=tuple(sets))
         assert find_unique_set([s.mask for s in instance.initial_sets]) == list(range(m))
         u = len(instance.realized_universe)
         target = m * u if m % 2 == 0 else m * u - 1

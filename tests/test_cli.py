@@ -279,7 +279,7 @@ def test_every_batch_flag_given_replaces_its_config_file_field(
         capsys, "batch", "--config", str(cfg), "-m", "5", "--runs", "7",
         "--algs", "glink", "--oracle", "exact", "--tie", "random",
         "--max-states", "50", "--seed", "3", "--json", str(summary),
-        "--relax", "--csv", str(rows),
+        "--csv", str(rows),
     )
     assert (code, err) == (0, "")
     assert out.startswith("(m=5, n=4, k=2)  runs=7  seed=3  oracle=exact\n")
@@ -288,9 +288,11 @@ def test_every_batch_flag_given_replaces_its_config_file_field(
     assert (data["m"], data["n"], data["k"], data["runs"], data["seed"]) == (5, 4, 2, 7, 3)
     assert (data["oracle"], list(data["algorithms"])) == ("exact", ["glink"])
     assert rows.read_text().count("\n") == 1 + 7
-    # neither output shows the tie rule, the validation or the search budget
+    # the JSON records the tie rule and the merged search budget
+    assert data["tie_mode"] == "random"
+    assert data["limits"] == {"max_states": 50, "max_seconds": 30}
     [config] = seen
-    assert (config.tie_mode, config.strict) == ("random", False)
+    assert config.tie_mode == "random"
     assert config.limits == SearchLimits(max_states=50, max_seconds=30)
 
 
@@ -346,6 +348,19 @@ def test_table_preset_matches_the_recorded_report(tmp_path, capsys, preset, runs
     stdout_digest, csv_digests = PRESET_DIGESTS[preset, runs]
     assert _sha256(out) == stdout_digest
     assert {p.name: _sha256(p.read_text()) for p in out_dir.iterdir()} == csv_digests
+
+
+def test_batch_refuses_csv_and_json_on_one_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("gtexchange.harness.gen_instance", _no_instance_may_run)
+    path = tmp_path / "out.txt"
+    code, out, err = invoke(
+        capsys, "batch", "-m", "3", "-n", "4", "-k", "2", "--runs", "2",
+        "--csv", str(path), "--json", str(path),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "out.txt" in err
+    assert not path.exists()
 
 
 def test_table_refuses_two_configs_writing_one_file(tmp_path, capsys, monkeypatch):
@@ -447,10 +462,53 @@ def test_deeply_nested_schedule_file_is_a_value_error(tmp_path):
 
 def test_unknown_batch_config_field_is_a_clean_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"m": 3, "n": 4, "k": 2, "repeat": 5}))
-    code, _, err = invoke(capsys, "batch", "--config", str(cfg))
-    assert code == 2
-    assert "repeat" in err
+    # "strict" too: every subset is a valid initial set, with no switch for it
+    for name, value in (("repeat", 5), ("strict", False)):
+        cfg.write_text(json.dumps({"m": 3, "n": 4, "k": 2, name: value}))
+        code, _, err = invoke(capsys, "batch", "--config", str(cfg))
+        assert code == 2
+        assert "unknown" in err and name in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "-m", "3", "-n", "4", "-k", "4", "--seed", "0"],
+        ["run", "--alg", "rand", "--instance", "inst.json"],
+        ["optimal", "--instance", "inst.json"],
+        ["batch", "-m", "3", "-n", "4", "-k", "4"],
+    ],
+)
+def test_relax_is_no_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--relax"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --relax" in capsys.readouterr().err
+
+
+def test_batch_of_full_initial_sets(tmp_path, capsys):
+    # k == n: every node starts with the whole universe and nothing links
+    summary = tmp_path / "summary.json"
+    code, out, err = invoke(
+        capsys, "batch", "-m", "3", "-n", "4", "-k", "4", "--runs", "2",
+        "--json", str(summary),
+    )
+    assert (code, err) == (0, "")
+    assert "exact optima on 2/2 runs\n" in out
+    stats = json.loads(summary.read_text())["algorithms"]
+    assert {alg: s["mean_alpha"] for alg, s in stats.items()} == dict.fromkeys(
+        ALGORITHM_IDS, 12.0
+    )
+
+
+def test_optimal_with_an_empty_initial_set(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"m": 3, "n": 3, "sets": [[], [1, 2], [2, 3]]}))
+    code, out, err = invoke(capsys, "optimal", "--instance", str(path))
+    assert (code, err) == (0, "")
+    # the empty node has nothing to give, so only nodes 2 and 3 link
+    assert "alpha: 6\n" in out and "exact: true\n" in out
+    assert "witness: (2,3)\n" in out
 
 
 def test_batch_config_with_coverage_trials_is_rejected(tmp_path, capsys):
@@ -472,6 +530,8 @@ def test_batch_config_with_coverage_trials_is_rejected(tmp_path, capsys):
         {"m": 3, "n": 4, "k": 2, "algorithms": {"rand": 1}},
         [{"m": 3, "n": 4, "k": 2}],
         {"m": 3, "n": 4},
+        # a time budget past float range; the search's deadline is a float
+        {"m": 3, "n": 4, "k": 2, "limits": {"max_seconds": 10**400}},
     ],
 )
 def test_batch_config_with_a_wrong_type_is_a_clean_error(tmp_path, capsys, config):
@@ -574,8 +634,9 @@ def test_optimal_on_a_deep_instance_reports_the_overrun(tmp_path, capsys):
     # The last node holds only a segment every other node holds, so it never
     # links and no heuristic meets the parity bound: the search has to run.
     base = gen_instance(120, 200, 2, 12)
-    shared = SegmentSet.from_iterable([200])
-    sets = tuple(s | shared for s in base.initial_sets) + (shared,)
+    shared = 1 << 200
+    sets = tuple(SegmentSet(s.mask | shared) for s in base.initial_sets)
+    sets += (SegmentSet(shared),)
     path = tmp_path / "deep.json"
     save_instance(Instance(m=121, n=201, initial_sets=sets), str(path))
     code, out, _ = invoke(

@@ -31,13 +31,8 @@ def test_segment_set_basics():
     assert list(s) == [0, 2]
     assert s.to_list() == [0, 2]
     assert repr(s) == "SegmentSet([0, 2])"
-    t = SegmentSet.from_iterable([1, 2])
-    assert (s | t).to_list() == [0, 1, 2]
-    assert (s & t).to_list() == [2]
-    assert (s - t).to_list() == [0]
-    assert not SegmentSet()
-    assert SegmentSet().issubset(s) and s.issubset(s)
-    assert not t.issubset(s)
+    assert s.mask == 0b101
+    assert not SegmentSet() and len(SegmentSet()) == 0
 
 
 def test_segment_set_rejects_negative_index():
@@ -82,13 +77,11 @@ def test_instance_set_count_must_match_m():
         Instance(m=3, n=4, initial_sets=(SegmentSet.from_iterable([0]),) * 2)
 
 
-def test_instance_strict_mode_rejects_empty_and_full():
-    with pytest.raises(ValueError):
-        build_instance(2, [], [0])
-    with pytest.raises(ValueError):
-        build_instance(2, [0, 1], [0])
-    relaxed = build_instance(2, [0, 1], [0], strict=False)
-    assert relaxed.m == 2
+def test_instance_accepts_empty_and_full_sets():
+    # any subset of the universe is a valid initial set
+    inst = build_instance(2, [], [0, 1])
+    assert [len(s) for s in inst.initial_sets] == [0, 2]
+    assert build_instance(2, [], []).realized_universe.mask == 0
 
 
 def test_instance_universe_cap():
@@ -264,13 +257,15 @@ def test_apply_schedule_reports_failing_step():
 def test_upper_bound_examples():
     assert upper_bound(build_instance(5, [0], [1], [2], [3, 4])) == 20
     assert upper_bound(build_instance(3, [0], [1], [2])) == 8
-    assert upper_bound(build_instance(2, [0], [0], strict=False)) == 2
+    assert upper_bound(build_instance(2, [0], [0])) == 2
+    # node 0 starts with the realized universe, so the bound is not m*u = 4
+    assert upper_bound(build_instance(5, [0, 1], [0])) == 3
 
 
 def test_upper_bound_counts_initial_universe_holders():
     """Node 0 holds the realized universe from the start and never changes,
     so the other two may both reach it: the optimum is 3 * 2."""
-    instance = build_instance(2, [0, 1], [0], [1], strict=False)
+    instance = build_instance(2, [0, 1], [0], [1])
     optimum = solve_optimal(instance)
     assert optimum.exact
     assert upper_bound(instance) == 6 == optimum.alpha

@@ -51,9 +51,9 @@ def test_gen_instance_argument_checks():
     with pytest.raises(ValueError):
         gen_instance(3, 4, 5, seed=0)
     with pytest.raises(ValueError):
-        gen_instance(3, 4, 4, seed=0)  # full sets break strict validation
-    relaxed = gen_instance(3, 4, 4, seed=0, strict=False)
-    assert all(len(s) == 4 for s in relaxed.initial_sets)
+        gen_instance(3, 4, 0, seed=0)
+    full = gen_instance(3, 4, 4, seed=0)  # every node holds the whole universe
+    assert all(len(s) == 4 for s in full.initial_sets)
 
 
 def test_gen_instance_marginal_inclusion_frequency():
@@ -122,9 +122,8 @@ def test_instance_from_dict_accepts_the_documented_shape():
     ],
 )
 def test_instance_from_dict_rejects_malformed_input(data):
-    for strict in (True, False):
-        with pytest.raises(ValueError):
-            instance_from_dict(data, strict=strict)
+    with pytest.raises(ValueError):
+        instance_from_dict(data)
 
 
 def test_instance_file_honours_the_universe_cap(tmp_path):
@@ -185,11 +184,9 @@ def test_batch_config_validation():
         BatchConfig(m=3, n=4, k=2, algorithms=())
     with pytest.raises(ValueError, match="bogus"):
         BatchConfig(m=3, n=4, k=2, tie_mode="bogus")
-    # types are checked first: no bool for a count or a flag, no string size
+    # types are checked first: no bool for a count, no string size
     with pytest.raises(ValueError, match="runs"):
         BatchConfig(m=4, n=5, k=2, runs=True)
-    with pytest.raises(ValueError, match="strict"):
-        BatchConfig(m=4, n=5, k=2, strict=0)
     with pytest.raises(ValueError, match="field m"):
         BatchConfig(m="4", n=5, k=2)
     with pytest.raises(ValueError, match="limits"):
@@ -211,7 +208,7 @@ def test_batch_config_from_dict_names_the_missing_fields():
 
 
 def test_degenerate_batch_everyone_identical():
-    config = BatchConfig(m=3, n=2, k=2, runs=10, seed=4, strict=False)
+    config = BatchConfig(m=3, n=2, k=2, runs=10, seed=4)
     report = run_batch(config)
     for stats in report.stats.values():
         assert stats.mean_alpha == 6.0

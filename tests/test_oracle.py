@@ -131,6 +131,10 @@ def test_limits_must_be_positive():
         SearchLimits(max_seconds=True)
     with pytest.raises(ValueError):
         SearchLimits(max_states=2.5)
+    # the deadline is a float: an int past float range is no budget either
+    with pytest.raises(ValueError, match="too large"):
+        SearchLimits(max_seconds=10**400)
+    assert SearchLimits(max_seconds=float("inf")).max_seconds == float("inf")
 
 
 def test_budget_overrun_reports_a_lower_bound():
@@ -190,7 +194,7 @@ def test_upper_bound_is_the_same_along_random_maximal_schedules(instance, rng):
     while available := pair_scan_links(masks):
         exchange(masks, *rng.choice(available))
         sets = tuple(map(SegmentSet, masks))
-        assert upper_bound(Instance(instance.m, instance.n, sets, strict=False)) == bound
+        assert upper_bound(Instance(instance.m, instance.n, sets)) == bound
 
 
 def _best_heuristic_run(instance):
