@@ -26,7 +26,6 @@ from .core import (
     Link,
     Schedule,
     SegmentSet,
-    SystemState,
     apply_schedule,
     upper_bound,
 )

@@ -14,8 +14,8 @@ through :func:`~gtexchange.core.exchange`, which updates the list in place
 and returns the raw step record the run's schedule keeps;
 ``glink``, ``ginc`` and ``rare`` also keep the linked set pairs in a set
 table (:func:`~gtexchange.core.set_table`) that each activation moves
-(:func:`~gtexchange.core.exchange_kept`).  The final
-:class:`~gtexchange.core.SystemState` is built once, at the end.
+(:func:`~gtexchange.core.exchange_kept`).  The final masks become
+:class:`~gtexchange.core.SegmentSet` values once, at the end.
 Each run is a pure function of (instance, seed / tie rule); distinct runs
 may execute concurrently with no shared state.
 """
@@ -31,7 +31,6 @@ from .core import (
     Record,
     Schedule,
     SegmentSet,
-    SystemState,
     exchange,
     exchange_kept,
     gt_masks,
@@ -83,11 +82,12 @@ class TieRule:
 
 @dataclass(frozen=True)
 class AlgorithmRun:
-    """Outcome of one algorithm execution on one instance."""
+    """Outcome of one algorithm execution on one instance; ``final_state``
+    holds every node's segment set once the schedule has run."""
 
     algorithm: str
     schedule: Schedule
-    final_state: SystemState
+    final_state: tuple[SegmentSet, ...]
     alpha: int
     rounds: int | None = None
     post_sweep_steps: int = 0
@@ -103,7 +103,7 @@ def _finish(
     return AlgorithmRun(
         algorithm=algorithm,
         schedule=Schedule(records=tuple(records)),
-        final_state=SystemState(sets=tuple(map(SegmentSet, masks)), step=len(records)),
+        final_state=tuple(map(SegmentSet, masks)),
         alpha=sum(mask.bit_count() for mask in masks),
         rounds=rounds,
         post_sweep_steps=post_sweep_steps,
@@ -200,9 +200,8 @@ def run_greedy_links(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmR
     x = y = 0  # the last activation; nothing is kept before the first
     records: list[Record] = []
     while pairs:
-        counts = {z: len(held) for z, held in holders.items()}
         # live + 1 is common to every pair
-        score, incomparable = links_alive(counts, pairs, incomparable, x, y)
+        score, incomparable = links_alive(holders, pairs, incomparable, x, y)
         winners = _argmax(list(pairs), score)
         winners = _argmax(winners, [(a ^ b).bit_count() for a, b in winners])
         i, j = pick(node_pairs(holders, winners))

@@ -1,14 +1,16 @@
-"""Closed-form analysis: coverage probability and the randomized-run bound.
+"""Closed-form analysis: coverage probability and the randomized-run recursion.
 
 * ``pmnk_exact`` -- probability that m independent uniform k-subsets of an
   n-segment universe jointly cover it, evaluated exactly over big integers
   by inclusion-exclusion over the segments no subset holds.
-* ``randomized_lower_bound`` -- recursion for the expected per-node set
-  size of the randomized scheduler, phase by phase: a node paired with a
-  so-far-uninfluenced partner gains ``s*(1 - s/n)`` segments in
-  expectation, and the chance of such a pairing is at least
-  ``max(m - 2^(p-1), 0) / (m - 1)`` in phase p.  The bound on the mean
-  aggregate cardinality is m times the final iterate.
+* ``randomized_lower_bound`` -- the paper's recursion for the expected
+  per-node set size of the randomized scheduler, phase by phase: a node
+  paired with a so-far-uninfluenced partner gains ``s*(1 - s/n)`` segments
+  in expectation, and the chance of such a pairing is taken as
+  ``max(m - 2^(p-1), 0) / (m - 1)`` in phase p.  The paper presents m times
+  the final iterate as a lower bound on the mean aggregate cardinality.  It
+  is not one at every size: at (m, n, k) = (3, 2, 1) it gives 5.0625, while
+  no instance of that size ends above 5 and the exact mean is 4.5.
 * ``approx_condition_holds`` -- the initial-set-size window in which the
   randomized scheduler is guaranteed a quarter of the optimum.
 
@@ -78,20 +80,23 @@ def pmnk_exact(m: int, n: int, k: int) -> Fraction:
 
 @dataclass(frozen=True)
 class BoundTrace:
-    """Phase-by-phase expected per-node set sizes behind a lower bound."""
+    """Phase-by-phase expected per-node set sizes behind the recursion's value."""
 
     expected_sizes: tuple[float, ...]
     phase_factors: tuple[float, ...]
-    bound: float
 
 
 def randomized_lower_bound(m: int, n: int, k: int) -> tuple[float, BoundTrace]:
-    """Lower bound on the randomized scheduler's mean aggregate cardinality.
+    """The paper's recursion for the randomized scheduler's mean aggregate
+    cardinality, which the paper calls a lower bound.
 
     Iterates ``s <- s + s*(1 - s/n) * max(m - 2^(p-1), 0)/(m - 1)`` from
-    ``s = k``, stopping at the first phase whose factor is zero; the bound
+    ``s = k``, stopping at the first phase whose factor is zero; the value
     is ``m`` times the final iterate.  Each iterate stays at most ``n``, so
-    ``m*n`` must be a finite float.
+    ``m*n`` must be a finite float.  The value can exceed the mean, and for
+    ``k < n`` even ``m*n - m%2``, the most any instance of the size reaches
+    (for example at (3, 2, 1) and (15, 20, 15)), so it bounds the mean from
+    below only where that has been checked.
     """
     if m < 2:
         raise ValueError(f"need at least two nodes, got m={m}")
@@ -109,9 +114,8 @@ def randomized_lower_bound(m: int, n: int, k: int) -> tuple[float, BoundTrace]:
         sizes.append(s + s * (1.0 - s / n) * factor)
         factors.append(factor)
         phase += 1
-    bound = m * sizes[-1]
-    return bound, BoundTrace(
-        expected_sizes=tuple(sizes), phase_factors=tuple(factors), bound=bound
+    return m * sizes[-1], BoundTrace(
+        expected_sizes=tuple(sizes), phase_factors=tuple(factors)
     )
 
 

@@ -3,10 +3,10 @@
 Subcommands: ``gen`` (emit an instance file), ``run`` (one algorithm on an
 instance file), ``optimal`` (exact oracle, seeded with the best of the five
 heuristics), ``batch`` (benchmark run), ``pmnk`` (coverage probability),
-``bound`` (randomized lower-bound recursion), ``table`` (one summary block
-per config of a preset or a JSON list).  All node and segment ids printed
-or read here are 1-based; seeds are always explicit (``batch`` and
-``table`` default to 0).
+``bound`` (the paper's recursion for the randomized scheduler's mean),
+``table`` (one summary block per config of a preset or a JSON list).  All
+node and segment ids printed or read here are 1-based; seeds are always
+explicit (``batch`` and ``table`` default to 0).
 
 ``batch`` builds its config one way: the ``--config`` file's JSON object, or
 an empty one, with every flag given laid over it under the field's name,
@@ -113,8 +113,15 @@ def _cmd_pmnk(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    bound, trace = randomized_lower_bound(args.m, args.n, args.k)
-    print(f"lower bound on mean aggregate cardinality: {bound:.1f}")
+    value, trace = randomized_lower_bound(args.m, args.n, args.k)
+    print(f"paper's recursion for rand's mean aggregate cardinality: {value:.1f}")
+    # below k = n no node starts with the universe, so an odd group ends a segment short
+    cap = args.m * args.n - (args.m % 2 if args.k < args.n else 0)
+    if value > cap:
+        print(
+            f"not a lower bound here: no instance of this size ends above {cap}, "
+            f"and the mean is no larger"
+        )
     print("phase  expected_size  factor")
     for p, size in enumerate(trace.expected_sizes, start=1):
         factor = (
@@ -218,7 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mnk(p)
     p.set_defaults(func=_cmd_pmnk)
 
-    p = sub.add_parser("bound", help="randomized-scheduler lower bound recursion")
+    p = sub.add_parser(
+        "bound", help="the paper's recursion for the randomized scheduler's mean"
+    )
     _add_mnk(p)
     p.set_defaults(func=_cmd_bound)
 

@@ -5,29 +5,30 @@ Two nodes may run a *full exchange* only when each offers at least one
 segment the other lacks (the give-and-take criterion, :func:`gt_masks`);
 afterwards both hold the union of their two sets.  This module provides the
 substrate everything else runs on: segment sets as bit masks, problem
-instances, system states, links, the exchange kernel, schedule replay, and
-the parity-aware upper bound on the aggregate cardinality.
+instances, links, the exchange kernel, schedule replay, and the
+parity-aware upper bound on the aggregate cardinality.
 
 The model is computed in one place.  Every activation in the library runs
 through one kernel on a list of raw node masks, :func:`exchange`, which
 updates the list in place and returns a raw record
 ``(i, j, gained_i, gained_j)`` of ints: the schedulers, schedule replay
 (:func:`apply_schedule`) and the oracle's witness replay keep such a list,
-collect the records into a :class:`Schedule`, and build a
-:class:`SystemState` only at the end.  The :class:`Link` view of a
+collect the records into a :class:`Schedule`, and turn the masks into
+:class:`SegmentSet` values only at the end.  The :class:`Link` view of a
 schedule is built when it is read (:meth:`Schedule.link_list`), so no
 activation constructs one.  :class:`Link`, :class:`SegmentSet`,
-:class:`Instance`, :class:`SystemState` and :class:`Schedule` are the
-immutable values at the API and file boundary.
+:class:`Instance` and :class:`Schedule` are the immutable values at the
+API and file boundary; a final state is a tuple of segment sets.
 
-Links are found over the *distinct* node sets: the oracle and the stopping
-tests scan them lazily (:func:`set_links`), while the greedy schedulers
-keep a set table, the holders of each distinct set and every linked set
-pair with its union, built once from that scan (:func:`set_table`) and
-moved in O(D) per activation (:func:`exchange_kept`).  Greedy-links and
-the oracle score set pairs by the links an activation keeps alive in one
-place (:func:`links_alive`), and the schedulers expand only the set pairs
-they choose into node pairs (:func:`node_pairs`).
+Links are found over the *distinct* node sets: the stopping tests scan
+them lazily (:func:`set_links`), while the greedy schedulers and the
+oracle build a set table, the holders of each distinct set and every
+linked set pair with its union, from that scan (:func:`set_table`); the
+schedulers build it once per run and move it in O(D) per activation
+(:func:`exchange_kept`).  Greedy-links and the oracle score set pairs by
+the links an activation keeps alive in one place (:func:`links_alive`),
+and the schedulers expand only the set pairs they choose into node pairs
+(:func:`node_pairs`).
 
 Node and segment indices are 0-based throughout the library; file formats
 and CLI output use 1-based ids (see the harness module).
@@ -126,12 +127,6 @@ class Instance:
             mask |= s.mask
         return SegmentSet(mask)
 
-    @property
-    def equal_cardinality(self) -> int | None:
-        """Common initial set size when all nodes start equal-sized, else None."""
-        sizes = {len(s) for s in self.initial_sets}
-        return sizes.pop() if len(sizes) == 1 else None
-
 
 @dataclass(frozen=True, order=True)
 class Link:
@@ -152,17 +147,6 @@ class Link:
 
     def __repr__(self) -> str:
         return f"Link({self.i}, {self.j})"
-
-
-@dataclass(frozen=True)
-class SystemState:
-    """Current segment set of every node after ``step`` activations."""
-
-    sets: tuple[SegmentSet, ...]
-    step: int = 0
-
-    def masks(self) -> tuple[int, ...]:
-        return tuple(s.mask for s in self.sets)
 
 
 Record = tuple[int, int, int, int]  # one activation: (i, j, gained_i, gained_j), i < j
@@ -268,13 +252,13 @@ def exchange_kept(
 
 
 def links_alive(
-    counts: dict[int, int], pairs: SetPairs, before: dict[int, int], x: int, y: int
+    holders: Holders, pairs: SetPairs, before: dict[int, int], x: int, y: int
 ) -> tuple[list[int], dict[int, int]]:
-    """Score every linked set pair (a, b) of a state by the links activating
-    it leaves alive, up to a constant: ``2*N(a|b) - N(a) - N(b)``, in
-    ``pairs`` order, where ``N(K)`` counts the nodes whose set is
-    incomparable with K.  Also returns N over the state's distinct sets
-    (``counts``, each with its holder count) and linked unions.
+    """Score every linked set pair (a, b) of a state's set table
+    (:func:`set_table`) by the links activating it leaves alive, up to a
+    constant: ``2*N(a|b) - N(a) - N(b)``, in ``pairs`` order, where ``N(K)``
+    counts the nodes whose set is incomparable with K.  Also returns N over
+    the state's distinct sets (the keys of ``holders``) and linked unions.
 
     ``before`` holds N of the state before, whose activated set pair was
     (x, y); empty when there is none.  A key found there is moved: one node
@@ -282,9 +266,9 @@ def links_alive(
     ``2*[x|y ~ K] - [x ~ K] - [y ~ K]``, which is 0 unless K is comparable
     with x, y or x|y.  Any other key is counted over the distinct sets."""
     u = x | y
-    distinct = list(counts.items())
+    distinct = [(z, len(held)) for z, held in holders.items()]
     incomparable: dict[int, int] = {}
-    for key in {*counts, *pairs.values()}:
+    for key in {*holders, *pairs.values()}:
         value = before.get(key)
         outside = ~key
         if value is None:
@@ -331,10 +315,11 @@ def exchange(masks: list[int], i: int, j: int) -> Record:
 
 def apply_schedule(
     instance: Instance, schedule: Iterable[Link]
-) -> tuple[SystemState, Schedule]:
+) -> tuple[tuple[SegmentSet, ...], Schedule]:
     """Replay ``schedule`` from the instance's initial state.
 
-    Returns the final state and the enriched trace with per-step gains.
+    Returns the final segment set of every node and the enriched trace with
+    per-step gains.
     Raises :class:`InvalidActivationError` naming the first step whose link
     was not available at its activation time.
     """
@@ -349,8 +334,7 @@ def apply_schedule(
             raise InvalidActivationError(
                 f"invalid activation at step {idx + 1}: link ({link.i},{link.j})"
             ) from None
-    state = SystemState(sets=tuple(map(SegmentSet, masks)), step=len(records))
-    return state, Schedule(records=tuple(records))
+    return tuple(map(SegmentSet, masks)), Schedule(records=tuple(records))
 
 
 def upper_bound(instance: Instance) -> int:

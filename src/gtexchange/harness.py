@@ -246,25 +246,13 @@ def _json_fields(cls, data, what: str) -> dict:
 
 
 @dataclass(frozen=True)
-class AlgorithmStats:
-    """Aggregated batch statistics for one algorithm."""
-
-    algorithm: str
-    mean_alpha: float
-    ci95: float
-    exact_runs: int
-    successes: int | None
-    success_rate: float | None
-    mean_shortfall_pct: float | None
-
-
-@dataclass(frozen=True)
 class BatchReport:
-    """Everything a batch produced: per-run rows plus aggregated statistics."""
+    """Everything a batch produced: per-run rows plus aggregated statistics
+    (``stats``, per algorithm, as :func:`summarize_rows` gives them)."""
 
     config: BatchConfig
     rows: tuple[dict, ...]
-    stats: dict[str, AlgorithmStats]
+    stats: dict[str, dict]
     pmnk_value: float
     rand_lower_bound: float
     mean_upper_bound: float
@@ -292,23 +280,15 @@ class BatchReport:
             "mean_upper_bound": self.mean_upper_bound,
             "exact_oracle_runs": self.exact_oracle_runs,
             "oracle_exceeded_runs": self.oracle_exceeded_runs,
-            "algorithms": {
-                alg: {
-                    "mean_alpha": s.mean_alpha,
-                    "ci95": s.ci95,
-                    "exact_runs": s.exact_runs,
-                    "successes": s.successes,
-                    "success_rate": s.success_rate,
-                    "mean_shortfall_pct": s.mean_shortfall_pct,
-                }
-                for alg, s in self.stats.items()
-            },
+            "algorithms": self.stats,
             "metrics": self.metrics,
         }
 
 
-def summarize_rows(rows: list[dict]) -> dict[str, AlgorithmStats]:
-    """Aggregate per-run rows into per-algorithm statistics.
+def summarize_rows(rows: list[dict]) -> dict[str, dict]:
+    """Aggregate per-run rows into per-algorithm statistics: ``mean_alpha``,
+    ``ci95``, ``exact_runs``, ``successes``, ``success_rate`` and
+    ``mean_shortfall_pct``, in the order the batch JSON writes them.
 
     Success and shortfall are computed only over runs whose optimum was
     certified exact; a run whose oracle hit its budget contributes to
@@ -338,15 +318,14 @@ def summarize_rows(rows: list[dict]) -> dict[str, AlgorithmStats]:
             successes = None
             success_rate = None
             shortfall = None
-        stats[alg] = AlgorithmStats(
-            algorithm=alg,
-            mean_alpha=mean,
-            ci95=ci95,
-            exact_runs=len(exact_rows),
-            successes=successes,
-            success_rate=success_rate,
-            mean_shortfall_pct=shortfall,
-        )
+        stats[alg] = {
+            "mean_alpha": mean,
+            "ci95": ci95,
+            "exact_runs": len(exact_rows),
+            "successes": successes,
+            "success_rate": success_rate,
+            "mean_shortfall_pct": shortfall,
+        }
     return stats
 
 
@@ -502,13 +481,12 @@ def report_text(report: BatchReport) -> str:
     lines.append(header)
     for alg in cfg.algorithms:
         s = report.stats[alg]
-        success = f"{s.success_rate:.2f}" if s.success_rate is not None else "-"
-        shortfall = (
-            f"{s.mean_shortfall_pct:.3f}" if s.mean_shortfall_pct is not None else "-"
-        )
+        rate, pct = s["success_rate"], s["mean_shortfall_pct"]
+        success = "-" if rate is None else f"{rate:.2f}"
+        shortfall = "-" if pct is None else f"{pct:.3f}"
         lines.append(
-            f"  {ALGORITHM_LABELS[alg]:<20} {s.mean_alpha:>12.1f} "
-            f"{s.ci95:>8.1f} {success:>8} {shortfall:>11}"
+            f"  {ALGORITHM_LABELS[alg]:<20} {s['mean_alpha']:>12.1f} "
+            f"{s['ci95']:>8.1f} {success:>8} {shortfall:>11}"
         )
         if alg == "rand":
             lines.append(

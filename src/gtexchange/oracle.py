@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Generator, Iterable
 
 from .algorithms import AlgorithmRun, run_greedy_links
-from .core import Instance, Schedule, exchange, links_alive, set_links, upper_bound
+from .core import Instance, Schedule, exchange, links_alive, set_table, upper_bound
 
 
 @dataclass(frozen=True)
@@ -153,10 +153,7 @@ class _Search:
     def _expand(self, key: tuple[int, ...]) -> Generator[tuple[int, ...], int, int]:
         """Expansion of one state: yields each child key and receives the
         child's result; stores the state's own result in the memo."""
-        count: dict[int, int] = {}
-        for mask in key:
-            count[mask] = count.get(mask, 0) + 1
-        pairs = {(a, b): a | b for a, b in set_links(count)}
+        holders, pairs = set_table(key)
         if not pairs:
             best = sum(mask.bit_count() for mask in key)
             if best > self.best_leaf:
@@ -167,15 +164,15 @@ class _Search:
         # Children go by links kept alive, most first, ties in pair order.
         # While the first child's subtree is searched this state keeps only
         # O(m) data, so a deep descent holds no O(m^2) pair list per level;
-        # if the search comes back, the pairs are scored again from scratch.
-        score, incomparable = links_alive(count, pairs, *self.handoff)
+        # if the search comes back, the table is built and scored again.
+        score, incomparable = links_alive(holders, pairs, *self.handoff)
         first = self._child(key, list(pairs)[score.index(max(score))], incomparable)
-        del pairs, score, incomparable
+        del holders, pairs, score, incomparable
         best = yield first
         self.path.pop()
         if best < self.bound:
-            pairs = {(a, b): a | b for a, b in set_links(count)}
-            score, incomparable = links_alive(count, pairs, {}, 0, 0)
+            holders, pairs = set_table(key)
+            score, incomparable = links_alive(holders, pairs, {}, 0, 0)
             ranked = dict(zip(pairs, score))
             for pair in sorted(ranked, key=ranked.__getitem__, reverse=True)[1:]:
                 value = yield self._child(key, pair, incomparable)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb, sqrt
 
-from gtexchange import Link, Schedule, SegmentSet, SystemState
+from gtexchange import Link, Schedule, SegmentSet
 
 
 def brute_force_optimal(instance):
@@ -45,7 +45,7 @@ def brute_force_optimal(instance):
 
 
 class MaximalScheduleStream:
-    """Iterator over ``(Schedule, final_state)`` for distinct maximal schedules.
+    """Iterator over ``(Schedule, final sets)`` for distinct maximal schedules.
 
     Yields every activation sequence whose prefixes are all legal and whose
     final state has no link left, in lexicographic link order, up to ``cap``
@@ -65,7 +65,7 @@ class MaximalScheduleStream:
     def __iter__(self):
         return self
 
-    def __next__(self) -> tuple[Schedule, SystemState]:
+    def __next__(self) -> tuple[Schedule, tuple[SegmentSet, ...]]:
         if self._cap is not None and self._count >= self._cap:
             # Probe whether anything remained beyond the cap.
             try:
@@ -82,8 +82,7 @@ class MaximalScheduleStream:
     def _generate(self, masks, records):
         available = pair_scan_links(masks)
         if not available:
-            final = SystemState(sets=tuple(map(SegmentSet, masks)), step=len(records))
-            yield Schedule(records=tuple(records)), final
+            yield Schedule(records=tuple(records)), tuple(map(SegmentSet, masks))
             return
         for i, j in available:
             a, b = masks[i], masks[j]
@@ -102,7 +101,7 @@ def enumerate_maximal_schedules(instance, cap=None):
 def enumeration_optimal(instance):
     """Maximum aggregate cardinality over every enumerated maximal schedule."""
     return max(
-        sum(map(len, final.sets)) for _, final in enumerate_maximal_schedules(instance)
+        sum(map(len, final)) for _, final in enumerate_maximal_schedules(instance)
     )
 
 
@@ -180,9 +179,9 @@ def pmnk_montecarlo(m, n, k, trials, seed):
     return estimate, sqrt(estimate * (1.0 - estimate) / trials)
 
 
-def chain_by_inclusion(state):
+def chain_by_inclusion(sets):
     """True when the node sets are totally ordered by inclusion."""
-    ordered = sorted((s.mask for s in state.sets), key=int.bit_count)
+    ordered = sorted((s.mask for s in sets), key=int.bit_count)
     return all(a & ~b == 0 for a, b in zip(ordered, ordered[1:]))
 
 

@@ -7,6 +7,7 @@ runtime budget is pinned here; seeds are fixed so reruns are reproducible.
 import random
 import time
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 from gtexchange import (
     ALGORITHM_IDS,
@@ -89,7 +90,7 @@ def test_criterion_02_randomized_simulation_matches_reference():
         )
     )
     elapsed = time.perf_counter() - start
-    mean = report.stats["rand"].mean_alpha
+    mean = report.stats["rand"]["mean_alpha"]
     ok = abs(mean - 5027.0) <= 347.9 and mean >= 3867.4 and elapsed < 30.0
     _report(
         2,
@@ -107,7 +108,7 @@ def test_criterion_03_oracle_equivalence():
         memoized = optimum.alpha
         reference = brute_force_optimal(instance)
         enumerated = max(
-            sum(map(len, final.sets))
+            sum(map(len, final))
             for _, final in enumerate_maximal_schedules(instance)
         )
         assert memoized == reference == enumerated, (
@@ -147,12 +148,12 @@ def test_criterion_04_maximal_state_invariants():
             final for _, final in enumerate_maximal_schedules(instance, cap=50)
         )
         for state in finals:
-            holders = sum(1 for s in state.sets if s == universe)
+            holders = sum(1 for s in state if s == universe)
             if not (
-                not pair_scan_links(state.masks())
+                not pair_scan_links([s.mask for s in state])
                 and holders >= 2
                 and chain_by_inclusion(state)
-                and sum(map(len, state.sets)) >= floor
+                and sum(map(len, state)) >= floor
             ):
                 violations += 1
     _report(
@@ -232,6 +233,26 @@ def test_criterion_05_greedy_links_matches_oracle_at_m4_equal_k():
     if mismatches:
         detail += f"; {len(mismatches)} mismatches, e.g. {mismatches[:2]}"
     _report(5, len(mismatches) == 0, detail)
+
+
+def test_greedy_links_matches_oracle_on_every_m4_equal_k_instance():
+    """Criterion 05 over every multiset of four equal-size k-subsets with
+    2 <= n <= 6 and 1 <= k < n, a superset of its sample."""
+    checked = 0
+    misses = []
+    for n in range(2, 7):
+        for k in range(1, n):
+            subsets = [SegmentSet.from_iterable(c) for c in combinations(range(n), k)]
+            for sets in combinations_with_replacement(subsets, 4):
+                instance = Instance(m=4, n=n, initial_sets=sets)
+                greedy = run_greedy_links(instance)
+                optimum = solve_optimal(instance, incumbent=greedy)
+                assert optimum.exact
+                if greedy.alpha != optimum.alpha:
+                    misses.append((n, k, [s.to_list() for s in sets]))
+                checked += 1
+    assert checked == 17_028
+    assert not misses, misses[:3]
 
 
 def test_criterion_06_greedy_links_attains_full_coverage_optima():
@@ -335,12 +356,12 @@ def test_criterion_09_qualitative_ordering_at_15_20_5():
         )
     )
     elapsed = time.perf_counter() - start
-    greedy = report.stats["glink"].mean_alpha
-    rarest = report.stats["rare"].mean_alpha
+    greedy = report.stats["glink"]["mean_alpha"]
+    rarest = report.stats["rare"]["mean_alpha"]
     randomized = report.stats["rand"]
     ok = (
         greedy >= rarest
-        and rarest >= randomized.mean_alpha - randomized.ci95
+        and rarest >= randomized["mean_alpha"] - randomized["ci95"]
         and greedy >= 0.99 * report.mean_upper_bound
         and elapsed < 120.0
     )
@@ -348,7 +369,7 @@ def test_criterion_09_qualitative_ordering_at_15_20_5():
         9,
         ok,
         f"(15,20,5) x100: greedy-links {greedy:.1f} >= rarest-first {rarest:.1f} "
-        f">= randomized {randomized.mean_alpha:.1f} - {randomized.ci95:.1f}, and "
+        f">= randomized {randomized['mean_alpha']:.1f} - {randomized['ci95']:.1f}, and "
         f"greedy-links within 1% of the mean parity bound "
         f"{report.mean_upper_bound:.1f}, in {elapsed:.1f}s (< 120s)",
     )

@@ -211,16 +211,16 @@ def test_polygon_even_singletons_reach_everything():
     inst = build_instance(4, [0], [1], [2], [3])
     run = run_polygon(inst)
     assert run.alpha == 16
-    assert all(len(s) == 4 for s in run.final_state.sets)
+    assert all(len(s) == 4 for s in run.final_state)
 
 
 def test_polygon_odd_singletons_leave_one_node_short():
     inst = build_instance(7, [0], [1], [2], [3], [4], [5], [6])
     run = run_polygon(inst)
     assert run.alpha == 48
-    short = [s for s in run.final_state.sets if len(s) < 7]
+    short = [s for s in run.final_state if len(s) < 7]
     assert len(short) == 1 and len(short[0]) == 6
-    assert not pair_scan_links(run.final_state.masks())
+    assert not pair_scan_links([s.mask for s in run.final_state])
 
 
 def test_polygon_without_enough_unique_holders_just_sweeps():
@@ -238,7 +238,7 @@ def test_polygon_post_sweep_finishes_leftover_links():
     run = run_polygon(inst)
     assert run.alpha == 16
     assert run.post_sweep_steps == 1
-    assert not pair_scan_links(run.final_state.masks())
+    assert not pair_scan_links([s.mask for s in run.final_state])
 
 
 def test_polygon_is_optimal_when_every_node_holds_a_unique_segment():
@@ -286,7 +286,7 @@ def test_seeded_random_ties_are_reproducible():
     a = run_greedy_links(inst, tie)
     b = run_greedy_links(inst, tie)
     assert a.schedule == b.schedule
-    assert not pair_scan_links(a.final_state.masks())
+    assert not pair_scan_links([s.mask for s in a.final_state])
 
 
 # ------------------------------------------------- shared run-level contracts
@@ -297,8 +297,8 @@ def test_every_run_is_maximal_and_replays_exactly(instance, seed):
     u = len(instance.realized_universe)
     slack = (instance.m * u - sum(map(len, instance.initial_sets))) // 2
     for run in run_all(instance, seed=seed):
-        assert not pair_scan_links(run.final_state.masks())
-        assert run.alpha == sum(map(len, run.final_state.sets))
+        assert not pair_scan_links([s.mask for s in run.final_state])
+        assert run.alpha == sum(map(len, run.final_state))
         assert len(run.schedule) <= slack
         replay_state, replay_trace = apply_schedule(instance, run.schedule.link_list())
         assert replay_state == run.final_state
@@ -317,7 +317,7 @@ def test_final_states_chain_and_crown_at_least_two_holders(instance):
         - (initial_sizes[-2] if instance.m >= 2 else 0)
     )
     for run in run_all(instance, seed=3):
-        holders = sum(1 for s in run.final_state.sets if s == universe)
+        holders = sum(1 for s in run.final_state if s == universe)
         assert holders >= 2
         assert chain_by_inclusion(run.final_state)
         assert run.alpha >= floor
@@ -329,7 +329,7 @@ def test_universe_holder_appears_iff_the_union_covers_it(instance, seed):
     the group collectively held all n segments to begin with."""
     covered = len(instance.realized_universe) == instance.n
     for run in run_all(instance, seed=seed):
-        holder = any(len(s) == instance.n for s in run.final_state.sets)
+        holder = any(len(s) == instance.n for s in run.final_state)
         assert holder == covered
 
 

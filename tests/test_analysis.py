@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import factorial, gcd
 
 import pytest
@@ -7,9 +8,13 @@ import hypothesis.strategies as st
 
 from gtexchange import (
     MAX_SEGMENTS,
+    Instance,
+    SegmentSet,
     approx_condition_holds,
     pmnk_exact,
     randomized_lower_bound,
+    run_randomized,
+    upper_bound,
 )
 from gtexchange.analysis import check_pmnk_size
 from gtexchange.harness import TABLE_PRESETS, preset_configs
@@ -150,7 +155,7 @@ def test_lower_bound_reproduces_reference_rows():
 def test_lower_bound_trace_shape():
     bound, trace = randomized_lower_bound(60, 100, 3)
     assert trace.expected_sizes[0] == 3.0
-    assert bound == trace.bound == 60 * trace.expected_sizes[-1]
+    assert bound == 60 * trace.expected_sizes[-1]
     assert len(trace.phase_factors) == len(trace.expected_sizes) - 1
     assert all(0 < f <= 1 for f in trace.phase_factors)
     # the recursion stops at the first zeroed factor: 2^(p-1) >= m
@@ -162,6 +167,22 @@ def test_lower_bound_full_initial_sets():
     bound, trace = randomized_lower_bound(5, 7, 7)
     assert bound == 35.0
     assert all(s == 7.0 for s in trace.expected_sizes)
+
+
+def test_recursion_exceeds_the_exact_mean_and_every_instance_at_3_2_1():
+    """At (3,2,1) every instance with two distinct sets ends at 5 and the two
+    constant ones at 3, so the exact mean is 9/2, and the paper's recursion
+    (5.0625) is above it and above every instance."""
+    alphas = []
+    for picks in product(range(2), repeat=3):
+        instance = Instance(
+            m=3, n=2, initial_sets=tuple(SegmentSet.from_iterable([e]) for e in picks)
+        )
+        assert upper_bound(instance) <= 5
+        alphas.append(run_randomized(instance, seed=0).alpha)
+    assert len(alphas) == 8
+    assert Fraction(sum(alphas), len(alphas)) == Fraction(9, 2)
+    assert randomized_lower_bound(3, 2, 1)[0] > 5
 
 
 def test_lower_bound_argument_errors():

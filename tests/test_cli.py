@@ -53,7 +53,7 @@ def test_gen_writes_a_loadable_deterministic_file(tmp_path, capsys):
     )
     assert code == 0 and str(path) in out
     inst = load_instance(str(path))
-    assert inst.m == 4 and inst.n == 6 and inst.equal_cardinality == 2
+    assert inst.m == 4 and inst.n == 6 and {len(s) for s in inst.initial_sets} == {2}
     first = path.read_bytes()
     invoke(capsys, "gen", "-m", "4", "-n", "6", "-k", "2", "--seed", "5", "--out", str(path))
     assert path.read_bytes() == first
@@ -87,7 +87,7 @@ def test_run_each_algorithm(tmp_path, capsys, alg):
     alpha = int(out.split("alpha:")[1].split()[0])
     links = load_schedule(str(sched_path))
     final, _ = apply_schedule(load_instance(inst_path), links)
-    assert sum(map(len, final.sets)) == alpha
+    assert sum(map(len, final)) == alpha
 
 
 def test_run_with_random_ties_is_reproducible(tmp_path, capsys):
@@ -112,7 +112,7 @@ def test_optimal_reports_exact_value_and_witness(tmp_path, capsys):
     final, _ = apply_schedule(
         load_instance(inst_path), load_schedule(str(witness_path))
     )
-    assert sum(map(len, final.sets)) == 20
+    assert sum(map(len, final)) == 20
 
 
 def test_optimal_flags_budget_overrun(tmp_path, capsys):
@@ -142,7 +142,7 @@ def test_optimal_overrun_reports_no_less_than_any_heuristic(tmp_path, capsys):
     for alg in ALGORITHM_IDS:
         assert run_algorithm(alg, instance).alpha <= alpha
     final, _ = apply_schedule(instance, load_schedule(str(witness_path)))
-    assert sum(map(len, final.sets)) == alpha
+    assert sum(map(len, final)) == alpha
 
 
 def test_pmnk_exact_and_sampled(capsys):
@@ -197,8 +197,22 @@ def test_oversized_coverage_sum_is_refused_at_once(tmp_path, capsys, argv):
 def test_bound_prints_reference_value(capsys):
     code, out, _ = invoke(capsys, "bound", "-m", "60", "-n", "100", "-k", "3")
     assert code == 0
+    assert out.splitlines()[0].startswith("paper's recursion")
     assert "3867.4" in out
     assert "phase" in out
+    assert "not a lower bound" not in out
+
+
+@pytest.mark.parametrize(
+    "mnk, cap", [((15, 20, 15), 299), ((3, 2, 1), 5), ((7, 8, 6), 55), ((9, 10, 8), 89)]
+)
+def test_bound_says_when_the_recursion_exceeds_every_instance(capsys, mnk, cap):
+    m, n, k = map(str, mnk)
+    code, out, _ = invoke(capsys, "bound", "-m", m, "-n", n, "-k", k)
+    first, second = out.splitlines()[:2]
+    assert code == 0
+    assert float(first.rsplit(" ", 1)[1]) > cap
+    assert second.startswith("not a lower bound here") and f"above {cap}," in second
 
 
 @pytest.mark.parametrize("exponent", [400, 308])

@@ -7,7 +7,6 @@ from gtexchange import (
     InvalidActivationError,
     Link,
     SegmentSet,
-    SystemState,
     apply_schedule,
     solve_optimal,
     upper_bound,
@@ -99,9 +98,9 @@ def test_instance_universe_cap():
 def test_instance_derived_properties():
     inst = build_instance(5, [0, 1], [1, 2], [3])
     assert inst.realized_universe.to_list() == [0, 1, 2, 3]
-    assert inst.equal_cardinality is None
+    assert {len(s) for s in inst.initial_sets} == {1, 2}
     inst2 = build_instance(4, [0, 1], [2, 3])
-    assert inst2.equal_cardinality == 2
+    assert {len(s) for s in inst2.initial_sets} == {2}
 
 
 # ------------------------------------------------------------ give-and-take
@@ -179,7 +178,7 @@ def test_traced_gains_follow_the_canonical_link():
     # node 0 gained {1,2}, node 1 gained {0}
     assert trace.records == ((0, 1, 0b110, 0b001),)
     assert trace.link_list() == [Link(0, 1)]
-    assert final.sets[0] == final.sets[1] == SegmentSet.from_iterable([0, 1, 2])
+    assert final[0] == final[1] == SegmentSet.from_iterable([0, 1, 2])
 
 
 def test_out_of_range_nodes_are_value_errors():
@@ -224,7 +223,7 @@ def test_saturating_any_state_reaches_a_maximal_chain():
     while pairs := node_pairs(*set_table(masks)):
         exchange(masks, *pairs[0])
     assert not pair_scan_links(masks)
-    assert chain_by_inclusion(SystemState(sets=tuple(map(SegmentSet, masks))))
+    assert chain_by_inclusion(tuple(map(SegmentSet, masks)))
 
 
 # ---------------------------------------------------------------- replay
@@ -233,14 +232,14 @@ def test_saturating_any_state_reaches_a_maximal_chain():
 def test_apply_schedule_empty_is_identity():
     inst = build_instance(2, [0], [1])
     final, trace = apply_schedule(inst, [])
-    assert final == SystemState(sets=inst.initial_sets)
+    assert final == inst.initial_sets
     assert len(trace) == 0
 
 
 def test_apply_schedule_single_link():
     inst = build_instance(2, [0], [1])
     final, trace = apply_schedule(inst, [Link(0, 1)])
-    assert sum(map(len, final.sets)) == 4 and final.step == 1
+    assert sum(map(len, final)) == 4 and len(trace) == 1
     assert trace.records == ((0, 1, 0b10, 0b01),)
 
 

@@ -212,9 +212,8 @@ def test_moved_links_alive_matches_a_fresh_count_after_every_exchange(instance, 
     holders, pairs = set_table(masks)
     incomparable, x, y = {}, 0, 0
     while pairs:
-        counts = {mask: len(held) for mask, held in holders.items()}
-        score, incomparable = links_alive(counts, pairs, incomparable, x, y)
-        assert (score, incomparable) == links_alive(counts, pairs, {}, 0, 0)
+        score, incomparable = links_alive(holders, pairs, incomparable, x, y)
+        assert (score, incomparable) == links_alive(holders, pairs, {}, 0, 0)
         live = len(pair_scan_links(masks))
         for (a, b), value in zip(pairs, score):
             after = list(masks)
@@ -234,8 +233,7 @@ def test_schedule_views_match_a_traced_replay(instance, tie, seed):
         masks = [s.mask for s in instance.initial_sets]
         traced = [exchange(masks, link.i, link.j) for link in run.schedule.link_list()]
         assert run.schedule.records == tuple(traced)
-        assert tuple(masks) == run.final_state.masks()
-        assert run.final_state.step == len(traced)
+        assert masks == [s.mask for s in run.final_state]
         assert apply_schedule(instance, run.schedule.link_list())[1] == run.schedule
     masks = [s.mask for s in instance.initial_sets]
     with pytest.raises(InvalidActivationError):
@@ -294,8 +292,8 @@ def test_full_runs_are_identical_to_the_state_based_schedulers():
                     record = (
                         run.algorithm,
                         list(run.schedule.records),
-                        run.final_state.masks(),
-                        run.final_state.step,
+                        tuple(s.mask for s in run.final_state),
+                        len(run.schedule),
                         run.alpha,
                         run.rounds,
                         run.post_sweep_steps,

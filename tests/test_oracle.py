@@ -56,8 +56,8 @@ def test_search_goes_beyond_the_greedy_presolve():
     result = solve_optimal(inst)
     assert result.exact and result.alpha == 20
     final, _ = apply_schedule(inst, result.witness.link_list())
-    assert sum(map(len, final.sets)) == 20
-    assert not pair_scan_links(final.masks())
+    assert sum(map(len, final)) == 20
+    assert not pair_scan_links([s.mask for s in final])
 
 
 @given(instances(max_m=4, max_n=5))
@@ -73,8 +73,8 @@ def test_witness_replays_to_the_optimum(instance):
     result = solve_optimal(instance)
     assert result.exact
     final, _ = apply_schedule(instance, result.witness.link_list())
-    assert sum(map(len, final.sets)) == result.alpha
-    assert not pair_scan_links(final.masks())
+    assert sum(map(len, final)) == result.alpha
+    assert not pair_scan_links([s.mask for s in final])
 
 
 @given(instances(max_m=4, max_n=5), st.integers(0, 2**16))
@@ -144,8 +144,8 @@ def test_budget_overrun_reports_a_lower_bound():
     assert result.visited == 2  # the root, then the state past the budget
     assert result.alpha == 18  # the greedy presolve's value
     final, _ = apply_schedule(inst, result.witness.link_list())
-    assert sum(map(len, final.sets)) == 18
-    assert not pair_scan_links(final.masks())
+    assert sum(map(len, final)) == 18
+    assert not pair_scan_links([s.mask for s in final])
 
 
 def test_solve_optimal_flags_inexact_results():
@@ -209,7 +209,7 @@ def test_seeded_and_unseeded_searches_agree_on_the_criterion_03_grid():
         assert seeded.exact and unseeded.exact
         assert seeded.alpha == unseeded.alpha
         final, _ = apply_schedule(instance, seeded.witness.link_list())
-        assert sum(map(len, final.sets)) == seeded.alpha
+        assert sum(map(len, final)) == seeded.alpha
 
 
 def test_overrun_reports_no_less_than_the_incumbent():
@@ -225,7 +225,7 @@ def test_overrun_reports_no_less_than_the_incumbent():
         assert not result.exact
         assert result.alpha >= rand.alpha
         final, _ = apply_schedule(instance, result.witness.link_list())
-        assert sum(map(len, final.sets)) == result.alpha
+        assert sum(map(len, final)) == result.alpha
 
 
 def test_search_without_an_incumbent_still_certifies():
@@ -267,9 +267,9 @@ def test_enumerate_singletons_m3():
     assert len(outcomes) == 6  # 3 first choices x 2 second choices
     universe = inst.realized_universe
     for schedule, final in outcomes:
-        assert not pair_scan_links(final.masks())
-        assert sum(map(len, final.sets)) == 8
-        assert sum(1 for s in final.sets if s == universe) >= 2
+        assert not pair_scan_links([s.mask for s in final])
+        assert sum(map(len, final)) == 8
+        assert sum(1 for s in final if s == universe) >= 2
         assert chain_by_inclusion(final)
         replayed, _ = apply_schedule(inst, schedule.link_list())
         assert replayed == final
