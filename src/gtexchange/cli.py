@@ -133,14 +133,6 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _refuse_shared_outputs(configs: list[BatchConfig]) -> None:
-    """Refuse configs of which two outputs, CSV or JSON, go to one file."""
-    paths = [os.path.abspath(p) for c in configs for p in (c.out_csv, c.out_json) if p]
-    repeated = sorted({p for p in paths if paths.count(p) > 1})
-    if repeated:
-        raise ValueError(f"more than one output goes to {repeated}")
-
-
 def _cmd_batch(args) -> int:
     # the batch parser sets only the flags given, each under its field's name
     flags = dict(vars(args))
@@ -152,7 +144,6 @@ def _cmd_batch(args) -> int:
             flags["limits"] = {**data.get("limits", {}), **limits}
         data = {**data, **flags}
     config = BatchConfig.from_dict(data)
-    _refuse_shared_outputs([config])
     report = run_batch(config)
     print(report_text(report))
     if config.out_csv:
@@ -183,7 +174,11 @@ def _cmd_table(args) -> int:
         configs = [
             replace(c, out_csv=os.path.join(args.csv_dir, name.format(c))) for c in configs
         ]
-    _refuse_shared_outputs(configs)
+    # each config refuses its own CSV and JSON on one file; refuse two configs' here
+    paths = [os.path.abspath(p) for c in configs for p in (c.out_csv, c.out_json) if p]
+    repeated = sorted({p for p in paths if paths.count(p) > 1})
+    if repeated:
+        raise ValueError(f"more than one output goes to {repeated}")
     if args.csv_dir:
         os.makedirs(args.csv_dir, exist_ok=True)
     print(compare_table([run_batch(config) for config in configs]))

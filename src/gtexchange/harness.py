@@ -12,7 +12,11 @@ File formats (all 1-based on disk, 0-based in memory):
   where each list is strictly increasing and may be empty;
 * schedule file: ``{"steps": [[1, 3], [1, 2], [2, 4]]}`` of node pairs;
 * batch config file: a JSON object of :class:`BatchConfig` fields, at
-  least ``m``, ``n`` and ``k``; ``limits`` is an object of its own.
+  least ``m``, ``n`` and ``k``; ``limits`` is an object of its own;
+* batch CSV: one row per run and algorithm in the columns of
+  :data:`CSV_COLUMNS`, the one list that both writes and reads it;
+* batch JSON: :attr:`BatchReport.summary` as it is, the one record of a
+  batch's results, which the text report reads too.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
 import statistics
 import time
@@ -200,6 +205,12 @@ class BatchConfig:
                 )
         if self.runs < 1:
             raise ValueError(f"need at least one run, got {self.runs}")
+        if (
+            self.out_csv
+            and self.out_json
+            and os.path.abspath(self.out_csv) == os.path.abspath(self.out_json)
+        ):
+            raise ValueError(f"the CSV and the JSON both go to {self.out_csv}")
         # the batch reports the exact coverage: refuse its size up front
         check_pmnk_size(self.m, self.n, self.k)
         if self.oracle not in ("exact", "skip"):
@@ -247,42 +258,17 @@ def _json_fields(cls, data, what: str) -> dict:
 
 @dataclass(frozen=True)
 class BatchReport:
-    """Everything a batch produced: per-run rows plus aggregated statistics
-    (``stats``, per algorithm, as :func:`summarize_rows` gives them)."""
+    """Everything a batch produced: its config, the per-run rows and
+    ``summary``, the batch JSON (what ``--json`` writes), which
+    :func:`run_batch` builds once and :func:`report_text` reads by key."""
 
     config: BatchConfig
     rows: tuple[dict, ...]
-    stats: dict[str, dict]
-    pmnk_value: float
-    rand_lower_bound: float
-    mean_upper_bound: float
-    exact_oracle_runs: int
-    oracle_exceeded_runs: int
-    # per algorithm, wall seconds and steps summed over the runs, and with
-    # the exact oracle an "oracle" entry: its wall seconds, the instances it
-    # searched, the states it visited, its memo entries and the gap from
-    # each instance's upper bound to the alpha it reported, each summed over
-    # the instances; JSON only, so the CSV stays byte-deterministic
-    metrics: dict[str, dict]
+    summary: dict
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.config.m,
-            "n": self.config.n,
-            "k": self.config.k,
-            "runs": self.config.runs,
-            "seed": self.config.seed,
-            "oracle": self.config.oracle,
-            "tie_mode": self.config.tie_mode,
-            "limits": asdict(self.config.limits),
-            "pmnk": {"value": self.pmnk_value},
-            "rand_lower_bound": self.rand_lower_bound,
-            "mean_upper_bound": self.mean_upper_bound,
-            "exact_oracle_runs": self.exact_oracle_runs,
-            "oracle_exceeded_runs": self.oracle_exceeded_runs,
-            "algorithms": self.stats,
-            "metrics": self.metrics,
-        }
+    @property
+    def pmnk_value(self) -> float:
+        return self.summary["pmnk"]["value"]
 
 
 def summarize_rows(rows: list[dict]) -> dict[str, dict]:
@@ -338,6 +324,11 @@ def run_batch(config: BatchConfig) -> BatchReport:
     exact_runs = 0
     exceeded = 0
     ub_total = 0
+    # per algorithm, wall seconds and steps summed over the runs, and with
+    # the exact oracle an "oracle" entry: its wall seconds, the instances it
+    # searched, the states it visited, its memo entries and the gap from
+    # each instance's upper bound to the alpha it reported, each summed over
+    # the instances; JSON only, so the CSV stays byte-deterministic
     metrics = {alg: {"wall_s": 0.0, "steps": 0} for alg in config.algorithms}
     if config.oracle == "exact":
         metrics["oracle"] = {
@@ -394,26 +385,33 @@ def run_batch(config: BatchConfig) -> BatchReport:
                     "post_sweep_steps": run.post_sweep_steps,
                 }
             )
-    bound, _ = randomized_lower_bound(config.m, config.n, config.k)
-    report = BatchReport(
-        config=config,
-        rows=tuple(rows),
-        stats=summarize_rows(rows),
-        pmnk_value=float(pmnk_exact(config.m, config.n, config.k)),
-        rand_lower_bound=bound,
-        mean_upper_bound=ub_total / config.runs,
-        exact_oracle_runs=exact_runs,
-        oracle_exceeded_runs=exceeded,
-        metrics=metrics,
-    )
+    # the config but its output paths and its algorithm ids, the keys of "algorithms"
+    skip = ("algorithms", "out_csv", "out_json")
+    summary = {name: value for name, value in asdict(config).items() if name not in skip}
+    summary |= {
+        "pmnk": {"value": float(pmnk_exact(config.m, config.n, config.k))},
+        "rand_lower_bound": randomized_lower_bound(config.m, config.n, config.k)[0],
+        "mean_upper_bound": ub_total / config.runs,
+        "exact_oracle_runs": exact_runs,
+        "oracle_exceeded_runs": exceeded,
+        "algorithms": summarize_rows(rows),
+        "metrics": metrics,
+    }
     if config.out_csv:
         with open(config.out_csv, "w", encoding="utf-8", newline="") as fh:
             fh.write(rows_to_csv(rows))
     if config.out_json:
         with open(config.out_json, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2)
+            json.dump(summary, fh, indent=2)
             fh.write("\n")
-    return report
+    return BatchReport(config=config, rows=tuple(rows), summary=summary)
+
+
+def _csv_cell(value):
+    """A row's value as its CSV cell: empty for None, true/false for a bool."""
+    if value is None:
+        return ""
+    return str(value).lower() if isinstance(value, bool) else value
 
 
 def rows_to_csv(rows: list[dict]) -> str:
@@ -422,75 +420,55 @@ def rows_to_csv(rows: list[dict]) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        writer.writerow(
-            [
-                row["run"],
-                row["seed"],
-                row["algorithm"],
-                row["alpha"],
-                "" if row["optimal"] is None else row["optimal"],
-                "" if row["exact_flag"] is None else str(row["exact_flag"]).lower(),
-                row["steps"],
-                row["post_sweep_steps"],
-            ]
-        )
+        writer.writerow([_csv_cell(row[c]) for c in CSV_COLUMNS])
     return buffer.getvalue()
+
+
+# how rows_from_csv reads a cell of each column; every column not named is an int
+_CSV_READERS = {
+    "algorithm": str,
+    "optimal": lambda text: int(text) if text else None,
+    "exact_flag": {"true": True, "false": False, "": None}.__getitem__,
+}
 
 
 def rows_from_csv(text: str) -> list[dict]:
     """Parse rows back from CSV; inverse of :func:`rows_to_csv`."""
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for record in reader:
-        rows.append(
-            {
-                "run": int(record["run"]),
-                "seed": int(record["seed"]),
-                "algorithm": record["algorithm"],
-                "alpha": int(record["alpha"]),
-                "optimal": int(record["optimal"]) if record["optimal"] else None,
-                "exact_flag": {"true": True, "false": False, "": None}[
-                    record["exact_flag"]
-                ],
-                "steps": int(record["steps"]),
-                "post_sweep_steps": int(record["post_sweep_steps"]),
-            }
-        )
-    return rows
+    return [
+        {c: _CSV_READERS.get(c, int)(record[c]) for c in CSV_COLUMNS}
+        for record in csv.DictReader(io.StringIO(text))
+    ]
 
 
 def report_text(report: BatchReport) -> str:
     """Human-readable summary block for one batch."""
-    cfg = report.config
+    cfg, s = report.config, report.summary
     lines = [
         f"(m={cfg.m}, n={cfg.n}, k={cfg.k})  runs={cfg.runs}  seed={cfg.seed}  "
         f"oracle={cfg.oracle}",
         f"  coverage p(m,n,k) = {report.pmnk_value:.6g} (exact)",
-        f"  parity upper bound, mean over runs = {report.mean_upper_bound:.1f}",
+        f"  parity upper bound, mean over runs = {s['mean_upper_bound']:.1f}",
     ]
-    if report.config.oracle == "exact":
+    if cfg.oracle == "exact":
+        exceeded = s["oracle_exceeded_runs"]
         lines.append(
-            f"  exact optima on {report.exact_oracle_runs}/{cfg.runs} runs"
-            + (
-                f" ({report.oracle_exceeded_runs} exceeded the search budget)"
-                if report.oracle_exceeded_runs
-                else ""
-            )
+            f"  exact optima on {s['exact_oracle_runs']}/{cfg.runs} runs"
+            + (f" ({exceeded} exceeded the search budget)" if exceeded else "")
         )
     header = f"  {'algorithm':<20} {'mean alpha':>12} {'ci95':>8} {'success':>8} {'shortfall%':>11}"
     lines.append(header)
     for alg in cfg.algorithms:
-        s = report.stats[alg]
-        rate, pct = s["success_rate"], s["mean_shortfall_pct"]
+        stats = s["algorithms"][alg]
+        rate, pct = stats["success_rate"], stats["mean_shortfall_pct"]
         success = "-" if rate is None else f"{rate:.2f}"
         shortfall = "-" if pct is None else f"{pct:.3f}"
         lines.append(
-            f"  {ALGORITHM_LABELS[alg]:<20} {s['mean_alpha']:>12.1f} "
-            f"{s['ci95']:>8.1f} {success:>8} {shortfall:>11}"
+            f"  {ALGORITHM_LABELS[alg]:<20} {stats['mean_alpha']:>12.1f} "
+            f"{stats['ci95']:>8.1f} {success:>8} {shortfall:>11}"
         )
         if alg == "rand":
             lines.append(
-                f"  {'  analytic lower bound':<20} {report.rand_lower_bound:>12.1f}"
+                f"  {'  analytic lower bound':<20} {s['rand_lower_bound']:>12.1f}"
             )
     return "\n".join(lines)
 

@@ -6,16 +6,17 @@ package and runs every exchange as an inline union.  A memo-free recursive
 optimum, an enumerator of every maximal schedule,
 coverage probability by exhaustive tuple enumeration, by
 inclusion-exclusion over rationals, by a composition sum and by sampling,
-a pair-scan link finder, rarest-first's preference rows, and schedulers
+a pair-scan link finder, rarest-first's preference rows, schedulers
 written straight from their definitions (every step rescans every pair, with
-no cached link state).
+no cached link state), and the randomized scheduler's exact mean by a chain
+over mask multisets.
 """
 
 import random
 from functools import cache
 from fractions import Fraction
-from itertools import combinations, product
-from math import comb, sqrt
+from itertools import combinations, combinations_with_replacement, product
+from math import comb, factorial, sqrt
 
 from gtexchange import Link, Schedule, SegmentSet
 
@@ -305,6 +306,64 @@ def reference_randomized(instance, seed):
                 masks[i] = masks[j] = masks[i] | masks[j]
                 schedule.append((min(i, j), max(i, j)))
     return schedule, phases
+
+
+def _phase_pairings(m):
+    """Every way one phase can pair ``range(m)``: each perfect matching, and
+    with odd m each one of the other nodes after a sitter-out.  A uniform
+    permutation read two at a time gives each of them the same chance."""
+
+    def match(rest):
+        if len(rest) < 2:
+            yield ()
+            return
+        first = rest[0]
+        for at in range(1, len(rest)):
+            for tail in match(rest[1:at] + rest[at + 1:]):
+                yield ((first, rest[at]),) + tail
+
+    nodes = tuple(range(m))
+    if m % 2 == 0:
+        return list(match(nodes))
+    return [p for out in nodes for p in match(nodes[:out] + nodes[out + 1:])]
+
+
+def expected_rand(m, n, k):
+    """Exact mean alpha of the randomized scheduler over m independent
+    uniform k-subsets of an n-universe, as a Fraction.
+
+    Rand is a chain over the sorted mask multiset: each phase pairs the
+    nodes uniformly (:func:`_phase_pairings`) and unions every linked pair.
+    A phase that changes nothing repeats, so a state's mean is the plain
+    average over the pairings that change it.  The initial multisets are
+    weighted by their multinomial counts out of C(n,k)^m tuples.
+    """
+    pairings = _phase_pairings(m)
+
+    @cache
+    def mean(state):
+        children = []
+        for pairing in pairings:
+            masks = list(state)
+            for i, j in pairing:
+                a, b = masks[i], masks[j]
+                if a & ~b and b & ~a:
+                    masks[i] = masks[j] = a | b
+            if masks != list(state):
+                children.append(tuple(sorted(masks)))
+        if not children:
+            return Fraction(sum(x.bit_count() for x in state))
+        return sum(map(mean, children), Fraction(0)) / len(children)
+
+    # ascending, so that each multiset comes out sorted, as the memo keys are
+    subsets = sorted(sum(1 << e for e in c) for c in combinations(range(n), k))
+    total = Fraction(0)
+    for multiset in combinations_with_replacement(subsets, m):
+        weight = factorial(m)
+        for mask in set(multiset):
+            weight //= factorial(multiset.count(mask))
+        total += weight * mean(multiset)
+    return total / len(subsets) ** m
 
 
 def reference_greedy_incremental(instance, mode="lowest", seed=None):

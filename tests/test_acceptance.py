@@ -7,7 +7,7 @@ runtime budget is pinned here; seeds are fixed so reruns are reproducible.
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 from gtexchange import (
     ALGORITHM_IDS,
@@ -90,7 +90,7 @@ def test_criterion_02_randomized_simulation_matches_reference():
         )
     )
     elapsed = time.perf_counter() - start
-    mean = report.stats["rand"]["mean_alpha"]
+    mean = report.summary["algorithms"]["rand"]["mean_alpha"]
     ok = abs(mean - 5027.0) <= 347.9 and mean >= 3867.4 and elapsed < 30.0
     _report(
         2,
@@ -281,6 +281,40 @@ def test_criterion_06_greedy_links_attains_full_coverage_optima():
     )
 
 
+def test_greedy_links_attains_every_m5_full_coverage_optimum():
+    """Criterion 06 at m = 5, over every multiset of five equal-size
+    k-subsets with 2 <= n <= 5 and 1 <= k < n."""
+    qualifying = 0
+    misses = []
+    for n in range(2, 6):
+        for k in range(1, n):
+            subsets = [SegmentSet.from_iterable(c) for c in combinations(range(n), k)]
+            for sets in combinations_with_replacement(subsets, 5):
+                instance = Instance(m=5, n=n, initial_sets=sets)
+                full = 5 * len(instance.realized_universe)
+                greedy = run_greedy_links(instance)
+                optimum = solve_optimal(instance, incumbent=greedy)
+                assert optimum.exact
+                if optimum.alpha == full:
+                    qualifying += 1
+                    if greedy.alpha != full:
+                        misses.append((n, k, [s.to_list() for s in sets]))
+    assert qualifying == 52
+    assert not misses, misses[:3]
+
+
+def test_greedy_links_misses_a_full_coverage_optimum_at_m6():
+    """Criterion 06's claim fails at m = 6: three nodes share segment 0 and
+    three hold one other segment each.  Every node can end with all four,
+    but no greedy-links tie path gets there."""
+    sets = tuple(SegmentSet.from_iterable([e]) for e in (0, 0, 0, 1, 2, 3))
+    instance = Instance(m=6, n=4, initial_sets=sets)
+    optimum = solve_optimal(instance)
+    assert optimum.exact and optimum.alpha == 24
+    assert run_greedy_links(instance).alpha == 22
+    assert _greedy_links_alphas_over_all_ties(instance) == {22}
+
+
 def test_criterion_07_polygon_parity_optimum_with_unique_segments():
     rng = random.Random(MASTER_SEED + 7)
     misses = 0
@@ -307,6 +341,33 @@ def test_criterion_07_polygon_parity_optimum_with_unique_segments():
         f"polygon reaches m*u (even m) / m*u-1 (odd m) on 300 all-unique "
         f"instances, m in 3..8 ({misses} misses)",
     )
+
+
+def test_polygon_reaches_the_parity_optimum_on_every_small_unique_instance():
+    """Criterion 07 over every instance its sampler can build with m = 3 and
+    a pool of at most 4 extra segments, m = 4, 5 with at most 3, and m = 6, 7
+    with at most 2: node 0 holds its private segment alone and every other
+    node its own plus any subset of the pool."""
+    checked = 0
+    misses = []
+    for m, max_pool in ((3, 4), (4, 3), (5, 3), (6, 2), (7, 2)):
+        for size in range(1, max_pool + 1):
+            pool = range(m, m + size)
+            extras = [
+                list(c) for r in range(size + 1) for c in combinations(pool, r)
+            ]
+            for picks in product(extras, repeat=m - 1):
+                sets = [SegmentSet.from_iterable([0])] + [
+                    SegmentSet.from_iterable([i] + e) for i, e in enumerate(picks, 1)
+                ]
+                instance = Instance(m=m, n=m + size, initial_sets=tuple(sets))
+                assert find_unique_set([s.mask for s in sets]) == list(range(m))
+                u = len(instance.realized_universe)
+                if run_polygon(instance).alpha != m * u - m % 2:
+                    misses.append([s.to_list() for s in sets])
+                checked += 1
+    assert checked == 10_508
+    assert not misses, misses[:3]
 
 
 def test_criterion_08_coverage_probability_exactness():
@@ -356,13 +417,13 @@ def test_criterion_09_qualitative_ordering_at_15_20_5():
         )
     )
     elapsed = time.perf_counter() - start
-    greedy = report.stats["glink"]["mean_alpha"]
-    rarest = report.stats["rare"]["mean_alpha"]
-    randomized = report.stats["rand"]
+    greedy = report.summary["algorithms"]["glink"]["mean_alpha"]
+    rarest = report.summary["algorithms"]["rare"]["mean_alpha"]
+    randomized = report.summary["algorithms"]["rand"]
     ok = (
         greedy >= rarest
         and rarest >= randomized["mean_alpha"] - randomized["ci95"]
-        and greedy >= 0.99 * report.mean_upper_bound
+        and greedy >= 0.99 * report.summary["mean_upper_bound"]
         and elapsed < 120.0
     )
     _report(
@@ -371,7 +432,7 @@ def test_criterion_09_qualitative_ordering_at_15_20_5():
         f"(15,20,5) x100: greedy-links {greedy:.1f} >= rarest-first {rarest:.1f} "
         f">= randomized {randomized['mean_alpha']:.1f} - {randomized['ci95']:.1f}, and "
         f"greedy-links within 1% of the mean parity bound "
-        f"{report.mean_upper_bound:.1f}, in {elapsed:.1f}s (< 120s)",
+        f"{report.summary['mean_upper_bound']:.1f}, in {elapsed:.1f}s (< 120s)",
     )
 
 

@@ -1,6 +1,7 @@
+import statistics
 from fractions import Fraction
 from itertools import product
-from math import factorial, gcd
+from math import factorial, gcd, sqrt
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,8 @@ from gtexchange import (
     Instance,
     SegmentSet,
     approx_condition_holds,
+    derive_seed,
+    gen_instance,
     pmnk_exact,
     randomized_lower_bound,
     run_randomized,
@@ -22,6 +25,7 @@ from oracles import (
     coverage_by_composition,
     coverage_by_enumeration,
     coverage_by_inclusion_exclusion,
+    expected_rand,
     pmnk_montecarlo,
 )
 
@@ -183,6 +187,36 @@ def test_recursion_exceeds_the_exact_mean_and_every_instance_at_3_2_1():
     assert len(alphas) == 8
     assert Fraction(sum(alphas), len(alphas)) == Fraction(9, 2)
     assert randomized_lower_bound(3, 2, 1)[0] > 5
+
+
+def test_exact_rand_means_and_the_side_the_recursion_falls_on():
+    """Rand's exact mean from the chain in :func:`oracles.expected_rand`; the
+    paper's recursion lies above it, below it or on it depending on the size."""
+    cases = [
+        ((4, 5, 3), Fraction(2304, 125), "above"),  # recursion 18.592
+        ((4, 4, 2), Fraction(127, 9), "below"),  # recursion 14.0
+        ((2, 3, 1), Fraction(10, 3), "equal"),
+        ((3, 2, 1), Fraction(9, 2), "above"),  # as enumerated above; recursion 5.0625
+    ]
+    for (m, n, k), exact, side in cases:
+        assert expected_rand(m, n, k) == exact
+        diff = randomized_lower_bound(m, n, k)[0] - exact
+        assert {"above": diff > 0.1, "below": diff < -0.1, "equal": abs(diff) < 1e-9}[
+            side
+        ], (m, n, k, diff)
+
+
+def test_program_rand_mean_matches_the_exact_chain_at_4_5_3():
+    alphas = [
+        run_randomized(
+            gen_instance(4, 5, 3, derive_seed(0, i, "instance")),
+            seed=derive_seed(0, i, "alg", "rand"),
+        ).alpha
+        for i in range(4000)
+    ]
+    mean = statistics.fmean(alphas)
+    stderr = statistics.stdev(alphas) / sqrt(len(alphas))
+    assert abs(mean - float(expected_rand(4, 5, 3))) < 4 * stderr, (mean, stderr)
 
 
 def test_lower_bound_argument_errors():

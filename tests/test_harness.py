@@ -195,6 +195,20 @@ def test_batch_config_validation():
         BatchConfig(m=4, n=5, k=2, algorithms="rand")
 
 
+def test_batch_config_refuses_csv_and_json_on_one_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.txt"
+    with pytest.raises(ValueError, match="out.txt"):
+        BatchConfig(m=3, n=4, k=2, out_csv=str(path), out_json=str(path))
+    monkeypatch.chdir(tmp_path)  # two spellings of one file
+    with pytest.raises(ValueError, match="both go to"):
+        BatchConfig(m=3, n=4, k=2, out_csv="out.txt", out_json=str(path))
+    assert not path.exists()
+    config = BatchConfig(m=3, n=4, k=2, runs=2, out_csv="rows.csv", out_json="s.json")
+    run_batch(config)
+    assert rows_from_csv((tmp_path / "rows.csv").read_text())
+    assert json.loads((tmp_path / "s.json").read_text())["runs"] == 2
+
+
 def test_batch_config_from_dict_names_the_missing_fields():
     with pytest.raises(ValueError, match=r"\['k'\]"):
         BatchConfig.from_dict({"m": 3, "n": 4})
@@ -210,22 +224,22 @@ def test_batch_config_from_dict_names_the_missing_fields():
 def test_degenerate_batch_everyone_identical():
     config = BatchConfig(m=3, n=2, k=2, runs=10, seed=4)
     report = run_batch(config)
-    for stats in report.stats.values():
+    for stats in report.summary["algorithms"].values():
         assert stats["mean_alpha"] == 6.0
         assert stats["success_rate"] == 1.0
         assert stats["mean_shortfall_pct"] == 0.0
     assert report.pmnk_value == 1.0
-    assert report.exact_oracle_runs == 10
+    assert report.summary["exact_oracle_runs"] == 10
 
 
 def test_batch_greedy_links_is_exact_on_small_instances():
     config = BatchConfig(m=4, n=5, k=2, runs=60, seed=12)
     report = run_batch(config)
-    gl = report.stats["glink"]
+    gl = report.summary["algorithms"]["glink"]
     assert gl["exact_runs"] == 60
     assert gl["success_rate"] == 1.0
     assert gl["mean_shortfall_pct"] == 0.0
-    for stats in report.stats.values():
+    for stats in report.summary["algorithms"].values():
         assert stats["success_rate"] is None or 0.0 <= stats["success_rate"] <= 1.0
         if stats["success_rate"] == 1.0:
             assert stats["mean_shortfall_pct"] == 0.0
@@ -245,7 +259,18 @@ def test_batch_rows_round_trip_through_csv():
     report = run_batch(config)
     text = rows_to_csv(list(report.rows))
     assert rows_from_csv(text) == list(report.rows)
-    assert summarize_rows(rows_from_csv(text)) == report.stats
+    assert summarize_rows(rows_from_csv(text)) == report.summary["algorithms"]
+
+
+def test_rows_from_csv_refuses_malformed_cells():
+    header = "run,seed,algorithm,alpha,optimal,exact_flag,steps,post_sweep_steps\n"
+    good = ["0", "7", "rand", "9", "", "", "3", "0"]
+    assert rows_from_csv(header + ",".join(good) + "\n")[0]["exact_flag"] is None
+    for column, cell in [(0, ""), (3, ""), (6, ""), (4, "x"), (5, "yes"), (5, "True")]:
+        bad = list(good)
+        bad[column] = cell
+        with pytest.raises((ValueError, KeyError)):
+            rows_from_csv(header + ",".join(bad) + "\n")
 
 
 def test_batch_is_byte_deterministic(tmp_path):
@@ -262,8 +287,8 @@ def test_batch_skip_oracle_leaves_success_columns_empty():
     config = BatchConfig(m=5, n=6, k=2, runs=5, seed=1, oracle="skip")
     report = run_batch(config)
     assert all(row["optimal"] is None for row in report.rows)
-    assert all(s["success_rate"] is None for s in report.stats.values())
-    assert list(report.metrics) == list(config.algorithms)  # no oracle counters
+    assert all(s["success_rate"] is None for s in report.summary["algorithms"].values())
+    assert list(report.summary["metrics"]) == list(config.algorithms)  # no oracle counters
     text = rows_to_csv(list(report.rows))
     assert rows_from_csv(text) == list(report.rows)
 
@@ -300,7 +325,7 @@ def test_batch_json_summary(tmp_path):
     data = json.loads(out.read_text())
     assert data["m"] == 3 and data["runs"] == 5
     assert data["pmnk"] == {"value": float(pmnk_exact(3, 4, 2))}
-    assert data["algorithms"]["glink"]["mean_alpha"] == report.stats["glink"]["mean_alpha"]
+    assert data == report.summary  # the report holds the JSON it wrote
     # per-algorithm wall time and steps, summed over the runs, then the
     # oracle's counters, in the JSON only
     assert list(data["metrics"]) == [*config.algorithms, "oracle"]
@@ -317,7 +342,7 @@ def test_batch_json_summary(tmp_path):
     assert oracle == _direct_oracle_counts(config)
     # a batch where the heuristics miss the bound on two instances
     searching = BatchConfig(m=5, n=6, k=2, runs=5, seed=0)
-    counts = run_batch(searching).metrics["oracle"]
+    counts = run_batch(searching).summary["metrics"]["oracle"]
     assert counts.pop("wall_s") >= 0
     assert counts == _direct_oracle_counts(searching)
     assert counts["searched"] == 2
@@ -351,7 +376,8 @@ def test_compare_table_reference_rows_trimmed():
         assert f"m={report.config.m}" in block
         assert "analytic lower bound" in block
         assert f"coverage p(m,n,k) = {report.pmnk_value:.6g} (exact)" in block
-        assert report.stats["rand"]["mean_alpha"] >= report.rand_lower_bound
+        summary = report.summary
+        assert summary["algorithms"]["rand"]["mean_alpha"] >= summary["rand_lower_bound"]
 
 
 def test_readme_library_quickstart_runs(capsys):
