@@ -4,7 +4,7 @@ from .algorithms import (
     ALGORITHM_IDS,
     ALGORITHM_LABELS,
     AlgorithmRun,
-    TieRule,
+    TIE_MODES,
     find_unique_set,
     run_algorithm,
     run_greedy_incremental,
@@ -32,7 +32,6 @@ from .core import (
 from .harness import (
     BatchConfig,
     BatchReport,
-    compare_table,
     derive_seed,
     gen_instance,
     load_instance,

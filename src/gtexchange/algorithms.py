@@ -16,8 +16,10 @@ and returns the raw step record the run's schedule keeps;
 table (:func:`~gtexchange.core.set_table`) that each activation moves
 (:func:`~gtexchange.core.exchange_kept`).  The final masks become
 :class:`~gtexchange.core.SegmentSet` values once, at the end.
-Each run is a pure function of (instance, seed / tie rule); distinct runs
-may execute concurrently with no shared state.
+Each run is a pure function of (instance, seed, tie mode): ``rand`` draws
+its phases from the seed, and under ``random`` ties ``glink``, ``ginc`` and
+``rare`` draw their ties from it.  Distinct runs may execute concurrently
+with no shared state.
 """
 
 from __future__ import annotations
@@ -40,11 +42,6 @@ from .core import (
     set_table,
 )
 
-TIE_LOWEST = "lowest"
-TIE_RANDOM = "random"
-
-ALGORITHM_IDS = ("rand", "glink", "poly", "ginc", "rare")
-
 ALGORITHM_LABELS = {
     "rand": "Randomized",
     "glink": "Greedy-Links",
@@ -52,32 +49,20 @@ ALGORITHM_LABELS = {
     "ginc": "Greedy-Incremental",
     "rare": "Rarest-First",
 }
+ALGORITHM_IDS = tuple(ALGORITHM_LABELS)
+
+# how ties left after a heuristic's own keys go: to the lowest node pair, or
+# to a uniform draw from a generator seeded with the run's seed
+TIE_MODES = ("lowest", "random")
 
 
-@dataclass(frozen=True)
-class TieRule:
-    """How argmax ties between candidate links are resolved.
-
-    The rule applies to the pairs still tied after a heuristic's own keys
-    (for ``glink``: links left alive, then the immediate gain).  ``lowest``
-    picks the canonically smallest (i, j) pair, giving fully deterministic
-    runs; ``random`` picks uniformly with a generator seeded by ``seed``,
-    so a run is reproducible under either rule.
-    """
-
-    mode: str = TIE_LOWEST
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.mode not in (TIE_LOWEST, TIE_RANDOM):
-            raise ValueError(f"unknown tie rule {self.mode!r}")
-
-    def picker(self) -> Callable[[Sequence[tuple[int, int]]], tuple[int, int]]:
-        """Return a function choosing one pair from a sorted candidate list."""
-        if self.mode == TIE_LOWEST:
-            return lambda candidates: candidates[0]
-        rng = random.Random(self.seed)
-        return rng.choice
+def _tie_picker(tie_mode: str, seed: int) -> Callable[[list], tuple[int, int]]:
+    """A function choosing one pair from an ascending candidate list."""
+    if tie_mode not in TIE_MODES:
+        raise ValueError(f"unknown tie mode {tie_mode!r}")
+    if tie_mode == "lowest":
+        return lambda candidates: candidates[0]
+    return random.Random(seed).choice
 
 
 @dataclass(frozen=True)
@@ -168,7 +153,9 @@ def run_randomized(instance: Instance, seed: int) -> AlgorithmRun:
     return _finish("rand", masks, records, rounds=phases)
 
 
-def run_greedy_links(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmRun:
+def run_greedy_links(
+    instance: Instance, tie_mode: str = "lowest", seed: int = 0
+) -> AlgorithmRun:
     """Activate the link that leaves the most links alive afterwards.
 
     Write ``N(U)`` for the number of nodes whose set is incomparable with
@@ -193,7 +180,7 @@ def run_greedy_links(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmR
     exact optimum on every four-node equal-size instance with n <= 7, where
     the pair order alone misses it on some of them.
     """
-    pick = tie.picker()
+    pick = _tie_picker(tie_mode, seed)
     masks = [s.mask for s in instance.initial_sets]
     holders, pairs = set_table(masks)
     incomparable: dict[int, int] = {}  # N of the step before
@@ -210,7 +197,9 @@ def run_greedy_links(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmR
     return _finish("glink", masks, records)
 
 
-def run_greedy_incremental(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmRun:
+def run_greedy_incremental(
+    instance: Instance, tie_mode: str = "lowest", seed: int = 0
+) -> AlgorithmRun:
     """Activate the link with the largest immediate aggregate-cardinality gain.
 
     The gain of pairing i and j is ``2*|union| - |set_i| - |set_j|``: what
@@ -219,7 +208,7 @@ def run_greedy_incremental(instance: Instance, tie: TieRule = TieRule()) -> Algo
     kept linked pairs of distinct sets and hands the node pairs of the best
     ones, in ascending order, to the tie rule.
     """
-    pick = tie.picker()
+    pick = _tie_picker(tie_mode, seed)
     masks = [s.mask for s in instance.initial_sets]
     holders, pairs = set_table(masks)
     records: list[Record] = []
@@ -243,7 +232,9 @@ def _holder_classes(holders: Sequence[int], m: int) -> list[int]:
     return classes
 
 
-def run_rarest_first(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmRun:
+def run_rarest_first(
+    instance: Instance, tie_mode: str = "lowest", seed: int = 0
+) -> AlgorithmRun:
     """Grow the availability of the rarest segments first.
 
     Each step takes the available links with the largest preference row.
@@ -261,7 +252,7 @@ def run_rarest_first(instance: Instance, tie: TieRule = TieRule()) -> AlgorithmR
     of each segment is kept across steps and moved by the two endpoints'
     gains.
     """
-    pick = tie.picker()
+    pick = _tie_picker(tie_mode, seed)
     masks = [s.mask for s in instance.initial_sets]
     full = (1 << instance.n) - 1
     holders = _holders(masks, instance.n)
@@ -365,17 +356,21 @@ def run_algorithm(
     instance: Instance,
     *,
     seed: int = 0,
-    tie: TieRule = TieRule(),
+    tie_mode: str = "lowest",
 ) -> AlgorithmRun:
-    """Dispatch by algorithm id (one of ``rand glink poly ginc rare``)."""
+    """Dispatch by algorithm id (one of :data:`ALGORITHM_IDS`).  ``rand``
+    draws its phases from ``seed``; ``glink``, ``ginc`` and ``rare`` draw
+    their ties from it under ``random`` ties; ``poly`` draws nothing."""
+    if tie_mode not in TIE_MODES:
+        raise ValueError(f"unknown tie mode {tie_mode!r}")
     if algorithm == "rand":
         return run_randomized(instance, seed)
     if algorithm == "glink":
-        return run_greedy_links(instance, tie)
+        return run_greedy_links(instance, tie_mode, seed)
     if algorithm == "poly":
         return run_polygon(instance)
     if algorithm == "ginc":
-        return run_greedy_incremental(instance, tie)
+        return run_greedy_incremental(instance, tie_mode, seed)
     if algorithm == "rare":
-        return run_rarest_first(instance, tie)
+        return run_rarest_first(instance, tie_mode, seed)
     raise ValueError(f"unknown algorithm id {algorithm!r}")

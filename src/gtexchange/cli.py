@@ -5,8 +5,9 @@ instance file), ``optimal`` (exact oracle, seeded with the best of the five
 heuristics), ``batch`` (benchmark run), ``pmnk`` (coverage probability),
 ``bound`` (the paper's recursion for the randomized scheduler's mean),
 ``table`` (one summary block per config of a preset or a JSON list).  All
-node and segment ids printed or read here are 1-based; seeds are always
-explicit (``batch`` and ``table`` default to 0).
+node and segment ids printed or read here are 1-based.  Every seed
+defaults to 0; ``run`` takes one, which seeds rand's phases or, under
+``--tie random``, the other heuristics' ties.
 
 ``batch`` builds its config one way: the ``--config`` file's JSON object, or
 an empty one, with every flag given laid over it under the field's name,
@@ -22,13 +23,13 @@ import os
 import sys
 from dataclasses import replace
 
-from .algorithms import ALGORITHM_IDS, ALGORITHM_LABELS, TieRule, run_algorithm
+from .algorithms import ALGORITHM_IDS, ALGORITHM_LABELS, TIE_MODES, run_algorithm
 from .analysis import pmnk_exact, randomized_lower_bound
 from .core import upper_bound
 from .harness import (
+    ORACLE_MODES,
     TABLE_PRESETS,
     BatchConfig,
-    compare_table,
     gen_instance,
     instance_to_dict,
     load_instance,
@@ -68,8 +69,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_run(args) -> int:
     instance = load_instance(args.instance)
-    tie = TieRule(mode=args.tie, seed=args.tie_seed)
-    result = run_algorithm(args.alg, instance, seed=args.seed, tie=tie)
+    result = run_algorithm(args.alg, instance, seed=args.seed, tie_mode=args.tie)
     print(f"algorithm: {ALGORITHM_LABELS[args.alg]} ({args.alg})")
     print(f"alpha: {result.alpha}")
     print(f"steps: {len(result.schedule)}")
@@ -181,7 +181,7 @@ def _cmd_table(args) -> int:
         raise ValueError(f"more than one output goes to {repeated}")
     if args.csv_dir:
         os.makedirs(args.csv_dir, exist_ok=True)
-    print(compare_table([run_batch(config) for config in configs]))
+    print("\n\n".join(report_text(run_batch(config)) for config in configs))
     return 0
 
 
@@ -203,9 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one algorithm on an instance file")
     p.add_argument("--alg", choices=ALGORITHM_IDS, required=True)
     p.add_argument("--instance", required=True)
-    p.add_argument("--seed", type=int, default=0, help="seed for the randomized algorithm")
-    p.add_argument("--tie", choices=("lowest", "random"), default="lowest")
-    p.add_argument("--tie-seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, default=0, help="rand's phases, or the ties under --tie random"
+    )
+    p.add_argument("--tie", choices=TIE_MODES, default="lowest")
     p.add_argument("--out", help="write the emitted schedule here")
     p.set_defaults(func=_cmd_run)
 
@@ -243,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=lambda ids: ids.split(","),
         help="comma-separated ids, default all five",
     )
-    p.add_argument("--oracle", choices=("exact", "skip"))
-    p.add_argument("--tie", dest="tie_mode", choices=("lowest", "random"))
+    p.add_argument("--oracle", choices=ORACLE_MODES)
+    p.add_argument("--tie", dest="tie_mode", choices=TIE_MODES)
     p.add_argument("--max-states", type=int)
     p.add_argument("--max-seconds", type=float)
     p.add_argument("--csv", dest="out_csv", help="write per-run rows here")
@@ -261,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument(
         "--preset",
         choices=TABLE_PRESETS,
-        help="bounds: rand against its lower bound; small, large: the five "
+        help="bounds: rand against the paper's recursion; small, large: the five "
         "heuristics against the exact optimum",
     )
     # preset only, and set only when given

@@ -1,10 +1,10 @@
 """Experiment generation, batch benchmarking, file formats, and reports.
 
 Batches are fully reproducible: a master seed plus the run index and a
-purpose tag are hashed into independent sub-seeds for instance generation,
-the randomized scheduler, and random tie-breaking, so repeating a batch
-with the same master seed produces byte-identical CSV output.  Runs within
-a batch are independent and aggregation is order-independent.
+purpose tag are hashed into independent sub-seeds: one per instance, and
+one per run of rand or, under random ties, of a tie-breaking heuristic; so
+repeating a batch with the same master seed gives byte-identical CSV.
+Runs within a batch are independent and aggregation is order-independent.
 
 File formats (all 1-based on disk, 0-based in memory):
 
@@ -32,7 +32,7 @@ import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from math import sqrt
 
-from .algorithms import ALGORITHM_IDS, ALGORITHM_LABELS, TieRule, run_algorithm
+from .algorithms import ALGORITHM_IDS, ALGORITHM_LABELS, TIE_MODES, run_algorithm
 from .analysis import check_pmnk_size, pmnk_exact, randomized_lower_bound
 from .core import Instance, Link, Schedule, SegmentSet, upper_bound
 from .oracle import SearchLimits, solve_optimal
@@ -47,6 +47,9 @@ CSV_COLUMNS = (
     "steps",
     "post_sweep_steps",
 )
+
+# a batch certifies each instance's optimum with the exact oracle, or skips it
+ORACLE_MODES = ("exact", "skip")
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -205,6 +208,8 @@ class BatchConfig:
                 )
         if self.runs < 1:
             raise ValueError(f"need at least one run, got {self.runs}")
+        if self.m < 2:
+            raise ValueError(f"a batch needs at least two nodes, got m={self.m}")
         if (
             self.out_csv
             and self.out_json
@@ -213,9 +218,10 @@ class BatchConfig:
             raise ValueError(f"the CSV and the JSON both go to {self.out_csv}")
         # the batch reports the exact coverage: refuse its size up front
         check_pmnk_size(self.m, self.n, self.k)
-        if self.oracle not in ("exact", "skip"):
-            raise ValueError(f"oracle mode must be exact or skip, got {self.oracle!r}")
-        TieRule(mode=self.tie_mode)  # refuses an unknown tie mode
+        if self.oracle not in ORACLE_MODES:
+            raise ValueError(f"unknown oracle mode {self.oracle!r}, not in {ORACLE_MODES}")
+        if self.tie_mode not in TIE_MODES:
+            raise ValueError(f"unknown tie mode {self.tie_mode!r}, not in {TIE_MODES}")
         unknown = [a for a in self.algorithms if a not in ALGORITHM_IDS]
         if unknown:
             raise ValueError(f"unknown algorithm ids: {unknown}")
@@ -345,13 +351,15 @@ def run_batch(config: BatchConfig) -> BatchReport:
         ub_total += ub
         runs = []
         for alg in config.algorithms:
-            random_ties = config.tie_mode == "random"
-            tie_seed = derive_seed(config.seed, t, "tie", alg) if random_ties else 0
-            # only rand reads its seed
-            seed = derive_seed(config.seed, t, "alg", alg) if alg == "rand" else 0
-            tie = TieRule(mode=config.tie_mode, seed=tie_seed)
+            # rand draws its phases from its seed, the rest their random ties
+            if alg == "rand":
+                seed = derive_seed(config.seed, t, "alg", "rand")
+            elif config.tie_mode == "random":
+                seed = derive_seed(config.seed, t, "tie", alg)
+            else:
+                seed = 0
             start = time.perf_counter()
-            runs.append(run_algorithm(alg, instance, seed=seed, tie=tie))
+            runs.append(run_algorithm(alg, instance, seed=seed, tie_mode=config.tie_mode))
             metrics[alg]["wall_s"] += time.perf_counter() - start
             metrics[alg]["steps"] += len(runs[-1].schedule)
         optimal = None
@@ -390,7 +398,7 @@ def run_batch(config: BatchConfig) -> BatchReport:
     summary = {name: value for name, value in asdict(config).items() if name not in skip}
     summary |= {
         "pmnk": {"value": float(pmnk_exact(config.m, config.n, config.k))},
-        "rand_lower_bound": randomized_lower_bound(config.m, config.n, config.k)[0],
+        "rand_recursion": randomized_lower_bound(config.m, config.n, config.k)[0],
         "mean_upper_bound": ub_total / config.runs,
         "exact_oracle_runs": exact_runs,
         "oracle_exceeded_runs": exceeded,
@@ -467,15 +475,8 @@ def report_text(report: BatchReport) -> str:
             f"{stats['ci95']:>8.1f} {success:>8} {shortfall:>11}"
         )
         if alg == "rand":
-            lines.append(
-                f"  {'  analytic lower bound':<20} {s['rand_lower_bound']:>12.1f}"
-            )
+            lines.append(f"    paper's recursion  {s['rand_recursion']:>12.1f}")
     return "\n".join(lines)
-
-
-def compare_table(reports: list[BatchReport]) -> str:
-    """One formatted summary block per report, separated by blank lines."""
-    return "\n\n".join(report_text(report) for report in reports)
 
 
 def reference_bound_configs(runs: int = 100, seed: int = 0) -> list[BatchConfig]:

@@ -8,7 +8,6 @@ import hypothesis.strategies as st
 from gtexchange import (
     ALGORITHM_IDS,
     Link,
-    TieRule,
     apply_schedule,
     find_unique_set,
     run_algorithm,
@@ -276,15 +275,18 @@ def _union_of_others(masks, i):
 
 
 def test_tie_rule_validation():
+    inst = build_instance(3, [0], [1])
     with pytest.raises(ValueError):
-        TieRule(mode="coin-flip")
+        run_greedy_links(inst, "coin-flip")
+    for alg in ALGORITHM_IDS:
+        with pytest.raises(ValueError, match="coin-flip"):
+            run_algorithm(alg, inst, tie_mode="coin-flip")
 
 
 def test_seeded_random_ties_are_reproducible():
     inst = build_instance(5, [0, 1], [1, 2], [2, 3], [3, 4])
-    tie = TieRule(mode="random", seed=42)
-    a = run_greedy_links(inst, tie)
-    b = run_greedy_links(inst, tie)
+    a = run_greedy_links(inst, "random", 42)
+    b = run_greedy_links(inst, "random", 42)
     assert a.schedule == b.schedule
     assert not pair_scan_links([s.mask for s in a.final_state])
 

@@ -206,6 +206,24 @@ def test_exact_rand_means_and_the_side_the_recursion_falls_on():
         ], (m, n, k, diff)
 
 
+def test_the_recursion_against_rand_exact_mean_on_every_small_row():
+    """Every row with 2 <= m <= 4, n <= 6 and k < n: the recursion is rand's
+    exact mean at m = 2, above it at every m = 3 row, and above it at seven
+    m = 4 rows, so it is not a lower bound there."""
+    above = set()
+    for m in (2, 3, 4):
+        for n in range(2, 7):
+            for k in range(1, n):
+                diff = randomized_lower_bound(m, n, k)[0] - expected_rand(m, n, k)
+                if m == 2:
+                    assert abs(diff) < 1e-9, (n, k, diff)
+                elif diff > 0:
+                    above.add((m, n, k))
+    assert above == {(3, n, k) for n in range(2, 7) for k in range(1, n)} | {
+        (4, 2, 1), (4, 3, 2), (4, 4, 3), (4, 5, 3), (4, 5, 4), (4, 6, 4), (4, 6, 5)
+    }
+
+
 def test_program_rand_mean_matches_the_exact_chain_at_4_5_3():
     alphas = [
         run_randomized(

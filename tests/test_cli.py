@@ -100,6 +100,29 @@ def test_run_with_random_ties_is_reproducible(tmp_path, capsys):
     assert second == first
 
 
+def test_run_seed_draws_the_random_ties(tmp_path, capsys):
+    """One --seed per run: under --tie random it seeds the greedy
+    heuristics' ties, so two seeds give two schedules here."""
+    instance = gen_instance(15, 20, 5, 3)
+    inst_path = tmp_path / "instance.json"
+    save_instance(instance, str(inst_path))
+    argv = ("run", "--alg", "ginc", "--instance", str(inst_path), "--tie", "random")
+    schedules = set()
+    for seed in (0, 1, 7):
+        code, out, _ = invoke(capsys, *argv, "--seed", str(seed))
+        run = run_algorithm("ginc", instance, seed=seed, tie_mode="random")
+        assert code == 0 and f"alpha: {run.alpha}\n" in out
+        schedules.add(out.split("schedule:")[1])
+    assert len(schedules) > 1
+
+
+def test_run_has_no_tie_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--alg", "ginc", "--instance", "inst.json", "--tie-seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tie-seed" in capsys.readouterr().err
+
+
 def test_optimal_reports_exact_value_and_witness(tmp_path, capsys):
     inst_path = write_instance(tmp_path, 5, *SUBOPTIMAL_GREEDY)
     witness_path = tmp_path / "witness.json"
@@ -324,21 +347,22 @@ def test_table_from_config_file(tmp_path, capsys):
     )
     code, out, _ = invoke(capsys, "table", "--config", str(cfg_path))
     assert code == 0
-    assert out.count("analytic lower bound") == 2
+    assert out.count("paper's recursion") == 2
 
 
 # sha256 of stdout and of each per-run CSV, recorded with the former
-# heuristics script at the same sizes, runs and seed 0
+# heuristics script at the same sizes, runs and seed 0; stdout re-recorded
+# when rand's second line became "paper's recursion", the only lines changed
 PRESET_DIGESTS = {
     ("small", "2"): (
-        "dfd18ee53b156412bc47ccd6252f89d113e7b873d2070d4add18327824a7492d",
+        "f8e712dbadbf7f0da81bbe65f369c3a84f3fb02fe869dfc9a2e6f647881e0403",
         {
             "batch_m4_n5_k2.csv": "a03f4e2f67693203787f995489402c12e806f2ee222e13c73d1d488d18a7f127",
             "batch_m15_n20_k5.csv": "5f8d87b5660c35ad4f7ed70e997bd7da1522c05c54ce9dc38254f9802b19041c",
         },
     ),
     ("large", "1"): (
-        "c889735a500bec104071c61947971a099d307905928aa49a3b250fe50798a33f",
+        "149a4ba6412bfa5bec887b893d73d68e84a4ec375dfb381f35fef160161be6fc",
         {
             "batch_m4_n5_k2.csv": "5175722d78a61d26a0d68f5ff909660a53567909025369f59194bf61103174d1",
             "batch_m15_n20_k5.csv": "5cb9ad6570b92050ccfc1799d91e74cc63c95d153bf2410677b0919ba4d1537e",
@@ -596,6 +620,26 @@ def test_batch_config_with_an_unknown_tie_mode_is_refused_before_any_run(
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
     assert "bogus" in err
+    assert not csv_path.exists()
+
+
+def test_table_with_a_single_node_config_is_refused_before_any_run(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr("gtexchange.harness.gen_instance", _no_instance_may_run)
+    cfg = tmp_path / "table.json"
+    csv_path = tmp_path / "t1.csv"
+    cfg.write_text(
+        json.dumps(
+            [
+                {"m": 4, "n": 5, "k": 2, "runs": 3, "out_csv": str(csv_path)},
+                {"m": 1, "n": 5, "k": 2, "runs": 1},
+            ]
+        )
+    )
+    code, out, err = invoke(capsys, "table", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "m=1" in err
     assert not csv_path.exists()
 
 

@@ -20,7 +20,7 @@ from gtexchange import (
     ALGORITHM_IDS,
     InvalidActivationError,
     Link,
-    TieRule,
+    TIE_MODES,
     apply_schedule,
     run_algorithm,
     run_greedy_incremental,
@@ -64,9 +64,10 @@ crowded_instances = st.builds(
     st.sampled_from([(10, 6, 3), (10, 8, 4)]),
     st.integers(0, 2**32),
 )
+# (tie mode, seed) pairs
 tie_rules = st.one_of(
-    st.just(TieRule()),
-    st.integers(0, 2**32).map(lambda seed: TieRule(mode="random", seed=seed)),
+    st.just(("lowest", 0)),
+    st.integers(0, 2**32).map(lambda seed: ("random", seed)),
 )
 
 
@@ -84,20 +85,20 @@ def pairs_of(run):
 
 @given(any_instances, tie_rules)
 def test_greedy_links_matches_the_third_node_scan(instance, tie):
-    expected = reference_greedy_links(instance, tie.mode, tie.seed)
-    assert pairs_of(run_greedy_links(instance, tie)) == expected
+    expected = reference_greedy_links(instance, *tie)
+    assert pairs_of(run_greedy_links(instance, *tie)) == expected
 
 
 @given(any_instances, tie_rules)
 def test_rarest_first_matches_the_full_row_argmax(instance, tie):
-    expected = reference_rarest_first(instance, tie.mode, tie.seed)
-    assert pairs_of(run_rarest_first(instance, tie)) == expected
+    expected = reference_rarest_first(instance, *tie)
+    assert pairs_of(run_rarest_first(instance, *tie)) == expected
 
 
 @given(st.one_of(any_instances, crowded_instances), tie_rules)
 def test_greedy_incremental_matches_the_pair_rescan(instance, tie):
-    expected = reference_greedy_incremental(instance, tie.mode, tie.seed)
-    assert pairs_of(run_greedy_incremental(instance, tie)) == expected
+    expected = reference_greedy_incremental(instance, *tie)
+    assert pairs_of(run_greedy_incremental(instance, *tie)) == expected
 
 
 @given(st.one_of(any_instances, crowded_instances))
@@ -139,12 +140,12 @@ def test_schedulers_match_the_references_on_crowded_instances(mnk):
     endpoints; such a miscount changes a few percent of these schedules."""
     for seed in range(150):
         instance = gen_instance(*mnk, seed)
-        for tie in (TieRule(), TieRule(mode="random", seed=seed)):
-            assert pairs_of(run_greedy_links(instance, tie)) == reference_greedy_links(
-                instance, tie.mode, tie.seed
+        for tie in (("lowest", 0), ("random", seed)):
+            assert pairs_of(run_greedy_links(instance, *tie)) == reference_greedy_links(
+                instance, *tie
             )
-            assert pairs_of(run_rarest_first(instance, tie)) == reference_rarest_first(
-                instance, tie.mode, tie.seed
+            assert pairs_of(run_rarest_first(instance, *tie)) == reference_rarest_first(
+                instance, *tie
             )
         run = run_randomized(instance, seed)
         assert (pairs_of(run), run.rounds) == reference_randomized(instance, seed)
@@ -153,7 +154,7 @@ def test_schedulers_match_the_references_on_crowded_instances(mnk):
 @given(any_instances, tie_rules)
 def test_every_rarest_first_step_takes_a_maximal_row(instance, tie):
     masks = [s.mask for s in instance.initial_sets]
-    for link in run_rarest_first(instance, tie).schedule.link_list():
+    for link in run_rarest_first(instance, *tie).schedule.link_list():
         rows = rarest_first_rows(masks, instance.n)
         assert rows[link] == max(rows.values())
         exchange(masks, link.i, link.j)
@@ -224,12 +225,12 @@ def test_moved_links_alive_matches_a_fresh_count_after_every_exchange(instance, 
         exchange_kept(masks, holders, pairs, i, j)
 
 
-@given(any_instances, tie_rules, st.integers(0, 2**32))
-def test_schedule_views_match_a_traced_replay(instance, tie, seed):
+@given(any_instances, st.sampled_from(TIE_MODES), st.integers(0, 2**32))
+def test_schedule_views_match_a_traced_replay(instance, tie_mode, seed):
     """A run keeps raw records; its link view, built on reading, replays
     through the kernel to the same records and the run's final state."""
     for algorithm in ALGORITHM_IDS:
-        run = run_algorithm(algorithm, instance, seed=seed, tie=tie)
+        run = run_algorithm(algorithm, instance, seed=seed, tie_mode=tie_mode)
         masks = [s.mask for s in instance.initial_sets]
         traced = [exchange(masks, link.i, link.j) for link in run.schedule.link_list()]
         assert run.schedule.records == tuple(traced)
@@ -286,9 +287,9 @@ def test_full_runs_are_identical_to_the_state_based_schedulers():
     for mnk, seeds in (((15, 20, 5), range(4)), ((100, 300, 15), range(1))):
         for seed in seeds:
             instance = gen_instance(*mnk, seed)
-            for tie in (TieRule(), TieRule(mode="random", seed=seed)):
+            for tie_mode in TIE_MODES:
                 for algorithm in ALGORITHM_IDS:
-                    run = run_algorithm(algorithm, instance, seed=seed, tie=tie)
+                    run = run_algorithm(algorithm, instance, seed=seed, tie_mode=tie_mode)
                     record = (
                         run.algorithm,
                         list(run.schedule.records),
