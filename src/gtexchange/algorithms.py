@@ -33,6 +33,7 @@ from .core import (
     Record,
     Schedule,
     SegmentSet,
+    best_set_pairs,
     exchange,
     exchange_kept,
     gt_masks,
@@ -172,13 +173,10 @@ def run_greedy_links(
     O(D) for the table, one pass over the kept pairs and keys, plus O(D)
     per new key.
 
-    Set pairs tied on that count are ordered by their immediate gain
-    ``2*|x | y| - |x| - |y| = |x ^ y|``, larger first (the ``ginc``
-    weight), and the node pairs holding the set pairs tied on both go, in
-    ascending order, to the tie rule.  The gain depends on the node sets,
-    not on how the nodes are numbered; with it, every tie path reaches the
-    exact optimum on every four-node equal-size instance with n <= 7, where
-    the pair order alone misses it on some of them.
+    Set pairs tied on that count go by their immediate gain
+    (:func:`~gtexchange.core.best_set_pairs`, the oracle's first choice
+    too), and the node pairs holding the set pairs tied on both go, in
+    ascending order, to the tie rule.
     """
     pick = _tie_picker(tie_mode, seed)
     masks = [s.mask for s in instance.initial_sets]
@@ -189,9 +187,7 @@ def run_greedy_links(
     while pairs:
         # live + 1 is common to every pair
         score, incomparable = links_alive(holders, pairs, incomparable, x, y)
-        winners = _argmax(list(pairs), score)
-        winners = _argmax(winners, [(a ^ b).bit_count() for a, b in winners])
-        i, j = pick(node_pairs(holders, winners))
+        i, j = pick(node_pairs(holders, best_set_pairs(pairs, score)))
         x, y = masks[i], masks[j]
         records.append(exchange_kept(masks, holders, pairs, i, j))
     return _finish("glink", masks, records)

@@ -26,7 +26,8 @@ oracle build a set table, the holders of each distinct set and every
 linked set pair with its union, from that scan (:func:`set_table`); the
 schedulers build it once per run and move it in O(D) per activation
 (:func:`exchange_kept`).  Greedy-links and the oracle score set pairs by
-the links an activation keeps alive in one place (:func:`links_alive`),
+the links an activation keeps alive in one place (:func:`links_alive`)
+and make greedy-links' choice in one place (:func:`best_set_pairs`),
 and the schedulers expand only the set pairs they choose into node pairs
 (:func:`node_pairs`).
 
@@ -289,6 +290,27 @@ def links_alive(
         for (a, b), w in pairs.items()
     ]
     return score, incomparable
+
+
+def best_set_pairs(
+    pairs: Iterable[tuple[int, int]], score: Sequence[int]
+) -> list[tuple[int, int]]:
+    """Greedy-links' choice among a state's linked set pairs: those with the
+    highest ``score`` (:func:`links_alive`'s, one per pair in ``pairs``
+    order), then of those the ones with the largest immediate gain
+    ``2*|a | b| - |a| - |b| = |a ^ b|`` (the ``ginc`` weight), in ``pairs``
+    order.
+
+    The gain depends on the node sets, not on how the nodes are numbered;
+    with it, every tie path reaches the exact optimum on every four-node
+    equal-size instance with n <= 7, where the pair order alone misses it
+    on some of them.  Greedy-links hands the node pairs holding these set
+    pairs to its tie rule, and the oracle's first descent takes the first.
+    """
+    best = max(score)
+    tied = [pair for pair, value in zip(pairs, score) if value == best]
+    gain = max((a ^ b).bit_count() for a, b in tied)
+    return [(a, b) for a, b in tied if (a ^ b).bit_count() == gain]
 
 
 def exchange(masks: list[int], i: int, j: int) -> Record:

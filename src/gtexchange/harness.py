@@ -396,13 +396,21 @@ def run_batch(config: BatchConfig) -> BatchReport:
     # the config but its output paths and its algorithm ids, the keys of "algorithms"
     skip = ("algorithms", "out_csv", "out_json")
     summary = {name: value for name, value in asdict(config).items() if name not in skip}
+    stats = summarize_rows(rows)
+    recursion = randomized_lower_bound(config.m, config.n, config.k)[0]
+    mean_ub = ub_total / config.runs
     summary |= {
         "pmnk": {"value": float(pmnk_exact(config.m, config.n, config.k))},
-        "rand_recursion": randomized_lower_bound(config.m, config.n, config.k)[0],
-        "mean_upper_bound": ub_total / config.runs,
+        "rand_recursion": recursion,
+        "mean_upper_bound": mean_ub,
+        # the recursion is no lower bound where it exceeds either mean
+        "recursion_above_mean_upper_bound": recursion > mean_ub,
+        "recursion_above_rand_mean": (
+            recursion > stats["rand"]["mean_alpha"] if "rand" in stats else None
+        ),
         "exact_oracle_runs": exact_runs,
         "oracle_exceeded_runs": exceeded,
-        "algorithms": summarize_rows(rows),
+        "algorithms": stats,
         "metrics": metrics,
     }
     if config.out_csv:
@@ -496,17 +504,12 @@ def reference_bound_configs(runs: int = 100, seed: int = 0) -> list[BatchConfig]
     ]
 
 
-# The heuristics against the exact oracle, as (m, n, k, oracle, limits);
-# every row takes the master seed as is.  At (15,20,5) each search gets 5
-# seconds, which certifies all but about 1 in 100 instances; (40,50,5)
-# reports means, intervals and the parity bound without the oracle.
-SMALL_ROWS = (
-    (4, 5, 2, "exact", SearchLimits()),
-    (15, 20, 5, "exact", SearchLimits(max_seconds=5)),
-)
+# The heuristics against the exact oracle, as (m, n, k); every row takes
+# the master seed as is and the default search limits, under which all 100
+# runs of each row certify at seed 0.
 HEURISTIC_PRESETS = {
-    "small": SMALL_ROWS,
-    "large": SMALL_ROWS + ((40, 50, 5, "skip", SearchLimits()),),
+    "small": ((4, 5, 2), (15, 20, 5)),
+    "large": ((4, 5, 2), (15, 20, 5), (40, 50, 5)),
 }
 TABLE_PRESETS = ("bounds", *HEURISTIC_PRESETS)
 
@@ -516,6 +519,6 @@ def preset_configs(preset: str, runs: int = 100, seed: int = 0) -> list[BatchCon
     if preset == "bounds":
         return reference_bound_configs(runs=runs, seed=seed)
     return [
-        BatchConfig(m=m, n=n, k=k, runs=runs, seed=seed, oracle=oracle, limits=limits)
-        for m, n, k, oracle, limits in HEURISTIC_PRESETS[preset]
+        BatchConfig(m=m, n=n, k=k, runs=runs, seed=seed)
+        for m, n, k in HEURISTIC_PRESETS[preset]
     ]

@@ -16,10 +16,11 @@ The search stays exhaustive; three things let it stop early or not start:
   heuristic run a batch already made or else a greedy-links presolve.  An
   incumbent meeting the bound is certified without a search, and so is one
   that a finished search does not beat, its schedule being the witness;
-* child order: a state's children are tried by the number of links they
-  keep alive, most first (the greedy-links score,
-  :func:`~gtexchange.core.links_alive`), so the first leaves reached tend
-  to be good ones.  The order decides only which leaf comes first.
+* child order: a state's first child is greedy-links' choice there
+  (:func:`~gtexchange.core.best_set_pairs`: most links kept alive, then
+  largest gain), so the first descent runs greedy-links, and the rest are
+  tried by links kept alive, most first (:func:`~gtexchange.core.links_alive`).
+  The order decides only which leaf comes first.
 
 Budgets are enforced per search.  On an overrun the result is flagged
 inexact and carries the better of the incumbent and the best leaf reached,
@@ -34,7 +35,15 @@ from dataclasses import dataclass
 from typing import Generator, Iterable
 
 from .algorithms import AlgorithmRun, run_greedy_links
-from .core import Instance, Schedule, exchange, links_alive, set_table, upper_bound
+from .core import (
+    Instance,
+    Schedule,
+    best_set_pairs,
+    exchange,
+    links_alive,
+    set_table,
+    upper_bound,
+)
 
 
 @dataclass(frozen=True)
@@ -161,12 +170,14 @@ class _Search:
                 self.best_path = tuple(self.path)
             self.memo[key] = best
             return best
-        # Children go by links kept alive, most first, ties in pair order.
-        # While the first child's subtree is searched this state keeps only
-        # O(m) data, so a deep descent holds no O(m^2) pair list per level;
-        # if the search comes back, the table is built and scored again.
+        # The first child is greedy-links' choice; the rest go by links kept
+        # alive, most first, ties in pair order.  While the first child's
+        # subtree is searched this state keeps only O(m) data, so a deep
+        # descent holds no O(m^2) pair list per level; if the search comes
+        # back, the table is built and scored again.
         score, incomparable = links_alive(holders, pairs, *self.handoff)
-        first = self._child(key, list(pairs)[score.index(max(score))], incomparable)
+        tried = best_set_pairs(pairs, score)[0]
+        first = self._child(key, tried, incomparable)
         del holders, pairs, score, incomparable
         best = yield first
         self.path.pop()
@@ -174,7 +185,8 @@ class _Search:
             holders, pairs = set_table(key)
             score, incomparable = links_alive(holders, pairs, {}, 0, 0)
             ranked = dict(zip(pairs, score))
-            for pair in sorted(ranked, key=ranked.__getitem__, reverse=True)[1:]:
+            del ranked[tried]
+            for pair in sorted(ranked, key=ranked.__getitem__, reverse=True):
                 value = yield self._child(key, pair, incomparable)
                 self.path.pop()
                 if value > best:

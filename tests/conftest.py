@@ -1,9 +1,12 @@
 import random
+import sys
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import settings
 
 from gtexchange import Instance, SegmentSet
+from gtexchange.harness import gen_instance
 
 settings.register_profile("dev", max_examples=60, deadline=None)
 settings.load_profile("dev")
@@ -46,6 +49,29 @@ def no_initial_universe_holder(instance):
     """True when no node starts out already holding the realized universe."""
     union = instance.realized_universe.mask
     return all(s.mask != union for s in instance.initial_sets)
+
+
+def deep_instance():
+    """An instance whose oracle search runs past its budget, hundreds of
+    activations deep: gen_instance(60, 100, 2, 27) plus a shared segment
+    every node holds and a 61st node holding only that segment.  That node
+    never links, so no schedule meets the parity bound and the search cannot
+    stop early.  Its first 800 states reach a leaf at 4261, above all five
+    heuristics (at most 4253), along a 318-step path."""
+    base = gen_instance(60, 100, 2, 27)
+    shared = 1 << base.n
+    sets = tuple(SegmentSet(s.mask | shared) for s in base.initial_sets)
+    return Instance(m=base.m + 1, n=base.n + 1, initial_sets=sets + (SegmentSet(shared),))
+
+
+@pytest.fixture
+def low_recursion_limit():
+    """Python's recursion limit, lowered to 250 for one test and then restored:
+    a search that went deeper by recursion would die with RecursionError."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    yield 250
+    sys.setrecursionlimit(old)
 
 
 def criterion_03_grid():

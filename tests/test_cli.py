@@ -10,9 +10,7 @@ import pytest
 
 from gtexchange import (
     ALGORITHM_IDS,
-    Instance,
     SearchLimits,
-    SegmentSet,
     apply_schedule,
     pmnk_exact,
     run_algorithm,
@@ -26,7 +24,7 @@ from gtexchange.harness import (
     load_schedule,
     save_instance,
 )
-from conftest import build_instance
+from conftest import build_instance, deep_instance
 
 # greedy-links reaches 18 here; the optimum is 20, which rand and rare reach
 SUBOPTIMAL_GREEDY = ([0, 1], [0, 2], [0, 1, 3], [2, 3, 4])
@@ -149,9 +147,9 @@ def test_optimal_flags_budget_overrun(tmp_path, capsys):
 
 
 def test_optimal_overrun_reports_no_less_than_any_heuristic(tmp_path, capsys):
-    # the five heuristics reach at most 278 here (greedy-links), the bound is
+    # the five heuristics reach at most 282 here (greedy-links), the bound is
     # 284, and the search does not finish within 2000 states
-    instance = gen_instance(15, 20, 5, derive_seed(0, 19, "instance"))
+    instance = gen_instance(15, 20, 5, derive_seed(0, 654, "instance"))
     inst_path = tmp_path / "instance.json"
     save_instance(instance, str(inst_path))
     witness_path = tmp_path / "witness.json"
@@ -352,7 +350,10 @@ def test_table_from_config_file(tmp_path, capsys):
 
 # sha256 of stdout and of each per-run CSV, recorded with the former
 # heuristics script at the same sizes, runs and seed 0; stdout re-recorded
-# when rand's second line became "paper's recursion", the only lines changed
+# when rand's second line became "paper's recursion", the only lines changed.
+# "large" re-recorded when the oracle began to run at (40,50,5): that block's
+# header, exact-optima line, success and shortfall cells and its CSV's
+# optimal and exact_flag columns are the only changes.
 PRESET_DIGESTS = {
     ("small", "2"): (
         "f8e712dbadbf7f0da81bbe65f369c3a84f3fb02fe869dfc9a2e6f647881e0403",
@@ -362,11 +363,11 @@ PRESET_DIGESTS = {
         },
     ),
     ("large", "1"): (
-        "149a4ba6412bfa5bec887b893d73d68e84a4ec375dfb381f35fef160161be6fc",
+        "afc6478ead48160aaedb3ec4eb97ad0fea813110cbdb4b1f4e2959086eeb7e61",
         {
             "batch_m4_n5_k2.csv": "5175722d78a61d26a0d68f5ff909660a53567909025369f59194bf61103174d1",
             "batch_m15_n20_k5.csv": "5cb9ad6570b92050ccfc1799d91e74cc63c95d153bf2410677b0919ba4d1537e",
-            "batch_m40_n50_k5.csv": "62af91f94d9f48914fcf9e71c0258e7ba7de584c20469a7d87b172f81111bd42",
+            "batch_m40_n50_k5.csv": "812d8a245c904f372ff40ce29b7d02d84aa65c221b30e9290ba0d42ba58b3eab",
         },
     ),
 }
@@ -686,20 +687,33 @@ def test_module_entry_point_refuses_a_batch_without_k():
     assert "'k'" in proc.stderr
 
 
-def test_optimal_on_a_deep_instance_reports_the_overrun(tmp_path, capsys):
-    # the search's first descent runs more activations deep than Python's
-    # default recursion limit; the budget check stops it at 1200 + 1 states.
-    # The last node holds only a segment every other node holds, so it never
-    # links and no heuristic meets the parity bound: the search has to run.
-    base = gen_instance(120, 200, 2, 12)
-    shared = 1 << 200
-    sets = tuple(SegmentSet(s.mask | shared) for s in base.initial_sets)
-    sets += (SegmentSet(shared),)
+def test_optimal_on_a_deep_instance_reports_the_overrun(
+    tmp_path, capsys, low_recursion_limit
+):
+    # no heuristic meets the parity bound, so the search has to run; the
+    # budget check stops it at 800 + 1 states, and its best leaf, deeper than
+    # the recursion limit, beats every heuristic, so it is the witness
+    instance = deep_instance()
     path = tmp_path / "deep.json"
-    save_instance(Instance(m=121, n=201, initial_sets=sets), str(path))
+    witness_path = tmp_path / "witness.json"
+    save_instance(instance, str(path))
     code, out, _ = invoke(
-        capsys, "optimal", "--instance", str(path), "--max-states", "1200"
+        capsys, "optimal", "--instance", str(path), "--max-states", "800",
+        "--out", str(witness_path),
     )
     assert code == 0
     assert "exact: false" in out
-    assert "visited_states: 1201" in out
+    assert "visited_states: 801" in out
+    alpha = int(out.split("alpha:")[1].split()[0])
+    for alg in ALGORITHM_IDS:
+        assert run_algorithm(alg, instance).alpha < alpha
+    witness = load_schedule(str(witness_path))
+    assert len(witness) > low_recursion_limit
+    final, _ = apply_schedule(instance, witness)
+    assert sum(map(len, final)) == alpha
+
+
+def test_small_preset_certifies_every_run_under_the_default_limits(capsys):
+    code, out, err = invoke(capsys, "table", "--preset", "small")
+    assert (code, err) == (0, "")
+    assert out.count("exact optima on 100/100 runs\n") == 2

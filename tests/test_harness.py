@@ -381,6 +381,26 @@ def test_compare_table_reference_rows_trimmed():
         assert f"coverage p(m,n,k) = {report.pmnk_value:.6g} (exact)" in block
         summary = report.summary
         assert summary["algorithms"]["rand"]["mean_alpha"] >= summary["rand_recursion"]
+        assert summary["recursion_above_mean_upper_bound"] is False
+        assert summary["recursion_above_rand_mean"] is False
+
+
+def test_batch_json_flags_a_recursion_that_is_no_lower_bound(tmp_path):
+    # at (3,2,1) the recursion gives 5.0625, and no instance ends above 5
+    json_path, csv_path = tmp_path / "summary.json", tmp_path / "rows.csv"
+    config = BatchConfig(
+        m=3, n=2, k=1, runs=20, out_json=str(json_path), out_csv=str(csv_path)
+    )
+    report = run_batch(config)
+    summary = json.loads(json_path.read_text())
+    assert summary["rand_recursion"] == 5.0625
+    assert summary["recursion_above_mean_upper_bound"] is True
+    assert summary["recursion_above_rand_mean"] is True
+    # the flags live in the JSON only
+    for text in (csv_path.read_text(), report_text(report)):
+        assert "recursion_above" not in text
+    glink_only = run_batch(BatchConfig(m=3, n=2, k=1, runs=2, algorithms=("glink",)))
+    assert glink_only.summary["recursion_above_rand_mean"] is None
 
 
 def test_readme_library_quickstart_runs(capsys):

@@ -19,6 +19,7 @@ from gtexchange.harness import derive_seed, gen_instance
 from conftest import (
     build_instance,
     criterion_03_grid,
+    deep_instance,
     instances,
     no_initial_universe_holder,
     relaxed_instances,
@@ -213,10 +214,11 @@ def test_seeded_and_unseeded_searches_agree_on_the_criterion_03_grid():
 
 
 def test_overrun_reports_no_less_than_the_incumbent():
-    # on this instance the batch's rand run reaches 279, one more than
-    # greedy-links, and the search does not finish within 2000 states
-    instance = gen_instance(15, 20, 5, derive_seed(0, 19, "instance"))
-    rand = run_algorithm("rand", instance, seed=derive_seed(0, 19, "alg", "rand"))
+    # on this instance the batch's rand run reaches 298, one more than
+    # greedy-links and one short of the bound, and the search seeded with
+    # it does not finish within 2000 states
+    instance = gen_instance(15, 20, 5, derive_seed(0, 99, "instance"))
+    rand = run_algorithm("rand", instance, seed=derive_seed(0, 99, "alg", "rand"))
     assert rand.alpha > run_algorithm("glink", instance).alpha
     for max_states in (1, 2000):
         result = solve_optimal(
@@ -235,12 +237,30 @@ def test_search_without_an_incumbent_still_certifies():
         assert solve_optimal(instance).exact
 
 
-def test_deep_search_reports_an_overrun_instead_of_overflowing_the_stack():
-    # the first descent runs more activations deep than Python's default
-    # recursion limit, which the recursive search could not survive
-    result = solve_optimal(gen_instance(120, 200, 2, 12), SearchLimits(max_states=1200))
+def test_deep_search_reports_an_overrun_instead_of_overflowing_the_stack(
+    low_recursion_limit,
+):
+    # the search's best leaf beats its greedy-links presolve, so the witness
+    # is the search's own path, and it is deeper than the recursion limit
+    instance = deep_instance()
+    result = solve_optimal(instance, SearchLimits(max_states=800))
     assert not result.exact
-    assert result.visited == 1201
+    assert result.visited == 801
+    assert result.alpha > run_algorithm("glink", instance).alpha
+    assert len(result.witness) > low_recursion_limit
+    final, _ = apply_schedule(instance, result.witness.link_list())
+    assert sum(map(len, final)) == result.alpha
+
+
+def test_run_19_of_the_small_preset_certifies_at_the_parity_bound():
+    # the instance a pair-order child ranking could not certify in 60 s
+    instance = gen_instance(15, 20, 5, derive_seed(0, 19, "instance"))
+    result = solve_optimal(instance, incumbent=_best_heuristic_run(instance))
+    assert result.exact
+    assert result.alpha == upper_bound(instance) == 284
+    final, _ = apply_schedule(instance, result.witness.link_list())
+    assert sum(map(len, final)) == 284
+    assert not pair_scan_links([s.mask for s in final])
 
 
 # --------------------------------------------------------------- enumeration
