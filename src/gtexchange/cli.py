@@ -13,11 +13,15 @@ defaults to 0; ``run`` takes one, which seeds rand's phases or, under
 an empty one, with every flag given laid over it under the field's name,
 then validated once by :meth:`~gtexchange.harness.BatchConfig.from_dict`;
 so the config's own defaults are the only ones.
+
+The parser is built once per process, on the first :func:`main` call, so
+in-process callers pay for it once and a shell ``gtx`` call is unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -185,6 +189,7 @@ def _cmd_table(args) -> int:
     return 0
 
 
+@functools.cache  # parsing leaves the tree unchanged, so every call shares one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gtx",

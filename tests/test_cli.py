@@ -1,4 +1,6 @@
+import argparse
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import gtexchange
 from gtexchange import (
     ALGORITHM_IDS,
     SearchLimits,
@@ -16,6 +19,7 @@ from gtexchange import (
     run_algorithm,
     run_batch,
 )
+from gtexchange import cli
 from gtexchange.cli import main
 from gtexchange.harness import (
     derive_seed,
@@ -685,6 +689,76 @@ def test_module_entry_point_refuses_a_batch_without_k():
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert "'k'" in proc.stderr
+
+
+@pytest.fixture
+def fresh_parser_cache():
+    """Drop the cached parser before and after, so the test builds its own."""
+    build = cli.build_parser
+    build.cache_clear()
+    yield
+    build.cache_clear()
+
+
+def test_one_parser_per_process(capsys, monkeypatch, fresh_parser_cache):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+    # importing the module builds none (a second copy; both entries are restored)
+    monkeypatch.setattr(gtexchange, "cli", cli)
+    monkeypatch.delitem(sys.modules, "gtexchange.cli")
+    importlib.import_module("gtexchange.cli")
+    assert built == []
+    assert invoke(capsys, "pmnk", "-m", "2", "-n", "2", "-k", "1")[0] == 0
+    assert invoke(capsys, "bound", "-m", "4", "-n", "5", "-k", "2")[0] == 0
+    assert invoke(capsys, "batch", "-n", "5", "-k", "2")[0] == 2
+    assert invoke(capsys, "table", "--preset", "small", "--runs", "1")[0] == 0
+    # the root parser and one per subcommand, all built by the first call
+    subcommands = ("gen", "run", "optimal", "pmnk", "bound", "batch", "table")
+    assert built == ["gtx"] + [f"gtx {name}" for name in subcommands]
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of ``main(argv)``, an argparse exit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exit_info:
+        code = exit_info.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_a_reused_parser_answers_like_a_fresh_one(
+    tmp_path, capsys, monkeypatch, fresh_parser_cache
+):
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps({
+        "m": 3, "n": 4, "k": 2, "runs": 2, "algorithms": ["rand"], "oracle": "skip",
+    }))
+    sequence = [
+        ["batch", "--config", str(cfg), "--runs", "7"],
+        ["batch", "--config", str(cfg)],
+        ["batch", "--config", str(cfg), "--tie", "sideways"],
+        ["batch", "-n", "5", "-k", "2"],
+        ["--help"],
+    ]
+    reused = [outcome(capsys, argv) for argv in sequence]
+    assert cli.build_parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert [outcome(capsys, argv) for argv in sequence] == reused
+    # a flag given to one call leaves nothing behind for the next
+    assert "  runs=7  " in reused[0][1] and "  runs=2  " in reused[1][1]
+    code, out, err = reused[2]
+    assert (code, out) == (2, "") and err.startswith("usage: gtx batch")
+    assert "argument --tie: invalid choice: 'sideways'" in err
+    assert reused[3] == (2, "", "error: batch config lacks the fields ['m']\n")
+    code, out, err = reused[4]
+    assert (code, err) == (0, "") and out.startswith("usage: gtx")
 
 
 def test_optimal_on_a_deep_instance_reports_the_overrun(
