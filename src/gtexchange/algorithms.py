@@ -33,9 +33,11 @@ from .core import (
     Record,
     Schedule,
     SegmentSet,
+    argmax,
     best_set_pairs,
     exchange,
     exchange_kept,
+    exchange_lowest,
     gt_masks,
     links_alive,
     node_pairs,
@@ -96,10 +98,15 @@ def _finish(
     )
 
 
-def _argmax(pairs: list, weights: list[int]) -> list:
-    """The pairs with the largest weight, in their given order."""
-    best = max(weights)
-    return [p for p, w in zip(pairs, weights) if w == best]
+def _pair_round(masks: list[int], order: Sequence[int], records: list[Record]) -> int:
+    """Exchange each linked pair of adjacent positions of ``order`` (1-2, 3-4,
+    ...; an odd last node sits out) and return how many pairs exchanged."""
+    before = len(records)
+    for at in range(0, len(order) - 1, 2):
+        i, j = order[at], order[at + 1]
+        if gt_masks(masks[i], masks[j]):
+            records.append(exchange(masks, i, j))
+    return len(records) - before
 
 
 def _permute(order: list[int], bits: Callable[[int], int]) -> None:
@@ -144,12 +151,7 @@ def run_randomized(instance: Instance, seed: int) -> AlgorithmRun:
     while linked:
         phases += 1
         _permute(order, bits)
-        before = len(records)
-        for at in range(0, instance.m - 1, 2):
-            i, j = order[at], order[at + 1]
-            if gt_masks(masks[i], masks[j]):
-                records.append(exchange(masks, i, j))
-        if len(records) > before:
+        if _pair_round(masks, order, records):
             linked = next(set_links(masks), None) is not None
     return _finish("rand", masks, records, rounds=phases)
 
@@ -209,23 +211,10 @@ def run_greedy_incremental(
     holders, pairs = set_table(masks)
     records: list[Record] = []
     while pairs:
-        winners = _argmax(list(pairs), [(x ^ y).bit_count() for x, y in pairs])
+        winners = argmax(pairs, [(x ^ y).bit_count() for x, y in pairs])
         i, j = pick(node_pairs(holders, winners))
         records.append(exchange_kept(masks, holders, pairs, i, j))
     return _finish("ginc", masks, records)
-
-
-def _holders(masks: Sequence[int], n: int) -> list[int]:
-    """How many of ``masks`` hold each segment of the ``n``-universe."""
-    return [sum(mask >> e & 1 for mask in masks) for e in range(n)]
-
-
-def _holder_classes(holders: Sequence[int], m: int) -> list[int]:
-    """Masks of the segments held by exactly 0, 1, ..., m nodes."""
-    classes = [0] * (m + 1)
-    for e, count in enumerate(holders):
-        classes[count] |= 1 << e
-    return classes
 
 
 def run_rarest_first(
@@ -251,8 +240,10 @@ def run_rarest_first(
     pick = _tie_picker(tie_mode, seed)
     masks = [s.mask for s in instance.initial_sets]
     full = (1 << instance.n) - 1
-    holders = _holders(masks, instance.n)
-    classes = _holder_classes(holders, instance.m)
+    holders = [sum(mask >> e & 1 for mask in masks) for e in range(instance.n)]
+    classes = [0] * (instance.m + 1)
+    for e, count in enumerate(holders):
+        classes[count] |= 1 << e
     nodes, pairs = set_table(masks)  # holders here count segments
     records: list[Record] = []
     while pairs:
@@ -261,7 +252,7 @@ def run_rarest_first(
             if len(candidates) == 1:
                 break
             if cls:
-                candidates = _argmax(
+                candidates = argmax(
                     candidates, [((x ^ y) & cls).bit_count() for x, y in candidates]
                 )
         i, j = pick(node_pairs(nodes, candidates))
@@ -301,15 +292,14 @@ def find_unique_set(masks: Sequence[int]) -> list[int]:
 
 def _polygon_order(masks: Sequence[int], members: list[int]) -> list[int]:
     """Starting permutation: descending count of unique segments, so the node
-    with the fewest lands rightmost; ties break by ascending node index."""
-    counts = {}
+    with the fewest lands rightmost; ties break by ascending node index.  A
+    segment is unique when one member holds it: in ``once``, not ``twice``."""
+    once = twice = 0
     for i in members:
-        others = 0
-        for j in members:
-            if j != i:
-                others |= masks[j]
-        counts[i] = (masks[i] & ~others).bit_count()
-    return sorted(members, key=lambda i: (-counts[i], i))
+        twice |= once & masks[i]
+        once |= masks[i]
+    unique = once & ~twice
+    return sorted(members, key=lambda i: (-(masks[i] & unique).bit_count(), i))
 
 
 def run_polygon(instance: Instance) -> AlgorithmRun:
@@ -332,17 +322,14 @@ def run_polygon(instance: Instance) -> AlgorithmRun:
             break
         order = _polygon_order(masks, members)
         for _ in range((len(members) - 1) // 2 + 1):
-            for at in range(0, len(order) - 1, 2):
-                i, j = order[at], order[at + 1]
-                if gt_masks(masks[i], masks[j]):
-                    records.append(exchange(masks, i, j))
+            _pair_round(masks, order, records)
             order = order[1:] + order[:1]
             rounds += 1
     post_sweep = 0
     # The first set pair scanned holds the lowest node pair: its first set is
     # the earliest one with a link, its second the earliest linked to that.
     while first := next(set_links(masks), None):
-        records.append(exchange(masks, masks.index(first[0]), masks.index(first[1])))
+        records.append(exchange_lowest(masks, *first))
         post_sweep += 1
     return _finish("poly", masks, records, rounds=rounds, post_sweep_steps=post_sweep)
 

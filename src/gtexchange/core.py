@@ -27,9 +27,11 @@ linked set pair with its union, from that scan (:func:`set_table`); the
 schedulers build it once per run and move it in O(D) per activation
 (:func:`exchange_kept`).  Greedy-links and the oracle score set pairs by
 the links an activation keeps alive in one place (:func:`links_alive`)
-and make greedy-links' choice in one place (:func:`best_set_pairs`),
-and the schedulers expand only the set pairs they choose into node pairs
-(:func:`node_pairs`).
+and make greedy-links' choice in one place (:func:`best_set_pairs`), by
+the one greedy argmax (:func:`argmax`).  The schedulers expand only the set
+pairs they choose into node pairs (:func:`node_pairs`); polygon's sweep and
+the oracle's replay run a set pair on its lowest holders
+(:func:`exchange_lowest`).  Sizes are checked before any set is built.
 
 Node and segment indices are 0-based throughout the library; file formats
 and CLI output use 1-based ids (see the harness module).
@@ -86,6 +88,16 @@ class SegmentSet:
         return f"SegmentSet({self.to_list()})"
 
 
+def check_size(m: int, n: int) -> None:
+    """Raise ValueError unless ``m`` nodes over ``n`` segments is an allowed size."""
+    if m < 2:
+        raise ValueError(f"need at least two nodes, got m={m}")
+    if n < 1:
+        raise ValueError(f"universe needs at least one segment, got n={n}")
+    if n > MAX_SEGMENTS:
+        raise ValueError(f"universe size {n} exceeds the {MAX_SEGMENTS}-segment cap")
+
+
 @dataclass(frozen=True)
 class Instance:
     """A problem instance: ``m`` nodes over an ``n``-segment universe.
@@ -101,14 +113,7 @@ class Instance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "initial_sets", tuple(self.initial_sets))
-        if self.m < 2:
-            raise ValueError(f"need at least two nodes, got m={self.m}")
-        if self.n < 1:
-            raise ValueError(f"universe needs at least one segment, got n={self.n}")
-        if self.n > MAX_SEGMENTS:
-            raise ValueError(
-                f"universe size {self.n} exceeds the {MAX_SEGMENTS}-segment cap"
-            )
+        check_size(self.m, self.n)
         if len(self.initial_sets) != self.m:
             raise ValueError(
                 f"expected {self.m} initial sets, got {len(self.initial_sets)}"
@@ -292,6 +297,12 @@ def links_alive(
     return score, incomparable
 
 
+def argmax(items: Iterable, weights: Sequence) -> list:
+    """The items with the largest weight, in their given order."""
+    best = max(weights)
+    return [item for item, weight in zip(items, weights) if weight == best]
+
+
 def best_set_pairs(
     pairs: Iterable[tuple[int, int]], score: Sequence[int]
 ) -> list[tuple[int, int]]:
@@ -307,10 +318,8 @@ def best_set_pairs(
     on some of them.  Greedy-links hands the node pairs holding these set
     pairs to its tie rule, and the oracle's first descent takes the first.
     """
-    best = max(score)
-    tied = [pair for pair, value in zip(pairs, score) if value == best]
-    gain = max((a ^ b).bit_count() for a, b in tied)
-    return [(a, b) for a, b in tied if (a ^ b).bit_count() == gain]
+    tied = argmax(pairs, score)
+    return argmax(tied, [(a ^ b).bit_count() for a, b in tied])
 
 
 def exchange(masks: list[int], i: int, j: int) -> Record:
@@ -333,6 +342,11 @@ def exchange(masks: list[int], i: int, j: int) -> Record:
         )
     masks[i] = masks[j] = a | b
     return i, j, gained_i, gained_j
+
+
+def exchange_lowest(masks: list[int], x: int, y: int) -> Record:
+    """:func:`exchange` between the lowest nodes holding the masks ``x`` and ``y``."""
+    return exchange(masks, masks.index(x), masks.index(y))
 
 
 def apply_schedule(

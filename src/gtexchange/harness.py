@@ -34,7 +34,7 @@ from math import sqrt
 
 from .algorithms import ALGORITHM_IDS, ALGORITHM_LABELS, TIE_MODES, run_algorithm
 from .analysis import check_pmnk_size, pmnk_exact, randomized_lower_bound
-from .core import Instance, Link, Schedule, SegmentSet, upper_bound
+from .core import Instance, Link, Schedule, SegmentSet, check_size, upper_bound
 from .oracle import SearchLimits, solve_optimal
 
 CSV_COLUMNS = (
@@ -61,6 +61,7 @@ def derive_seed(master: int, *parts) -> int:
 
 def gen_instance(m: int, n: int, k: int, seed: int) -> Instance:
     """Instance with m independent uniform k-subsets of an n-universe."""
+    check_size(m, n)
     if not 1 <= k <= n:
         raise ValueError(f"initial set size k={k} must satisfy 1 <= k <= n={n}")
     rng = random.Random(seed)
@@ -97,6 +98,7 @@ def instance_from_dict(data: dict) -> Instance:
         raise ValueError("instance file needs fields m, n, and sets") from None
     if not _is_int(m) or not _is_int(n):
         raise ValueError("instance fields m and n must be integers")
+    check_size(m, n)
     if not isinstance(raw_sets, list) or len(raw_sets) != m:
         raise ValueError(f"instance file must list exactly m={m} segment sets")
     sets = []
@@ -208,8 +210,7 @@ class BatchConfig:
                 )
         if self.runs < 1:
             raise ValueError(f"need at least one run, got {self.runs}")
-        if self.m < 2:
-            raise ValueError(f"a batch needs at least two nodes, got m={self.m}")
+        check_size(self.m, self.n)
         if (
             self.out_csv
             and self.out_json

@@ -39,7 +39,7 @@ from .core import (
     Instance,
     Schedule,
     best_set_pairs,
-    exchange,
+    exchange_lowest,
     links_alive,
     set_table,
     upper_bound,
@@ -200,11 +200,7 @@ class _Search:
 def _replay(instance: Instance, set_pairs: tuple[tuple[int, int], ...]) -> Schedule:
     """Schedule activating each set pair in turn, on the lowest nodes holding it."""
     masks = [s.mask for s in instance.initial_sets]
-    return Schedule(
-        records=tuple(
-            exchange(masks, masks.index(x), masks.index(y)) for x, y in set_pairs
-        )
-    )
+    return Schedule(records=tuple(exchange_lowest(masks, *pair) for pair in set_pairs))
 
 
 def solve_optimal(

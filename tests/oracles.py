@@ -399,3 +399,46 @@ def reference_lowest_pair_sweep(masks):
         i, j = min(available)
         masks[i] = masks[j] = masks[i] | masks[j]
         schedule.append((i, j))
+
+
+def reference_polygon(instance):
+    """Polygon as ((i, j) pairs, rounds, post-sweep steps).
+
+    While the greedy scan in node order admits at least two nodes (each
+    admitted node holds a segment outside the members so far, and every
+    member so far holds one outside it): sort them by how many of their
+    segments lie outside the union of the other members, most first, ties
+    by index; then for (size - 1) // 2 + 1 rounds exchange each linked pair
+    at positions 1-2, 3-4, ... and shift the order left by one.  The lowest
+    linked pair then goes until no link is left.
+    """
+    masks = [s.mask for s in instance.initial_sets]
+    schedule = []
+    rounds = 0
+    while True:
+        members = []
+        union = 0
+        for i, mask in enumerate(masks):
+            if mask & ~union and all(masks[j] & ~mask for j in members):
+                members.append(i)
+                union |= mask
+        if len(members) < 2:
+            break
+        unique = {}
+        for i in members:
+            others = 0
+            for j in members:
+                if j != i:
+                    others |= masks[j]
+            unique[i] = bin(masks[i] & ~others).count("1")
+        order = sorted(members, key=lambda i: (-unique[i], i))
+        for _ in range((len(members) - 1) // 2 + 1):
+            for at in range(0, len(order) - 1, 2):
+                i, j = order[at], order[at + 1]
+                if masks[i] & ~masks[j] and masks[j] & ~masks[i]:
+                    masks[i] = masks[j] = masks[i] | masks[j]
+                    schedule.append((min(i, j), max(i, j)))
+            order = order[1:] + order[:1]
+            rounds += 1
+    sweep = reference_lowest_pair_sweep(masks)
+    return schedule + sweep, rounds, len(sweep)

@@ -198,6 +198,16 @@ def test_pmnk_beyond_the_universe_cap_is_a_clean_error(capsys):
     assert err.startswith("error:") and "4096" in err and err.count("\n") == 1
 
 
+def test_gen_beyond_the_universe_cap_is_refused_at_once(capsys):
+    # two sampled sets over 10**9 segments would take about 0.8 s and 480 MB
+    argv = ("gen", "-m", "2", "-n", "1000000000", "-k", "2", "--seed", "0")
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "4096-segment cap" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -132,6 +132,25 @@ def test_instance_file_honours_the_universe_cap(tmp_path):
         load_instance(str(path))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gen_instance(2, 10**9, 2, seed=0),
+        lambda: gen_instance(1, 5, 2, seed=0),
+        lambda: instance_from_dict({"m": 2, "n": 10**8, "sets": [[10**8], [1]]}),
+    ],
+    ids=["gen-past-the-cap", "gen-one-node", "file-past-the-cap"],
+)
+def test_sizes_are_refused_before_any_set_is_built(build, monkeypatch):
+    # one set over 10**9 segments is a 125 MB mask
+    def no_set(indices):
+        raise AssertionError("a set was built")
+
+    monkeypatch.setattr("gtexchange.harness.SegmentSet.from_iterable", no_set)
+    with pytest.raises(ValueError, match="cap|two nodes"):
+        build()
+
+
 def test_schedule_file_round_trip(tmp_path):
     inst = build_instance(5, [0, 1], [1, 2], [2, 3], [3, 4])
     link_seq = [Link(0, 2), Link(1, 3), Link(0, 1)]

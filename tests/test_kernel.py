@@ -52,6 +52,7 @@ from oracles import (
     reference_greedy_incremental,
     reference_greedy_links,
     reference_lowest_pair_sweep,
+    reference_polygon,
     reference_randomized,
     reference_rarest_first,
 )
@@ -110,6 +111,13 @@ def test_polygon_final_sweep_takes_the_lowest_pair_each_step(instance):
     for i, j in pairs[:rounds]:
         masks[i] = masks[j] = masks[i] | masks[j]
     assert pairs[rounds:] == reference_lowest_pair_sweep(masks)
+
+
+@given(st.one_of(any_instances, crowded_instances))
+def test_polygon_matches_the_round_robin_written_from_its_definition(instance):
+    run = run_polygon(instance)
+    expected = reference_polygon(instance)
+    assert (pairs_of(run), run.rounds, run.post_sweep_steps) == expected
 
 
 @given(any_instances, st.integers(0, 2**32))
