@@ -38,7 +38,6 @@ from .core import (
     exchange,
     exchange_kept,
     exchange_lowest,
-    gt_masks,
     links_alive,
     node_pairs,
     set_links,
@@ -100,26 +99,29 @@ def _finish(
 
 def _pair_round(masks: list[int], order: Sequence[int], records: list[Record]) -> int:
     """Exchange each linked pair of adjacent positions of ``order`` (1-2, 3-4,
-    ...; an odd last node sits out) and return how many pairs exchanged."""
+    ...; an odd last node sits out) and return how many pairs exchanged.
+    A pair is linked when each mask holds a segment the other lacks."""
     before = len(records)
-    for at in range(0, len(order) - 1, 2):
-        i, j = order[at], order[at + 1]
-        if gt_masks(masks[i], masks[j]):
+    for i, j in zip(order[0::2], order[1::2]):
+        a, b = masks[i], masks[j]
+        if a & ~b and b & ~a:
             records.append(exchange(masks, i, j))
     return len(records) - before
 
 
-def _permute(order: list[int], bits: Callable[[int], int]) -> None:
+def _permute(
+    order: list[int], draws: list[tuple[int, int]], bits: Callable[[int], int]
+) -> None:
     """Fisher-Yates shuffle of ``order`` in place, from the bit source ``bits``.
 
-    For ``i`` from ``len(order) - 1`` down to 1: draw ``(i + 1).bit_length()``
-    bits, again while the result exceeds ``i``, and swap positions ``i`` and
-    the result.  These are the draws ``random.shuffle`` makes through
+    ``draws`` lists each position ``i`` from ``len(order) - 1`` down to 1
+    with its width ``(i + 1).bit_length()``.  For each: draw ``width`` bits,
+    again while the result exceeds ``i``, and swap positions ``i`` and the
+    result.  These are the draws ``random.shuffle`` makes through
     ``getrandbits``, so with ``bits = rng.getrandbits`` the order and the
     state ``rng`` is left in match ``rng.shuffle(order)``.
     """
-    for i in range(len(order) - 1, 0, -1):
-        width = (i + 1).bit_length()
+    for i, width in draws:
         r = bits(width)
         while r > i:
             r = bits(width)
@@ -137,8 +139,9 @@ def run_randomized(instance: Instance, seed: int) -> AlgorithmRun:
     Each phase's permutation is a Fisher-Yates pass (:func:`_permute`) over
     the previous phase's order, drawn from ``random.Random(seed).getrandbits``:
     the same draws ``random.shuffle`` makes, so the orders and the generator
-    state are those of shuffling one list with that generator.  A phase that
-    exchanged nothing leaves the masks as they were, so the scan for a
+    state are those of shuffling one list with that generator.  The draw
+    widths depend on ``m`` alone and are computed once per run.  A phase
+    that exchanged nothing leaves the masks as they were, so the scan for a
     remaining link runs once before the first phase and then only after a
     phase that exchanged.
     """
@@ -147,10 +150,11 @@ def run_randomized(instance: Instance, seed: int) -> AlgorithmRun:
     records: list[Record] = []
     phases = 0
     order = list(range(instance.m))
+    draws = [(i, (i + 1).bit_length()) for i in range(instance.m - 1, 0, -1)]
     linked = next(set_links(masks), None) is not None
     while linked:
         phases += 1
-        _permute(order, bits)
+        _permute(order, draws, bits)
         if _pair_round(masks, order, records):
             linked = next(set_links(masks), None) is not None
     return _finish("rand", masks, records, rounds=phases)

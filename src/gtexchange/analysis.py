@@ -23,9 +23,10 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, log2
 
-from .core import MAX_SEGMENTS
+from .core import MAX_SEGMENTS, is_int
 
 # Size caps on the exact coverage sum: each of its n-k+1 powers C(n-i,k)^m
 # has up to m*log2 C(n,k) bits.  Within both, one evaluation takes at most
@@ -35,6 +36,8 @@ PMNK_MAX_SUM_BITS = 2**25
 
 
 def _check_mnk(m: int, n: int, k: int) -> None:
+    if not (is_int(m) and is_int(n) and is_int(k)):
+        raise ValueError(f"m, n and k must be integers, got ({m!r}, {n!r}, {k!r})")
     if m < 1:
         raise ValueError(f"need at least one node, got m={m}")
     if n < 1:
@@ -60,13 +63,19 @@ def check_pmnk_size(m: int, n: int, k: int) -> None:
         )
 
 
+@lru_cache(maxsize=32, typed=True)
 def pmnk_exact(m: int, n: int, k: int) -> Fraction:
     """Exact probability that m uniform k-subsets of an n-universe cover it,
     as a reduced fraction.
 
     Inclusion-exclusion over the segments left uncovered:
     ``sum_i (-1)^i C(n,i) C(n-i,k)^m / C(n,k)^m``, in integers.  Sizes past
-    the caps above are refused (:func:`check_pmnk_size`).
+    the caps above are refused (:func:`check_pmnk_size`).  The value is
+    immutable and a function of the size alone, so the last 32 sizes are
+    kept: a sweep over seeds at fixed sizes sums each size once.  Under the
+    caps one value is at most about 64 KB.  A refusal raises on every call,
+    and the cache is typed, so a bool or float that equals a kept size
+    meets the refusal instead of that size's value.
     """
     check_pmnk_size(m, n, k)
     if m * k < n:
@@ -98,9 +107,9 @@ def randomized_lower_bound(m: int, n: int, k: int) -> tuple[float, BoundTrace]:
     (for example at (3, 2, 1) and (15, 20, 15)), so it bounds the mean from
     below only where that has been checked.
     """
+    _check_mnk(m, n, k)
     if m < 2:
         raise ValueError(f"need at least two nodes, got m={m}")
-    _check_mnk(m, n, k)
     if m * n >= sys.float_info.max:
         raise ValueError("the bound needs m*n below the largest float, about 1.8e308")
     sizes = [float(k)]
@@ -122,7 +131,7 @@ def randomized_lower_bound(m: int, n: int, k: int) -> tuple[float, BoundTrace]:
 def approx_condition_holds(m: int, n: int, k: int) -> bool:
     """Whether k sits in the window guaranteeing the 4-approximation:
     ``min(n/log2(m), n/4) <= k <= n - 1`` (real-valued comparison)."""
+    _check_mnk(m, n, k)
     if m < 2:
         raise ValueError(f"need at least two nodes, got m={m}")
-    _check_mnk(m, n, k)
     return min(n / log2(m), n / 4) <= k <= n - 1

@@ -2,7 +2,7 @@
 
 A group of nodes each holds a subset of a fixed universe of data segments.
 Two nodes may run a *full exchange* only when each offers at least one
-segment the other lacks (the give-and-take criterion, :func:`gt_masks`);
+segment the other lacks (the give-and-take criterion, ``a & ~b and b & ~a``);
 afterwards both hold the union of their two sets.  This module provides the
 substrate everything else runs on: segment sets as bit masks, problem
 instances, links, the exchange kernel, schedule replay, and the
@@ -49,11 +49,6 @@ class InvalidActivationError(ValueError):
     """A link activation was attempted where the exchange criterion fails."""
 
 
-def gt_masks(a: int, b: int) -> bool:
-    """Give-and-take criterion on raw bit masks: each side offers something new."""
-    return (a & ~b) != 0 and (b & ~a) != 0
-
-
 @dataclass(frozen=True)
 class SegmentSet:
     """An immutable set of segment indices backed by a single bit mask."""
@@ -88,8 +83,16 @@ class SegmentSet:
         return f"SegmentSet({self.to_list()})"
 
 
+def is_int(value) -> bool:
+    """True for an int that is not a bool: JSON's ``true`` and ``false`` load
+    as bools, which are neither sizes nor ids."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_size(m: int, n: int) -> None:
     """Raise ValueError unless ``m`` nodes over ``n`` segments is an allowed size."""
+    if not is_int(m) or not is_int(n):
+        raise ValueError(f"sizes m and n must be integers, got m={m!r}, n={n!r}")
     if m < 2:
         raise ValueError(f"need at least two nodes, got m={m}")
     if n < 1:

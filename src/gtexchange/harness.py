@@ -30,11 +30,12 @@ import random
 import statistics
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from math import sqrt
+from math import ceil, log, sqrt
+from typing import Callable
 
 from .algorithms import ALGORITHM_IDS, ALGORITHM_LABELS, TIE_MODES, run_algorithm
 from .analysis import check_pmnk_size, pmnk_exact, randomized_lower_bound
-from .core import Instance, Link, Schedule, SegmentSet, check_size, upper_bound
+from .core import Instance, Link, Schedule, SegmentSet, check_size, is_int, upper_bound
 from .oracle import SearchLimits, solve_optimal
 
 CSV_COLUMNS = (
@@ -59,26 +60,57 @@ def derive_seed(master: int, *parts) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
+def _sample_mask(bits: Callable[[int], int], n: int, k: int) -> int:
+    """Mask of ``k`` distinct segments of ``range(n)``, drawn from ``bits``.
+
+    These are the draws ``random.Random.sample(range(n), k)`` makes through
+    ``getrandbits``.  Up to ``setsize`` segments, where ``sample`` keeps a
+    list of the population, each pick is drawn below the size of a shrinking
+    pool and the pool's last segment moves into the vacancy; past it,
+    ``sample`` keeps a set of picks and draws each below ``n``, again while
+    it is already taken.  A draw below a bound takes the bound's
+    ``bit_length`` bits, again while the result reaches the bound.  So with
+    ``bits = rng.getrandbits`` the mask and the state ``rng`` is left in
+    match ``rng.sample(range(n), k)``.
+    """
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    mask = 0
+    if n <= setsize:
+        pool = list(range(n))
+        for size in range(n, n - k, -1):
+            width = size.bit_length()
+            j = bits(width)
+            while j >= size:
+                j = bits(width)
+            mask |= 1 << pool[j]
+            pool[j] = pool[size - 1]
+    else:
+        width = n.bit_length()
+        for _ in range(k):
+            j = bits(width)
+            while j >= n or mask >> j & 1:
+                j = bits(width)
+            mask |= 1 << j
+    return mask
+
+
 def gen_instance(m: int, n: int, k: int, seed: int) -> Instance:
-    """Instance with m independent uniform k-subsets of an n-universe."""
+    """Instance with m independent uniform k-subsets of an n-universe, the
+    sets of ``m`` calls of ``random.Random(seed).sample(range(n), k)``."""
     check_size(m, n)
+    if not is_int(k):
+        raise ValueError(f"initial set size k must be an integer, got {k!r}")
     if not 1 <= k <= n:
         raise ValueError(f"initial set size k={k} must satisfy 1 <= k <= n={n}")
-    rng = random.Random(seed)
-    population = range(n)
-    sets = tuple(
-        SegmentSet.from_iterable(rng.sample(population, k)) for _ in range(m)
-    )
+    bits = random.Random(seed).getrandbits
+    sets = tuple(SegmentSet(_sample_mask(bits, n, k)) for _ in range(m))
     return Instance(m=m, n=n, initial_sets=sets)
 
 
 # ---------------------------------------------------------------------------
 # file formats
-
-
-def _is_int(value) -> bool:
-    """True for JSON integers; ``true``/``false`` load as bools, which are not ids."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def instance_to_dict(instance: Instance) -> dict:
@@ -96,14 +128,12 @@ def instance_from_dict(data: dict) -> Instance:
         raw_sets = data["sets"]
     except (KeyError, TypeError):
         raise ValueError("instance file needs fields m, n, and sets") from None
-    if not _is_int(m) or not _is_int(n):
-        raise ValueError("instance fields m and n must be integers")
     check_size(m, n)
     if not isinstance(raw_sets, list) or len(raw_sets) != m:
         raise ValueError(f"instance file must list exactly m={m} segment sets")
     sets = []
     for i, raw in enumerate(raw_sets):
-        if not isinstance(raw, list) or not all(_is_int(e) for e in raw):
+        if not isinstance(raw, list) or not all(is_int(e) for e in raw):
             raise ValueError(f"set {i + 1} must be a list of integers")
         if any(not 1 <= e <= n for e in raw):
             raise ValueError(f"set {i + 1} has segment ids outside 1..{n}")
@@ -152,7 +182,7 @@ def schedule_from_dict(data: dict) -> list[Link]:
         if (
             not isinstance(raw, list)
             or len(raw) != 2
-            or not all(_is_int(e) and e >= 1 for e in raw)
+            or not all(is_int(e) and e >= 1 for e in raw)
         ):
             raise ValueError(f"step {idx + 1} must be a pair of 1-based node ids")
         link_seq.append(Link(raw[0] - 1, raw[1] - 1))
@@ -193,7 +223,7 @@ class BatchConfig:
         # types first, so that the checks below meet no bool, string or float
         for name, value in vars(self).items():
             if name in ("m", "n", "k", "runs", "seed"):
-                ok = _is_int(value)
+                ok = is_int(value)
             elif name in ("oracle", "tie_mode"):
                 ok = isinstance(value, str)
             elif name in ("out_csv", "out_json"):

@@ -186,6 +186,11 @@ def chain_by_inclusion(sets):
     return all(a & ~b == 0 for a, b in zip(ordered, ordered[1:]))
 
 
+def gt_masks(a, b):
+    """Give-and-take criterion on raw bit masks: each side offers something new."""
+    return (a & ~b) != 0 and (b & ~a) != 0
+
+
 def pair_scan_links(masks):
     """Every (i, j), i < j, whose masks satisfy the exchange criterion, in
     ascending order, testing one node pair at a time."""

@@ -24,13 +24,13 @@ from gtexchange import (
     run_polygon,
     solve_optimal,
 )
-from gtexchange.core import gt_masks
 from conftest import criterion_03_grid
 from oracles import (
     brute_force_optimal,
     chain_by_inclusion,
     coverage_by_enumeration,
     enumerate_maximal_schedules,
+    gt_masks,
     pair_scan_links,
     pmnk_montecarlo,
 )

@@ -11,9 +11,9 @@ from gtexchange import (
     solve_optimal,
     upper_bound,
 )
-from gtexchange.core import exchange, gt_masks, node_pairs, set_links, set_table
+from gtexchange.core import exchange, node_pairs, set_links, set_table
 from conftest import build_instance, instances, relaxed_instances
-from oracles import brute_force_optimal, chain_by_inclusion, pair_scan_links
+from oracles import brute_force_optimal, chain_by_inclusion, gt_masks, pair_scan_links
 
 
 def masks_of(*raw_sets):
@@ -71,6 +71,14 @@ def test_instance_validation():
         build_instance(2, [0], [5], [1])  # member outside the universe
 
 
+@pytest.mark.parametrize("m, n", [(2.0, 5), (2, 5.0), (True, 5), (2, True), ("2", 5)])
+def test_instance_sizes_must_be_exact_ints(m, n):
+    # a bool would be written to a file as true, which no loader takes back
+    sets = (SegmentSet.from_iterable([0]), SegmentSet.from_iterable([1]))
+    with pytest.raises(ValueError, match="must be integers"):
+        Instance(m=m, n=n, initial_sets=sets)
+
+
 def test_instance_set_count_must_match_m():
     with pytest.raises(ValueError):
         Instance(m=3, n=4, initial_sets=(SegmentSet.from_iterable([0]),) * 2)
@@ -107,9 +115,12 @@ def test_instance_derived_properties():
 
 
 def test_gt_satisfied_examples():
-    assert gt_masks(*masks_of([0, 1], [1, 2]))
-    assert not gt_masks(*masks_of([0], [0, 1]))  # subset pairs never link
-    assert not gt_masks(*masks_of([0, 1], [0, 1]))  # identical sets never link
+    linked = masks_of([0, 1], [1, 2])
+    subset = masks_of([0], [0, 1])  # subset pairs never link
+    same = masks_of([0, 1], [0, 1])  # identical sets never link
+    assert gt_masks(*linked) and list(set_links(linked)) == [tuple(linked)]
+    for masks in (subset, same):
+        assert not gt_masks(*masks) and not list(set_links(masks))
 
 
 # --------------------------------------------------------------------- links

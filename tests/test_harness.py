@@ -55,6 +55,19 @@ def test_gen_instance_argument_checks():
     assert all(len(s) == 4 for s in full.initial_sets)
 
 
+@pytest.mark.parametrize(
+    "mnk", [(2, True, True), (True, 5, 2), (2, 5, 2.0), (2.0, 5, 2), (2, 5.0, 2)]
+)
+def test_gen_instance_sizes_must_be_exact_ints(mnk, monkeypatch):
+    # refused before any set is sampled
+    def no_draws(*args):
+        raise AssertionError("a set was sampled")
+
+    monkeypatch.setattr("gtexchange.harness._sample_mask", no_draws)
+    with pytest.raises(ValueError, match="must be (an integer|integers)"):
+        gen_instance(*mnk, seed=0)
+
+
 def test_gen_instance_marginal_inclusion_frequency():
     trials = 10_000
     m, n, k = 3, 5, 2
@@ -142,10 +155,12 @@ def test_instance_file_honours_the_universe_cap(tmp_path):
     ids=["gen-past-the-cap", "gen-one-node", "file-past-the-cap"],
 )
 def test_sizes_are_refused_before_any_set_is_built(build, monkeypatch):
-    # one set over 10**9 segments is a 125 MB mask
-    def no_set(indices):
+    # one set over 10**9 segments is a 125 MB mask; gen_instance samples
+    # each set's mask, and a file's sets are built from their ids
+    def no_set(*args):
         raise AssertionError("a set was built")
 
+    monkeypatch.setattr("gtexchange.harness._sample_mask", no_set)
     monkeypatch.setattr("gtexchange.harness.SegmentSet.from_iterable", no_set)
     with pytest.raises(ValueError, match="cap|two nodes"):
         build()

@@ -40,6 +40,7 @@ from gtexchange.core import (
 )
 from gtexchange.harness import (
     BatchConfig,
+    _sample_mask,
     gen_instance,
     reference_bound_configs,
     rows_to_csv,
@@ -127,18 +128,43 @@ def test_randomized_matches_a_link_rescan_per_phase(instance, seed):
 
 
 def test_randomized_draws_are_the_draws_of_random_shuffle():
-    """rand permutes each phase from ``getrandbits`` directly; every order,
-    and the generator state after five phases, must match ``random.shuffle``
-    at every m up to 130, across the 64- and 128-bit draw widths."""
+    """rand permutes each phase from ``getrandbits`` directly, with the draw
+    widths computed once per run; every order, and the generator state after
+    five phases, must match ``random.shuffle`` at every m up to 130, across
+    the 64- and 128-bit draw widths."""
     for m in range(2, 131):
+        draws = [(i, (i + 1).bit_length()) for i in range(m - 1, 0, -1)]
         for seed in (0, 1, m, 2**40 + m):
             drawn, shuffled = list(range(m)), list(range(m))
             source, reference = random.Random(seed), random.Random(seed)
             for _ in range(5):
-                _permute(drawn, source.getrandbits)
+                _permute(drawn, draws, source.getrandbits)
                 reference.shuffle(shuffled)
                 assert drawn == shuffled, (m, seed)
             assert source.getrandbits(32) == reference.getrandbits(32), (m, seed)
+
+
+# (n, k) on both sides of ``random.sample``'s switch from a pool of the
+# population to a set of picks: the set wins once n exceeds 21 for k <= 5,
+# and 85 for 6 <= k <= 21; past k = 341 the pool wins at every n <= 4096.
+SAMPLE_SIZES = [
+    (1, 1), (5, 2), (5, 5), (20, 5), (21, 5), (21, 21), (22, 5), (22, 1),
+    (50, 5), (84, 6), (85, 6), (86, 6), (85, 21), (86, 21), (100, 3),
+    (100, 7), (200, 15), (300, 15), (4096, 1), (4096, 50), (4096, 400),
+    (4096, 4096),
+]
+
+
+@pytest.mark.parametrize("n, k", SAMPLE_SIZES)
+def test_instance_sets_are_the_draws_of_random_sample(n, k):
+    """Instances sample each set from ``getrandbits`` directly; the mask and
+    the generator state after it must match ``random.sample(range(n), k)``."""
+    for seed in (0, 1, n, 2**40 + k):
+        source, reference = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            expected = sum(1 << e for e in reference.sample(range(n), k))
+            assert _sample_mask(source.getrandbits, n, k) == expected, seed
+        assert source.getrandbits(32) == reference.getrandbits(32), seed
 
 
 @pytest.mark.parametrize("mnk", [(10, 6, 3), (10, 8, 4)])
