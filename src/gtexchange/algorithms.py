@@ -109,17 +109,23 @@ def _pair_round(masks: list[int], order: Sequence[int], records: list[Record]) -
     return len(records) - before
 
 
+def _shuffle_draws(m: int) -> list[tuple[int, int]]:
+    """The draws of a Fisher-Yates pass over ``m`` positions: each position
+    ``i`` from ``m - 1`` down to 1 with its width ``(i + 1).bit_length()``."""
+    return [(i, (i + 1).bit_length()) for i in range(m - 1, 0, -1)]
+
+
 def _permute(
     order: list[int], draws: list[tuple[int, int]], bits: Callable[[int], int]
 ) -> None:
     """Fisher-Yates shuffle of ``order`` in place, from the bit source ``bits``.
 
-    ``draws`` lists each position ``i`` from ``len(order) - 1`` down to 1
-    with its width ``(i + 1).bit_length()``.  For each: draw ``width`` bits,
-    again while the result exceeds ``i``, and swap positions ``i`` and the
-    result.  These are the draws ``random.shuffle`` makes through
-    ``getrandbits``, so with ``bits = rng.getrandbits`` the order and the
-    state ``rng`` is left in match ``rng.shuffle(order)``.
+    ``draws`` is ``_shuffle_draws(len(order))``.  For each position ``i`` and
+    width: draw ``width`` bits, again while the result exceeds ``i``, and
+    swap positions ``i`` and the result.  These are the draws
+    ``random.shuffle`` makes through ``getrandbits``, so with
+    ``bits = rng.getrandbits`` the order and the state ``rng`` is left in
+    match ``rng.shuffle(order)``.
     """
     for i, width in draws:
         r = bits(width)
@@ -150,7 +156,7 @@ def run_randomized(instance: Instance, seed: int) -> AlgorithmRun:
     records: list[Record] = []
     phases = 0
     order = list(range(instance.m))
-    draws = [(i, (i + 1).bit_length()) for i in range(instance.m - 1, 0, -1)]
+    draws = _shuffle_draws(instance.m)
     linked = next(set_links(masks), None) is not None
     while linked:
         phases += 1

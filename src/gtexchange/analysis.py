@@ -23,7 +23,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, log2
 
 from .core import MAX_SEGMENTS, is_int
@@ -63,19 +62,13 @@ def check_pmnk_size(m: int, n: int, k: int) -> None:
         )
 
 
-@lru_cache(maxsize=32, typed=True)
 def pmnk_exact(m: int, n: int, k: int) -> Fraction:
     """Exact probability that m uniform k-subsets of an n-universe cover it,
     as a reduced fraction.
 
     Inclusion-exclusion over the segments left uncovered:
     ``sum_i (-1)^i C(n,i) C(n-i,k)^m / C(n,k)^m``, in integers.  Sizes past
-    the caps above are refused (:func:`check_pmnk_size`).  The value is
-    immutable and a function of the size alone, so the last 32 sizes are
-    kept: a sweep over seeds at fixed sizes sums each size once.  Under the
-    caps one value is at most about 64 KB.  A refusal raises on every call,
-    and the cache is typed, so a bool or float that equals a kept size
-    meets the refusal instead of that size's value.
+    the caps above are refused (:func:`check_pmnk_size`).
     """
     check_pmnk_size(m, n, k)
     if m * k < n:

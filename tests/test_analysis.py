@@ -16,8 +16,6 @@ from gtexchange import (
     gen_instance,
     pmnk_exact,
     randomized_lower_bound,
-    reference_bound_configs,
-    run_batch,
     run_randomized,
     upper_bound,
 )
@@ -70,34 +68,13 @@ def test_pmnk_argument_errors():
 
 
 def test_pmnk_sizes_must_be_exact_ints():
-    # the cache files equal keys together: (2, True, True) == (2, 1, 1)
+    # (2, True, True) == (2, 1, 1), but a bool is no size
     assert pmnk_exact(2, 1, 1) == 1
     for mnk in [(2, True, True), (True, 1, 1), (2, 1.0, 1), (2.0, 1, 1)]:
         with pytest.raises(ValueError, match="must be integers"):
             pmnk_exact(*mnk)
         with pytest.raises(ValueError, match="must be integers"):
             randomized_lower_bound(*mnk)
-
-
-def test_pmnk_sums_each_size_once_per_process():
-    """The bound table's sweep over seeds at its five fixed sizes sums the
-    coverage once per size; the kept value is the one a fresh sum gives."""
-    pmnk_exact.cache_clear()
-    for seed in range(3):
-        for config in reference_bound_configs(runs=1, seed=seed):
-            run_batch(config)
-    info = pmnk_exact.cache_info()
-    assert (info.misses, info.currsize) == (5, 5)
-    for m, n, k, _ in REFERENCE_ROWS:
-        assert pmnk_exact(m, n, k) == pmnk_exact.__wrapped__(m, n, k)
-
-
-def test_pmnk_refusals_are_not_kept():
-    for _ in range(3):
-        with pytest.raises(ValueError, match="too large"):
-            pmnk_exact(1000, 4096, 50)
-        with pytest.raises(ValueError):
-            pmnk_exact(2, 3, 4)
 
 
 def test_pmnk_covers_the_universe_cap_and_deep_groups():

@@ -29,7 +29,7 @@ from gtexchange import (
     run_randomized,
     run_rarest_first,
 )
-from gtexchange.algorithms import _permute
+from gtexchange.algorithms import _permute, _shuffle_draws
 from gtexchange.core import (
     exchange,
     exchange_kept,
@@ -133,7 +133,7 @@ def test_randomized_draws_are_the_draws_of_random_shuffle():
     five phases, must match ``random.shuffle`` at every m up to 130, across
     the 64- and 128-bit draw widths."""
     for m in range(2, 131):
-        draws = [(i, (i + 1).bit_length()) for i in range(m - 1, 0, -1)]
+        draws = _shuffle_draws(m)
         for seed in (0, 1, m, 2**40 + m):
             drawn, shuffled = list(range(m)), list(range(m))
             source, reference = random.Random(seed), random.Random(seed)
