@@ -14,7 +14,9 @@ through :func:`~gtexchange.core.exchange`, which updates the list in place
 and returns the raw step record the run's schedule keeps;
 ``glink``, ``ginc`` and ``rare`` also keep the linked set pairs in a set
 table (:func:`~gtexchange.core.set_table`) that each activation moves
-(:func:`~gtexchange.core.exchange_kept`).  The final masks become
+(:func:`~gtexchange.core.exchange_kept`), and ``glink`` keeps one rank per
+set and union that each step moves in place
+(:func:`~gtexchange.core.rank_pairs`).  The final masks become
 :class:`~gtexchange.core.SegmentSet` values once, at the end.
 Each run is a pure function of (instance, seed, tie mode): ``rand`` draws
 its phases from the seed, and under ``random`` ties ``glink``, ``ginc`` and
@@ -34,12 +36,11 @@ from .core import (
     Schedule,
     SegmentSet,
     argmax,
-    best_set_pairs,
     exchange,
     exchange_kept,
     exchange_lowest,
-    links_alive,
     node_pairs,
+    rank_pairs,
     set_links,
     set_table,
 )
@@ -104,7 +105,8 @@ def _pair_round(masks: list[int], order: Sequence[int], records: list[Record]) -
     before = len(records)
     for i, j in zip(order[0::2], order[1::2]):
         a, b = masks[i], masks[j]
-        if a & ~b and b & ~a:
+        t = a | b
+        if t != a and t != b:
             records.append(exchange(masks, i, j))
     return len(records) - before
 
@@ -180,28 +182,28 @@ def run_greedy_links(
     pair alone, so each step scores the linked pairs of distinct sets.
 
     The linked set pairs are kept across steps (:func:`~gtexchange.core.set_table`),
-    and so is ``N`` of the step before, which the next step moves instead of
-    counting it again (:func:`~gtexchange.core.links_alive`).  A step costs
-    O(D) for the table, one pass over the kept pairs and keys, plus O(D)
-    per new key.
+    and so is a rank per distinct set and linked union, which each step
+    moves in place instead of counting it again
+    (:func:`~gtexchange.core.rank_pairs`).  A step costs O(D) for the
+    table, one pass over the kept keys and pairs, plus O(D) per new key.
 
-    Set pairs tied on that count go by their immediate gain
-    (:func:`~gtexchange.core.best_set_pairs`, the oracle's first choice
-    too), and the node pairs holding the set pairs tied on both go, in
-    ascending order, to the tie rule.
+    A pair's rank orders set pairs by that count, then by their immediate
+    gain (the oracle's first choice too), so one argmax makes the choice,
+    and the node pairs holding the set pairs tied on both go, in ascending
+    order, to the tie rule.
     """
     pick = _tie_picker(tie_mode, seed)
     masks = [s.mask for s in instance.initial_sets]
-    holders, pairs = set_table(masks)
-    incomparable: dict[int, int] = {}  # N of the step before
-    x = y = 0  # the last activation; nothing is kept before the first
+    unions: dict[int, int] = {}
+    holders, pairs = set_table(masks, unions)
+    ranks: dict[int, int] = {}  # moved along from step to step
+    x = y = 0  # the last activation; nothing is ranked before the first
     records: list[Record] = []
     while pairs:
-        # live + 1 is common to every pair
-        score, incomparable = links_alive(holders, pairs, incomparable, x, y)
-        i, j = pick(node_pairs(holders, best_set_pairs(pairs, score)))
+        rank = rank_pairs(ranks, holders, pairs, unions, x, y, instance.n + 1)
+        i, j = pick(node_pairs(holders, argmax(pairs, rank)))
         x, y = masks[i], masks[j]
-        records.append(exchange_kept(masks, holders, pairs, i, j))
+        records.append(exchange_kept(masks, holders, pairs, i, j, unions))
     return _finish("glink", masks, records)
 
 

@@ -25,10 +25,11 @@ them lazily (:func:`set_links`), while the greedy schedulers and the
 oracle build a set table, the holders of each distinct set and every
 linked set pair with its union, from that scan (:func:`set_table`); the
 schedulers build it once per run and move it in O(D) per activation
-(:func:`exchange_kept`).  Greedy-links and the oracle score set pairs by
-the links an activation keeps alive in one place (:func:`links_alive`)
-and make greedy-links' choice in one place (:func:`best_set_pairs`), by
-the one greedy argmax (:func:`argmax`).  The schedulers expand only the set
+(:func:`exchange_kept`).  Greedy-links and the oracle rank set pairs in
+one kernel (:func:`rank_pairs`), by the links an activation keeps alive
+and then its gain folded into one int per pair, and make greedy-links'
+choice by the one greedy argmax (:func:`argmax`); the kernel moves its
+ranks in place from state to state.  The schedulers expand only the set
 pairs they choose into node pairs (:func:`node_pairs`); polygon's sweep and
 the oracle's replay run a set pair on its lowest holders
 (:func:`exchange_lowest`).  Sizes are checked before any set is built.
@@ -194,9 +195,9 @@ def set_links(masks: Iterable[int]) -> Iterator[tuple[int, int]]:
     """
     distinct = list(dict.fromkeys(masks))
     for at, x in enumerate(distinct):
-        outside = ~x
         for y in distinct[at + 1 :]:
-            if y & outside and x & ~y:
+            t = x | y
+            if t != x and t != y:
                 yield x, y
 
 
@@ -220,23 +221,38 @@ def node_pairs(
     return pairs
 
 
-def set_table(masks: Sequence[int]) -> tuple[Holders, SetPairs]:
+def set_table(
+    masks: Sequence[int], unions: dict[int, int] | None = None
+) -> tuple[Holders, SetPairs]:
     """The kept set table of ``masks``: the holders of each distinct mask and
     every linked pair of distinct masks, in :func:`set_links` order, with its
     union.  :func:`exchange_kept` keeps it current, so a scheduler picking
-    one set pair per step scores the kept pairs instead of scanning again."""
+    one set pair per step scores the kept pairs instead of scanning again.
+    Given ``unions``, an empty dict, it also counts there the pairs behind
+    each union (the keys :func:`rank_pairs` ranks)."""
     holders: Holders = {}
     for i, mask in enumerate(masks):
         holders.setdefault(mask, []).append(i)
-    return holders, {(x, y): x | y for x, y in set_links(holders)}
+    pairs = {(x, y): x | y for x, y in set_links(holders)}
+    if unions is not None:
+        for union in pairs.values():
+            unions[union] = unions.get(union, 0) + 1
+    return holders, pairs
 
 
 def exchange_kept(
-    masks: list[int], holders: Holders, pairs: SetPairs, i: int, j: int
+    masks: list[int],
+    holders: Holders,
+    pairs: SetPairs,
+    i: int,
+    j: int,
+    unions: dict[int, int] | None = None,
 ) -> Record:
     """:func:`exchange`, moving the set table of ``masks`` along in O(D) for
     D distinct sets: a set left with no holder drops its pairs, and the
-    union, when it is a new set, gains its own."""
+    union, when it is a new set, gains its own.  Given the table's union
+    counts (:func:`set_table`), it moves them too: a union left with no
+    pair is dropped."""
     x, y = masks[i], masks[j]
     record = exchange(masks, i, j)
     for old, node in ((x, i), (y, j)):
@@ -245,84 +261,97 @@ def exchange_kept(
         if not held:
             del holders[old]
             for z in holders:
-                pairs.pop((old, z), None)
-                pairs.pop((z, old), None)
+                union = pairs.pop((old, z), None) or pairs.pop((z, old), None)
+                if union and unions is not None:
+                    unions[union] -= 1
+                    if not unions[union]:
+                        del unions[union]
     u = x | y
     held = holders.get(u)
     if held is None:
-        outside = ~u
         for z in holders:
-            if z & outside and u & ~z:
-                pairs[z, u] = z | u
+            t = z | u
+            if t != z and t != u:
+                pairs[z, u] = t
+                if unions is not None:
+                    unions[t] = unions.get(t, 0) + 1
         holders[u] = [i, j]
     else:
         held += [i, j]
     return record
 
 
-def links_alive(
-    holders: Holders, pairs: SetPairs, before: dict[int, int], x: int, y: int
-) -> tuple[list[int], dict[int, int]]:
-    """Score every linked set pair (a, b) of a state's set table
-    (:func:`set_table`) by the links activating it leaves alive, up to a
-    constant: ``2*N(a|b) - N(a) - N(b)``, in ``pairs`` order, where ``N(K)``
-    counts the nodes whose set is incomparable with K.  Also returns N over
-    the state's distinct sets (the keys of ``holders``) and linked unions.
+def rank_pairs(
+    ranks: dict[int, int],
+    holders: Holders,
+    pairs: SetPairs,
+    unions: dict[int, int],
+    x: int,
+    y: int,
+    width: int,
+) -> list[int]:
+    """Rank every linked set pair (a, b) of a state's set table
+    (:func:`set_table`, with its union counts) by greedy-links' choice, in
+    ``pairs`` order: most links the activation leaves alive, then the
+    largest immediate gain.
 
-    ``before`` holds N of the state before, whose activated set pair was
-    (x, y); empty when there is none.  A key found there is moved: one node
-    moves from x and one from y to x|y, so N(K) moves by
-    ``2*[x|y ~ K] - [x ~ K] - [y ~ K]``, which is 0 unless K is comparable
-    with x, y or x|y.  Any other key is counted over the distinct sets."""
-    u = x | y
-    distinct = [(z, len(held)) for z, held in holders.items()]
-    incomparable: dict[int, int] = {}
-    for key in {*holders, *pairs.values()}:
-        value = before.get(key)
-        outside = ~key
-        if value is None:
-            value = 0
+    ``ranks`` holds ``R(K) = N(K)*width + |K|`` for every distinct set and
+    linked union K, where ``N(K)`` counts the nodes whose set is
+    incomparable with K and ``width`` exceeds every set size (n + 1).  A
+    pair's rank ``2*R(a|b) - R(a) - R(b)`` is then ``width*score + |a ^ b|``:
+    ``score = 2*N(a|b) - N(a) - N(b)`` is the number of links activating it
+    leaves alive, less a constant, and ``|a ^ b|``, at most n, is its gain
+    (the ``ginc`` weight).  So one :func:`argmax` makes the choice, and
+    ``rank // width`` is the score.
+
+    ``ranks`` comes from the state before, whose activated set pair was
+    (x, y), and is moved in place; empty, every key is counted afresh.  One
+    node moves from x and one from y to u = x|y, so N(K) moves by
+    ``2*[u ~ K] - [x ~ K] - [y ~ K]``: a key inside u loses ``[x ~ K] +
+    [y ~ K]``, a key holding exactly one of x and y (so not u) gains 1, and
+    no other key moves.  Keys that are no longer a set or a union are
+    dropped, and only keys not ranked yet are counted over the distinct
+    sets."""
+    if ranks:
+        u = x | y
+        for key, rank in ranks.items():
+            if key | u == u:
+                t = key | x
+                lost = t != key and t != x
+                t = key | y
+                lost += t != key and t != y
+                if lost:
+                    ranks[key] = rank - lost * width
+            elif (key | x == key) != (key | y == key):
+                ranks[key] = rank + width
+        # only x or y can lose its last holder, and then the pairs holding it
+        for old in (x, y):
+            if old not in holders:
+                for key in (old, *[z | old for z in holders]):
+                    if key in ranks and key not in unions and key not in holders:
+                        del ranks[key]
+        # only u can be a new set, and then only pairs holding it are new
+        fresh = () if len(holders[u]) > 2 else {
+            key for z in holders if (key := z | u) not in ranks
+        }
+    else:
+        fresh = {*holders, *unions}
+    if fresh:
+        distinct = [(z, len(held)) for z, held in holders.items()]
+        for key in fresh:
+            count = 0
             for z, c in distinct:
-                if z & outside and key & ~z:
-                    value += c
-        elif not key & ~u:
-            value -= (key & ~x != 0 and x & outside != 0) + (
-                key & ~y != 0 and y & outside != 0
-            )
-        elif (not x & outside or not y & outside) and u & outside:
-            # K holds x or y but not u
-            value += 2 - (x & outside != 0) - (y & outside != 0)
-        incomparable[key] = value
-    score = [
-        2 * incomparable[w] - incomparable[a] - incomparable[b]
-        for (a, b), w in pairs.items()
-    ]
-    return score, incomparable
+                t = z | key
+                if t != z and t != key:
+                    count += c
+            ranks[key] = count * width + key.bit_count()
+    return [2 * ranks[w] - ranks[a] - ranks[b] for (a, b), w in pairs.items()]
 
 
 def argmax(items: Iterable, weights: Sequence) -> list:
     """The items with the largest weight, in their given order."""
     best = max(weights)
     return [item for item, weight in zip(items, weights) if weight == best]
-
-
-def best_set_pairs(
-    pairs: Iterable[tuple[int, int]], score: Sequence[int]
-) -> list[tuple[int, int]]:
-    """Greedy-links' choice among a state's linked set pairs: those with the
-    highest ``score`` (:func:`links_alive`'s, one per pair in ``pairs``
-    order), then of those the ones with the largest immediate gain
-    ``2*|a | b| - |a| - |b| = |a ^ b|`` (the ``ginc`` weight), in ``pairs``
-    order.
-
-    The gain depends on the node sets, not on how the nodes are numbered;
-    with it, every tie path reaches the exact optimum on every four-node
-    equal-size instance with n <= 7, where the pair order alone misses it
-    on some of them.  Greedy-links hands the node pairs holding these set
-    pairs to its tie rule, and the oracle's first descent takes the first.
-    """
-    tied = argmax(pairs, score)
-    return argmax(tied, [(a ^ b).bit_count() for a, b in tied])
 
 
 def exchange(masks: list[int], i: int, j: int) -> Record:

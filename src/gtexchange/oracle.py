@@ -16,11 +16,11 @@ The search stays exhaustive; three things let it stop early or not start:
   heuristic run a batch already made or else a greedy-links presolve.  An
   incumbent meeting the bound is certified without a search, and so is one
   that a finished search does not beat, its schedule being the witness;
-* child order: a state's first child is greedy-links' choice there
-  (:func:`~gtexchange.core.best_set_pairs`: most links kept alive, then
-  largest gain), so the first descent runs greedy-links, and the rest are
-  tried by links kept alive, most first (:func:`~gtexchange.core.links_alive`).
-  The order decides only which leaf comes first.
+* child order: a state's first child is greedy-links' choice there, the
+  set pair of highest rank (:func:`~gtexchange.core.rank_pairs`: most links
+  kept alive, then largest gain), so the first descent runs greedy-links,
+  and the rest are tried by links kept alive, most first.  The order
+  decides only which leaf comes first.
 
 Budgets are enforced per search.  On an overrun the result is flagged
 inexact and carries the better of the incumbent and the best leaf reached,
@@ -38,9 +38,9 @@ from .algorithms import AlgorithmRun, run_greedy_links
 from .core import (
     Instance,
     Schedule,
-    best_set_pairs,
+    argmax,
     exchange_lowest,
-    links_alive,
+    rank_pairs,
     set_table,
     upper_bound,
 )
@@ -97,8 +97,9 @@ def canonical_key(masks: Iterable[int]) -> tuple[int, ...]:
 
 
 class _Search:
-    def __init__(self, bound: int, limits: SearchLimits):
+    def __init__(self, bound: int, width: int, limits: SearchLimits):
         self.bound = bound
+        self.width = width  # of the ranks, n + 1 (see core.rank_pairs)
         self.limits = limits
         self.memo: dict[tuple[int, ...], int] = {}
         self.visited = 0
@@ -107,9 +108,10 @@ class _Search:
         # state being expanded
         self.best_path: tuple[tuple[int, int], ...] = ()
         self.path: list[tuple[int, int]] = []
-        # N of the state whose child is asked for next, and the set pair
-        # that child activates (see core.links_alive)
-        self.handoff: tuple[dict[int, int], int, int] = ({}, 0, 0)
+        # the ranks of the state whose child is asked for next, the set pair
+        # that child activates, and whether the child may move those ranks
+        # in place rather than a copy of them (see core.rank_pairs)
+        self.handoff: tuple[dict[int, int], int, int, bool] = ({}, 0, 0, True)
         self.deadline = time.monotonic() + limits.max_seconds
 
     def best_from(self, root: tuple[int, ...]) -> int:
@@ -144,10 +146,15 @@ class _Search:
                 key, reply = None, done.value
 
     def _child(
-        self, key: tuple[int, ...], pair: tuple[int, int], incomparable: dict[int, int]
+        self,
+        key: tuple[int, ...],
+        pair: tuple[int, int],
+        ranks: dict[int, int],
+        own: bool,
     ) -> tuple[int, ...]:
         """Key of the state that activating ``pair`` in ``key`` leads to; puts
-        the step on the path and hands ``key``'s N to the child's expansion."""
+        the step on the path and hands ``key``'s ranks to the child's
+        expansion, to move in place when ``own`` and else to copy first."""
         x, y = pair
         union = x | y
         child = list(key)
@@ -156,13 +163,14 @@ class _Search:
         child += (union, union)
         child.sort()
         self.path.append(pair)
-        self.handoff = (incomparable, x, y)
+        self.handoff = (ranks, x, y, own)
         return tuple(child)
 
     def _expand(self, key: tuple[int, ...]) -> Generator[tuple[int, ...], int, int]:
         """Expansion of one state: yields each child key and receives the
         child's result; stores the state's own result in the memo."""
-        holders, pairs = set_table(key)
+        unions: dict[int, int] = {}
+        holders, pairs = set_table(key, unions)
         if not pairs:
             best = sum(mask.bit_count() for mask in key)
             if best > self.best_leaf:
@@ -170,24 +178,31 @@ class _Search:
                 self.best_path = tuple(self.path)
             self.memo[key] = best
             return best
-        # The first child is greedy-links' choice; the rest go by links kept
-        # alive, most first, ties in pair order.  While the first child's
-        # subtree is searched this state keeps only O(m) data, so a deep
-        # descent holds no O(m^2) pair list per level; if the search comes
-        # back, the table is built and scored again.
-        score, incomparable = links_alive(holders, pairs, *self.handoff)
-        tried = best_set_pairs(pairs, score)[0]
-        first = self._child(key, tried, incomparable)
-        del holders, pairs, score, incomparable
+        # The first child is greedy-links' choice; it takes this state's
+        # ranks and moves them on.  The rest go by links kept alive, most
+        # first, ties in pair order.  While the first child's subtree is
+        # searched this state keeps only O(m) data, so a deep descent holds
+        # no O(m^2) pair list per level; if the search comes back, the
+        # table is built and ranked again, and every later child that is
+        # expanded copies those ranks, so siblings never move each other's.
+        ranks, x, y, own = self.handoff
+        if not own:
+            ranks = dict(ranks)
+        rank = rank_pairs(ranks, holders, pairs, unions, x, y, self.width)
+        tried = argmax(pairs, rank)[0]
+        first = self._child(key, tried, ranks, True)
+        del holders, pairs, unions, rank, ranks
         best = yield first
         self.path.pop()
         if best < self.bound:
-            holders, pairs = set_table(key)
-            score, incomparable = links_alive(holders, pairs, {}, 0, 0)
-            ranked = dict(zip(pairs, score))
-            del ranked[tried]
-            for pair in sorted(ranked, key=ranked.__getitem__, reverse=True):
-                value = yield self._child(key, pair, incomparable)
+            unions = {}
+            holders, pairs = set_table(key, unions)
+            ranks = {}
+            rank = rank_pairs(ranks, holders, pairs, unions, 0, 0, self.width)
+            alive = {pair: r // self.width for pair, r in zip(pairs, rank)}
+            del alive[tried]
+            for pair in sorted(alive, key=alive.__getitem__, reverse=True):
+                value = yield self._child(key, pair, ranks, False)
                 self.path.pop()
                 if value > best:
                     best = value
@@ -218,7 +233,7 @@ def solve_optimal(
     if incumbent is None:
         incumbent = run_greedy_links(instance)
     root = canonical_key(s.mask for s in instance.initial_sets)
-    search = _Search(upper_bound(instance), limits)
+    search = _Search(upper_bound(instance), instance.n + 1, limits)
     exact = True
     if incumbent.alpha < search.bound:
         try:

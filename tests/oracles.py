@@ -3,10 +3,10 @@
 Everything here is deliberately brute force and shares no code path with
 the implementations under test: it imports only value types from the
 package and runs every exchange as an inline union.  A memo-free recursive
-optimum, an enumerator of every maximal schedule,
-coverage probability by exhaustive tuple enumeration, by
-inclusion-exclusion over rationals, by a composition sum and by sampling,
-a pair-scan link finder, rarest-first's preference rows, schedulers
+optimum, an enumerator of every maximal schedule, coverage probability by
+exhaustive tuple enumeration, by inclusion-exclusion over rationals, by a
+composition sum and by sampling, a pair-scan link finder, greedy-links'
+two-pass choice of set pairs, rarest-first's preference rows, schedulers
 written straight from their definitions (every step rescans every pair, with
 no cached link state), and the randomized scheduler's exact mean by a chain
 over mask multisets.
@@ -201,6 +201,30 @@ def pair_scan_links(masks):
         for j in range(i + 1, m)
         if masks[i] & ~masks[j] and masks[j] & ~masks[i]
     ]
+
+
+def best_set_pairs(masks):
+    """Greedy-links' choice in two passes: among the linked pairs of
+    distinct sets, by first appearance of each set, those whose activation
+    on their first holders leaves the most links (a pair scan after it),
+    then of those the ones with the largest gain ``|a ^ b|``, in that
+    order."""
+    distinct = list(dict.fromkeys(masks))
+    pairs = [
+        (a, b)
+        for at, a in enumerate(distinct)
+        for b in distinct[at + 1 :]
+        if a & ~b and b & ~a
+    ]
+
+    def links_left(a, b):
+        after = list(masks)
+        union = a | b
+        after[after.index(a)] = after[after.index(b)] = union
+        return len(pair_scan_links(after))
+
+    tied = _argmax_pairs(pairs, links_left)
+    return _argmax_pairs(tied, lambda a, b: bin(a ^ b).count("1"))
 
 
 def _tie_picker(mode, seed):

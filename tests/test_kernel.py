@@ -31,10 +31,11 @@ from gtexchange import (
 )
 from gtexchange.algorithms import _permute, _shuffle_draws
 from gtexchange.core import (
+    argmax,
     exchange,
     exchange_kept,
-    links_alive,
     node_pairs,
+    rank_pairs,
     set_links,
     set_table,
 )
@@ -48,6 +49,7 @@ from gtexchange.harness import (
 )
 from conftest import instances, relaxed_instances
 from oracles import (
+    best_set_pairs,
     pair_scan_links,
     rarest_first_rows,
     reference_greedy_incremental,
@@ -237,26 +239,95 @@ def test_kept_set_table_matches_a_fresh_scan_after_every_exchange(instance, seed
         assert step == exchange(before, i, j) and masks == before
 
 
+def counted_ranks(masks, width):
+    """``N(K)*width + |K|`` for every distinct set and linked union K of
+    ``masks``, where N(K) counts the nodes whose set is incomparable with K,
+    by a plain pass over the masks."""
+    keys = {*masks, *(masks[i] | masks[j] for i, j in pair_scan_links(masks))}
+    return {
+        key: sum(1 for z in masks if z & ~key and key & ~z) * width + key.bit_count()
+        for key in keys
+    }
+
+
 @given(st.one_of(any_instances, crowded_instances), st.integers(0, 2**32))
 def test_moved_links_alive_matches_a_fresh_count_after_every_exchange(instance, seed):
-    """N handed on from the state before and moved past its activation equals
-    N counted afresh, and each kept pair's score is what activating it on
-    its first holders does to the number of live links, less one."""
+    """The ranks handed on from the state before and moved in place past its
+    activation equal the ranks counted afresh, key for key, and the kept
+    union counts equal a fresh table's; each kept pair's rank, divided by
+    n + 1, is what activating it on its first holders does to the number
+    of live links, less one, and its remainder is the pair's gain."""
     rng = random.Random(seed)
+    width = instance.n + 1
     masks = [s.mask for s in instance.initial_sets]
-    holders, pairs = set_table(masks)
-    incomparable, x, y = {}, 0, 0
+    unions = {}
+    holders, pairs = set_table(masks, unions)
+    ranks, x, y = {}, 0, 0
     while pairs:
-        score, incomparable = links_alive(holders, pairs, incomparable, x, y)
-        assert (score, incomparable) == links_alive(holders, pairs, {}, 0, 0)
+        rank = rank_pairs(ranks, holders, pairs, unions, x, y, width)
+        fresh = {}
+        assert rank == rank_pairs(fresh, holders, pairs, unions, 0, 0, width)
+        assert ranks == fresh == counted_ranks(masks, width)
+        scanned = {}
+        set_table(masks, scanned)
+        assert unions == scanned
         live = len(pair_scan_links(masks))
-        for (a, b), value in zip(pairs, score):
+        for (a, b), value in zip(pairs, rank):
             after = list(masks)
             exchange(after, after.index(a), after.index(b))
-            assert value == len(pair_scan_links(after)) - live - 1
+            assert value // width == len(pair_scan_links(after)) - live - 1
+            assert value % width == (a ^ b).bit_count()
         i, j = rng.choice(node_pairs(holders, list(pairs)))
         x, y = masks[i], masks[j]
-        exchange_kept(masks, holders, pairs, i, j)
+        exchange_kept(masks, holders, pairs, i, j, unions)
+    assert not unions
+
+
+def one_argmax_choice(masks, width):
+    """Greedy-links' choice from a fresh set table: one argmax over the ranks."""
+    unions = {}
+    holders, pairs = set_table(masks, unions)
+    return argmax(pairs, rank_pairs({}, holders, pairs, unions, 0, 0, width))
+
+
+@given(st.one_of(any_instances, crowded_instances), st.integers(0, 2**32))
+def test_one_argmax_over_ranks_makes_the_two_pass_choice(instance, seed):
+    """Along a random walk, the highest-ranked set pairs are those the two
+    passes choose (most links left alive, then the largest gain): in the
+    same order from a fresh table, and as the same pairs from the kept
+    table with ranks moved from step to step."""
+    rng = random.Random(seed)
+    width = instance.n + 1
+    masks = [s.mask for s in instance.initial_sets]
+    unions = {}
+    holders, pairs = set_table(masks, unions)
+    ranks, x, y = {}, 0, 0
+    while pairs:
+        expected = best_set_pairs(masks)
+        assert one_argmax_choice(masks, width) == expected
+        rank = rank_pairs(ranks, holders, pairs, unions, x, y, width)
+        assert {frozenset(p) for p in argmax(pairs, rank)} == {
+            frozenset(p) for p in expected
+        }
+        i, j = rng.choice(node_pairs(holders, list(pairs)))
+        x, y = masks[i], masks[j]
+        exchange_kept(masks, holders, pairs, i, j, unions)
+
+
+def test_a_full_gain_one_link_below_loses_to_the_smallest_gain():
+    """Complementary halves gain all n = 4 segments, but keep one link fewer
+    alive than the pair that gains 2: the gain must never carry into the
+    links-alive part of a rank, which it would with a width of n or less."""
+    masks = [0b0001, 0b1110, 0b1101, 0b1001, 0b1011]
+    width = 4 + 1
+    assert best_set_pairs(masks) == [(0b1101, 0b1011)]
+    assert one_argmax_choice(masks, width) == [(0b1101, 0b1011)]
+    unions = {}
+    holders, pairs = set_table(masks, unions)
+    rank = dict(zip(pairs, rank_pairs({}, holders, pairs, unions, 0, 0, width)))
+    halves, winner = rank[0b0001, 0b1110], rank[0b1101, 0b1011]
+    assert (halves // width, halves % width) == (winner // width - 1, 4)
+    assert winner % width == 2
 
 
 @given(any_instances, st.sampled_from(TIE_MODES), st.integers(0, 2**32))

@@ -14,6 +14,7 @@ from gtexchange import (
     solve_optimal,
     upper_bound,
 )
+import gtexchange.oracle as oracle_module
 from gtexchange.core import exchange
 from gtexchange.harness import derive_seed, gen_instance
 from conftest import (
@@ -261,6 +262,51 @@ def test_run_19_of_the_small_preset_certifies_at_the_parity_bound():
     final, _ = apply_schedule(instance, result.witness.link_list())
     assert sum(map(len, final)) == 284
     assert not pair_scan_links([s.mask for s in final])
+
+
+# (run of master seed 0 at (15,20,5), state budget) -> (visited, memo, exact,
+# alpha) of a search with its greedy-links presolve, recorded while every
+# state counted its links-alive scores afresh on the search's return path
+SIBLING_SEARCHES = {
+    (19, 2000): (33, 33, True, 284),
+    (53, 300): (301, 271, False, 297),
+    (53, 1500): (1501, 1473, False, 297),
+    (99, 300): (301, 268, False, 297),
+    (99, 6000): (5278, 5278, True, 299),
+}
+
+
+@pytest.mark.parametrize("run, max_states", sorted(SIBLING_SEARCHES))
+def test_searches_that_come_back_visit_the_states_recorded(run, max_states):
+    # the search order end to end, later children included; at these sizes
+    # a wrong first choice inside a later child's subtree leaves the visited
+    # states as they are, so the next test checks the ranks themselves
+    instance = gen_instance(15, 20, 5, derive_seed(0, run, "instance"))
+    result = solve_optimal(instance, SearchLimits(max_states=max_states))
+    outcome = (result.visited, result.memo, result.exact, result.alpha)
+    assert outcome == SIBLING_SEARCHES[run, max_states]
+
+
+def test_every_expanded_state_ranks_its_pairs_as_a_fresh_count(monkeypatch):
+    # the ranks a state moves in place, handed on by its parent, must be
+    # those of a fresh count, for first children and later siblings alike
+    moved = oracle_module.rank_pairs
+    ranked = []  # the set pair that reached each ranked state; (0, 0) afresh
+
+    def checked(ranks, holders, pairs, unions, x, y, width):
+        rank = moved(ranks, holders, pairs, unions, x, y, width)
+        fresh = {}
+        assert rank == moved(fresh, holders, pairs, unions, 0, 0, width)
+        assert ranks == fresh
+        ranked.append((x, y))
+        return rank
+
+    monkeypatch.setattr(oracle_module, "rank_pairs", checked)
+    for run in (53, 99):
+        instance = gen_instance(15, 20, 5, derive_seed(0, run, "instance"))
+        solve_optimal(instance, SearchLimits(max_states=1500))
+    # the search came back to states often and ranked their later children
+    assert sum(1 for pair in ranked if pair == (0, 0)) > 1000
 
 
 # --------------------------------------------------------------- enumeration
