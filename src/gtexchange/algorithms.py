@@ -197,10 +197,11 @@ def run_greedy_links(
     unions: dict[int, int] = {}
     holders, pairs = set_table(masks, unions)
     ranks: dict[int, int] = {}  # moved along from step to step
+    width = instance.n + 1
     x = y = 0  # the last activation; nothing is ranked before the first
     records: list[Record] = []
     while pairs:
-        rank = rank_pairs(ranks, holders, pairs, unions, x, y, instance.n + 1)
+        rank = rank_pairs(ranks, holders, pairs, unions, x, y, width)
         i, j = pick(node_pairs(holders, argmax(pairs, rank)))
         x, y = masks[i], masks[j]
         records.append(exchange_kept(masks, holders, pairs, i, j, unions))

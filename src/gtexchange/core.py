@@ -327,8 +327,11 @@ def rank_pairs(
         # only x or y can lose its last holder, and then the pairs holding it
         for old in (x, y):
             if old not in holders:
-                for key in (old, *[z | old for z in holders]):
-                    if key in ranks and key not in unions and key not in holders:
+                if old not in unions:
+                    del ranks[old]
+                for z in holders:
+                    key = z | old
+                    if key not in unions and key not in holders and key in ranks:
                         del ranks[key]
         # only u can be a new set, and then only pairs holding it are new
         fresh = () if len(holders[u]) > 2 else {
