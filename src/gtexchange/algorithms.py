@@ -194,17 +194,17 @@ def run_greedy_links(
     """
     pick = _tie_picker(tie_mode, seed)
     masks = [s.mask for s in instance.initial_sets]
-    unions: dict[int, int] = {}
-    holders, pairs = set_table(masks, unions)
+    holders, pairs = set_table(masks)
     ranks: dict[int, int] = {}  # moved along from step to step
+    unions: dict[int, int] = {}
     width = instance.n + 1
     x = y = 0  # the last activation; nothing is ranked before the first
     records: list[Record] = []
     while pairs:
-        rank = rank_pairs(ranks, holders, pairs, unions, x, y, width)
+        rank = rank_pairs(ranks, unions, holders, pairs, x, y, width)
         i, j = pick(node_pairs(holders, argmax(pairs, rank)))
         x, y = masks[i], masks[j]
-        records.append(exchange_kept(masks, holders, pairs, i, j, unions))
+        records.append(exchange_kept(masks, holders, pairs, i, j))
     return _finish("glink", masks, records)
 
 

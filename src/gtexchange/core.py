@@ -221,38 +221,23 @@ def node_pairs(
     return pairs
 
 
-def set_table(
-    masks: Sequence[int], unions: dict[int, int] | None = None
-) -> tuple[Holders, SetPairs]:
+def set_table(masks: Sequence[int]) -> tuple[Holders, SetPairs]:
     """The kept set table of ``masks``: the holders of each distinct mask and
     every linked pair of distinct masks, in :func:`set_links` order, with its
     union.  :func:`exchange_kept` keeps it current, so a scheduler picking
-    one set pair per step scores the kept pairs instead of scanning again.
-    Given ``unions``, an empty dict, it also counts there the pairs behind
-    each union (the keys :func:`rank_pairs` ranks)."""
+    one set pair per step scores the kept pairs instead of scanning again."""
     holders: Holders = {}
     for i, mask in enumerate(masks):
         holders.setdefault(mask, []).append(i)
-    pairs = {(x, y): x | y for x, y in set_links(holders)}
-    if unions is not None:
-        for union in pairs.values():
-            unions[union] = unions.get(union, 0) + 1
-    return holders, pairs
+    return holders, {(x, y): x | y for x, y in set_links(holders)}
 
 
 def exchange_kept(
-    masks: list[int],
-    holders: Holders,
-    pairs: SetPairs,
-    i: int,
-    j: int,
-    unions: dict[int, int] | None = None,
+    masks: list[int], holders: Holders, pairs: SetPairs, i: int, j: int
 ) -> Record:
     """:func:`exchange`, moving the set table of ``masks`` along in O(D) for
     D distinct sets: a set left with no holder drops its pairs, and the
-    union, when it is a new set, gains its own.  Given the table's union
-    counts (:func:`set_table`), it moves them too: a union left with no
-    pair is dropped."""
+    union, when it is a new set, gains its own."""
     x, y = masks[i], masks[j]
     record = exchange(masks, i, j)
     for old, node in ((x, i), (y, j)):
@@ -261,11 +246,8 @@ def exchange_kept(
         if not held:
             del holders[old]
             for z in holders:
-                union = pairs.pop((old, z), None) or pairs.pop((z, old), None)
-                if union and unions is not None:
-                    unions[union] -= 1
-                    if not unions[union]:
-                        del unions[union]
+                pairs.pop((old, z), None)
+                pairs.pop((z, old), None)
     u = x | y
     held = holders.get(u)
     if held is None:
@@ -273,8 +255,6 @@ def exchange_kept(
             t = z | u
             if t != z and t != u:
                 pairs[z, u] = t
-                if unions is not None:
-                    unions[t] = unions.get(t, 0) + 1
         holders[u] = [i, j]
     else:
         held += [i, j]
@@ -283,17 +263,16 @@ def exchange_kept(
 
 def rank_pairs(
     ranks: dict[int, int],
+    unions: dict[int, int],
     holders: Holders,
     pairs: SetPairs,
-    unions: dict[int, int],
     x: int,
     y: int,
     width: int,
 ) -> list[int]:
     """Rank every linked set pair (a, b) of a state's set table
-    (:func:`set_table`, with its union counts) by greedy-links' choice, in
-    ``pairs`` order: most links the activation leaves alive, then the
-    largest immediate gain.
+    (:func:`set_table`) by greedy-links' choice, in ``pairs`` order: most
+    links the activation leaves alive, then the largest immediate gain.
 
     ``ranks`` holds ``R(K) = N(K)*width + |K|`` for every distinct set and
     linked union K, where ``N(K)`` counts the nodes whose set is
@@ -302,16 +281,18 @@ def rank_pairs(
     ``score = 2*N(a|b) - N(a) - N(b)`` is the number of links activating it
     leaves alive, less a constant, and ``|a ^ b|``, at most n, is its gain
     (the ``ginc`` weight).  So one :func:`argmax` makes the choice, and
-    ``rank // width`` is the score.
+    ``rank // width`` is the score.  ``unions`` counts the linked pairs
+    behind each union, so a union no pair makes any more can be dropped.
 
-    ``ranks`` comes from the state before, whose activated set pair was
-    (x, y), and is moved in place; empty, every key is counted afresh.  One
-    node moves from x and one from y to u = x|y, so N(K) moves by
+    ``ranks`` and ``unions`` come from the state before, whose activated set
+    pair was (x, y), and are moved in place; empty, both are counted afresh.
+    One node moves from x and one from y to u = x|y, so N(K) moves by
     ``2*[u ~ K] - [x ~ K] - [y ~ K]``: a key inside u loses ``[x ~ K] +
     [y ~ K]``, a key holding exactly one of x and y (so not u) gains 1, and
-    no other key moves.  Keys that are no longer a set or a union are
-    dropped, and only keys not ranked yet are counted over the distinct
-    sets."""
+    no other key moves.  Only u can be a new set, and only x and y can be
+    gone, so only their pairs change; keys that are no longer a set or a
+    union are dropped, and only keys not ranked yet are counted over the
+    distinct sets."""
     if ranks:
         u = x | y
         for key, rank in ranks.items():
@@ -324,20 +305,38 @@ def rank_pairs(
                     ranks[key] = rank - lost * width
             elif (key | x == key) != (key | y == key):
                 ranks[key] = rank + width
-        # only x or y can lose its last holder, and then the pairs holding it
-        for old in (x, y):
-            if old not in holders:
-                if old not in unions:
-                    del ranks[old]
-                for z in holders:
-                    key = z | old
-                    if key not in unions and key not in holders and key in ranks:
-                        del ranks[key]
-        # only u can be a new set, and then only pairs holding it are new
-        fresh = () if len(holders[u]) > 2 else {
-            key for z in holders if (key := z | u) not in ranks
-        }
+        fresh = []
+        if len(holders[u]) == 2:  # u is a new set: its pairs are new
+            for z in holders:
+                t = z | u
+                if t != z and t != u:
+                    if t in unions:
+                        unions[t] += 1
+                    else:
+                        unions[t] = 1
+                        if t not in ranks:
+                            fresh.append(t)
+        gone = [old for old in (x, y) if old not in holders]
+        dropped = [u] if len(gone) == 2 else []  # the union of (x, y) itself
+        for old in gone:
+            for z in holders:
+                t = z | old
+                if t != z and t != old:
+                    dropped.append(t)
+        for t in dropped:
+            count = unions[t] - 1
+            if count:
+                unions[t] = count
+            else:
+                del unions[t]
+                if t not in holders:
+                    del ranks[t]
+        for old in gone:
+            if old not in unions:
+                del ranks[old]
     else:
+        for union in pairs.values():
+            unions[union] = unions.get(union, 0) + 1
         fresh = {*holders, *unions}
     if fresh:
         distinct = [(z, len(held)) for z, held in holders.items()]

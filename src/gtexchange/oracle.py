@@ -108,10 +108,12 @@ class _Search:
         # state being expanded
         self.best_path: tuple[tuple[int, int], ...] = ()
         self.path: list[tuple[int, int]] = []
-        # the ranks of the state whose child is asked for next, the set pair
-        # that child activates, and whether the child may move those ranks
-        # in place rather than a copy of them (see core.rank_pairs)
-        self.handoff: tuple[dict[int, int], int, int, bool] = ({}, 0, 0, True)
+        # the ranks and union counts of the state whose child is asked for
+        # next, the set pair that child activates, and whether the child may
+        # move them in place rather than copies of them (see core.rank_pairs)
+        self.handoff: tuple[dict[int, int], dict[int, int], int, int, bool] = (
+            {}, {}, 0, 0, True
+        )
         self.deadline = time.monotonic() + limits.max_seconds
 
     def best_from(self, root: tuple[int, ...]) -> int:
@@ -150,11 +152,13 @@ class _Search:
         key: tuple[int, ...],
         pair: tuple[int, int],
         ranks: dict[int, int],
+        unions: dict[int, int],
         own: bool,
     ) -> tuple[int, ...]:
         """Key of the state that activating ``pair`` in ``key`` leads to; puts
-        the step on the path and hands ``key``'s ranks to the child's
-        expansion, to move in place when ``own`` and else to copy first."""
+        the step on the path and hands ``key``'s ranks and union counts to
+        the child's expansion, to move in place when ``own`` and else to
+        copy first."""
         x, y = pair
         union = x | y
         child = list(key)
@@ -163,14 +167,13 @@ class _Search:
         child += (union, union)
         child.sort()
         self.path.append(pair)
-        self.handoff = (ranks, x, y, own)
+        self.handoff = (ranks, unions, x, y, own)
         return tuple(child)
 
     def _expand(self, key: tuple[int, ...]) -> Generator[tuple[int, ...], int, int]:
         """Expansion of one state: yields each child key and receives the
         child's result; stores the state's own result in the memo."""
-        unions: dict[int, int] = {}
-        holders, pairs = set_table(key, unions)
+        holders, pairs = set_table(key)
         if not pairs:
             best = sum(mask.bit_count() for mask in key)
             if best > self.best_leaf:
@@ -184,25 +187,25 @@ class _Search:
         # searched this state keeps only O(m) data, so a deep descent holds
         # no O(m^2) pair list per level; if the search comes back, the
         # table is built and ranked again, and every later child that is
-        # expanded copies those ranks, so siblings never move each other's.
-        ranks, x, y, own = self.handoff
+        # expanded copies those ranks and union counts, so siblings never
+        # move each other's.
+        ranks, unions, x, y, own = self.handoff
         if not own:
-            ranks = dict(ranks)
-        rank = rank_pairs(ranks, holders, pairs, unions, x, y, self.width)
+            ranks, unions = dict(ranks), dict(unions)
+        rank = rank_pairs(ranks, unions, holders, pairs, x, y, self.width)
         tried = argmax(pairs, rank)[0]
-        first = self._child(key, tried, ranks, True)
+        first = self._child(key, tried, ranks, unions, True)
         del holders, pairs, unions, rank, ranks
         best = yield first
         self.path.pop()
         if best < self.bound:
-            unions = {}
-            holders, pairs = set_table(key, unions)
-            ranks = {}
-            rank = rank_pairs(ranks, holders, pairs, unions, 0, 0, self.width)
+            holders, pairs = set_table(key)
+            ranks, unions = {}, {}
+            rank = rank_pairs(ranks, unions, holders, pairs, 0, 0, self.width)
             alive = {pair: r // self.width for pair, r in zip(pairs, rank)}
             del alive[tried]
             for pair in sorted(alive, key=alive.__getitem__, reverse=True):
-                value = yield self._child(key, pair, ranks, False)
+                value = yield self._child(key, pair, ranks, unions, False)
                 self.path.pop()
                 if value > best:
                     best = value

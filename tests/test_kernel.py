@@ -11,6 +11,7 @@ recorded while the schedulers still built a new state per activation.
 
 import hashlib
 import random
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
@@ -252,25 +253,22 @@ def counted_ranks(masks, width):
 
 @given(st.one_of(any_instances, crowded_instances), st.integers(0, 2**32))
 def test_moved_links_alive_matches_a_fresh_count_after_every_exchange(instance, seed):
-    """The ranks handed on from the state before and moved in place past its
-    activation equal the ranks counted afresh, key for key, and the kept
-    union counts equal a fresh table's; each kept pair's rank, divided by
-    n + 1, is what activating it on its first holders does to the number
-    of live links, less one, and its remainder is the pair's gain."""
+    """The ranks and union counts handed on from the state before and moved
+    in place past its activation equal those counted afresh, key for key;
+    each kept pair's rank, divided by n + 1, is what activating it on its
+    first holders does to the number of live links, less one, and its
+    remainder is the pair's gain."""
     rng = random.Random(seed)
     width = instance.n + 1
     masks = [s.mask for s in instance.initial_sets]
-    unions = {}
-    holders, pairs = set_table(masks, unions)
-    ranks, x, y = {}, 0, 0
+    holders, pairs = set_table(masks)
+    ranks, unions, x, y = {}, {}, 0, 0
     while pairs:
-        rank = rank_pairs(ranks, holders, pairs, unions, x, y, width)
-        fresh = {}
-        assert rank == rank_pairs(fresh, holders, pairs, unions, 0, 0, width)
+        rank = rank_pairs(ranks, unions, holders, pairs, x, y, width)
+        fresh, counted = {}, {}
+        assert rank == rank_pairs(fresh, counted, holders, pairs, 0, 0, width)
         assert ranks == fresh == counted_ranks(masks, width)
-        scanned = {}
-        set_table(masks, scanned)
-        assert unions == scanned
+        assert unions == counted == Counter(a | b for a, b in set_links(masks))
         live = len(pair_scan_links(masks))
         for (a, b), value in zip(pairs, rank):
             after = list(masks)
@@ -279,15 +277,13 @@ def test_moved_links_alive_matches_a_fresh_count_after_every_exchange(instance, 
             assert value % width == (a ^ b).bit_count()
         i, j = rng.choice(node_pairs(holders, list(pairs)))
         x, y = masks[i], masks[j]
-        exchange_kept(masks, holders, pairs, i, j, unions)
-    assert not unions
+        exchange_kept(masks, holders, pairs, i, j)
 
 
 def one_argmax_choice(masks, width):
     """Greedy-links' choice from a fresh set table: one argmax over the ranks."""
-    unions = {}
-    holders, pairs = set_table(masks, unions)
-    return argmax(pairs, rank_pairs({}, holders, pairs, unions, 0, 0, width))
+    holders, pairs = set_table(masks)
+    return argmax(pairs, rank_pairs({}, {}, holders, pairs, 0, 0, width))
 
 
 @given(st.one_of(any_instances, crowded_instances), st.integers(0, 2**32))
@@ -299,19 +295,18 @@ def test_one_argmax_over_ranks_makes_the_two_pass_choice(instance, seed):
     rng = random.Random(seed)
     width = instance.n + 1
     masks = [s.mask for s in instance.initial_sets]
-    unions = {}
-    holders, pairs = set_table(masks, unions)
-    ranks, x, y = {}, 0, 0
+    holders, pairs = set_table(masks)
+    ranks, unions, x, y = {}, {}, 0, 0
     while pairs:
         expected = best_set_pairs(masks)
         assert one_argmax_choice(masks, width) == expected
-        rank = rank_pairs(ranks, holders, pairs, unions, x, y, width)
+        rank = rank_pairs(ranks, unions, holders, pairs, x, y, width)
         assert {frozenset(p) for p in argmax(pairs, rank)} == {
             frozenset(p) for p in expected
         }
         i, j = rng.choice(node_pairs(holders, list(pairs)))
         x, y = masks[i], masks[j]
-        exchange_kept(masks, holders, pairs, i, j, unions)
+        exchange_kept(masks, holders, pairs, i, j)
 
 
 def test_a_full_gain_one_link_below_loses_to_the_smallest_gain():
@@ -322,9 +317,8 @@ def test_a_full_gain_one_link_below_loses_to_the_smallest_gain():
     width = 4 + 1
     assert best_set_pairs(masks) == [(0b1101, 0b1011)]
     assert one_argmax_choice(masks, width) == [(0b1101, 0b1011)]
-    unions = {}
-    holders, pairs = set_table(masks, unions)
-    rank = dict(zip(pairs, rank_pairs({}, holders, pairs, unions, 0, 0, width)))
+    holders, pairs = set_table(masks)
+    rank = dict(zip(pairs, rank_pairs({}, {}, holders, pairs, 0, 0, width)))
     halves, winner = rank[0b0001, 0b1110], rank[0b1101, 0b1011]
     assert (halves // width, halves % width) == (winner // width - 1, 4)
     assert winner % width == 2

@@ -288,16 +288,17 @@ def test_searches_that_come_back_visit_the_states_recorded(run, max_states):
 
 
 def test_every_expanded_state_ranks_its_pairs_as_a_fresh_count(monkeypatch):
-    # the ranks a state moves in place, handed on by its parent, must be
-    # those of a fresh count, for first children and later siblings alike
+    # the ranks and union counts a state moves in place, handed on by its
+    # parent, must be those of a fresh count, for first children and later
+    # siblings alike
     moved = oracle_module.rank_pairs
     ranked = []  # the set pair that reached each ranked state; (0, 0) afresh
 
-    def checked(ranks, holders, pairs, unions, x, y, width):
-        rank = moved(ranks, holders, pairs, unions, x, y, width)
-        fresh = {}
-        assert rank == moved(fresh, holders, pairs, unions, 0, 0, width)
-        assert ranks == fresh
+    def checked(ranks, unions, holders, pairs, x, y, width):
+        rank = moved(ranks, unions, holders, pairs, x, y, width)
+        fresh, counted = {}, {}
+        assert rank == moved(fresh, counted, holders, pairs, 0, 0, width)
+        assert ranks == fresh and unions == counted
         ranked.append((x, y))
         return rank
 
