@@ -197,11 +197,10 @@ def run_greedy_links(
     holders, pairs = set_table(masks)
     ranks: dict[int, int] = {}  # moved along from step to step
     unions: dict[int, int] = {}
-    width = instance.n + 1
     x = y = 0  # the last activation; nothing is ranked before the first
     records: list[Record] = []
     while pairs:
-        rank = rank_pairs(ranks, unions, holders, pairs, x, y, width)
+        rank = rank_pairs(ranks, unions, holders, pairs, x, y)
         i, j = pick(node_pairs(holders, argmax(pairs, rank)))
         x, y = masks[i], masks[j]
         records.append(exchange_kept(masks, holders, pairs, i, j))

@@ -44,6 +44,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 MAX_SEGMENTS = 4096  # fixed mask width; larger universes are rejected at load
+MAX_NODES = 2**20  # larger groups are rejected before any set is sampled
+RANK_WIDTH = MAX_SEGMENTS + 1  # exceeds every set size (see rank_pairs)
 
 
 class InvalidActivationError(ValueError):
@@ -96,6 +98,8 @@ def check_size(m: int, n: int) -> None:
         raise ValueError(f"sizes m and n must be integers, got m={m!r}, n={n!r}")
     if m < 2:
         raise ValueError(f"need at least two nodes, got m={m}")
+    if m > MAX_NODES:
+        raise ValueError(f"group size {m} exceeds the {MAX_NODES}-node cap")
     if n < 1:
         raise ValueError(f"universe needs at least one segment, got n={n}")
     if n > MAX_SEGMENTS:
@@ -268,21 +272,21 @@ def rank_pairs(
     pairs: SetPairs,
     x: int,
     y: int,
-    width: int,
 ) -> list[int]:
     """Rank every linked set pair (a, b) of a state's set table
     (:func:`set_table`) by greedy-links' choice, in ``pairs`` order: most
     links the activation leaves alive, then the largest immediate gain.
 
-    ``ranks`` holds ``R(K) = N(K)*width + |K|`` for every distinct set and
-    linked union K, where ``N(K)`` counts the nodes whose set is
-    incomparable with K and ``width`` exceeds every set size (n + 1).  A
-    pair's rank ``2*R(a|b) - R(a) - R(b)`` is then ``width*score + |a ^ b|``:
-    ``score = 2*N(a|b) - N(a) - N(b)`` is the number of links activating it
-    leaves alive, less a constant, and ``|a ^ b|``, at most n, is its gain
-    (the ``ginc`` weight).  So one :func:`argmax` makes the choice, and
-    ``rank // width`` is the score.  ``unions`` counts the linked pairs
-    behind each union, so a union no pair makes any more can be dropped.
+    ``ranks`` holds ``R(K) = N(K)*RANK_WIDTH + |K|`` for every distinct set
+    and linked union K, where ``N(K)`` counts the nodes whose set is
+    incomparable with K; ``RANK_WIDTH`` exceeds every set size, which is at
+    most ``MAX_SEGMENTS``.  A pair's rank ``2*R(a|b) - R(a) - R(b)`` is then
+    ``RANK_WIDTH*score + |a ^ b|``: ``score = 2*N(a|b) - N(a) - N(b)`` is the
+    number of links activating it leaves alive, less a constant, and
+    ``|a ^ b|`` is its gain (the ``ginc`` weight).  So one :func:`argmax`
+    makes the choice, and ``rank // RANK_WIDTH`` is the score.  ``unions``
+    counts the linked pairs behind each union, so a union no pair makes any
+    more can be dropped.
 
     ``ranks`` and ``unions`` come from the state before, whose activated set
     pair was (x, y), and are moved in place; empty, both are counted afresh.
@@ -302,9 +306,9 @@ def rank_pairs(
                 t = key | y
                 lost += t != key and t != y
                 if lost:
-                    ranks[key] = rank - lost * width
+                    ranks[key] = rank - lost * RANK_WIDTH
             elif (key | x == key) != (key | y == key):
-                ranks[key] = rank + width
+                ranks[key] = rank + RANK_WIDTH
         fresh = []
         if len(holders[u]) == 2:  # u is a new set: its pairs are new
             for z in holders:
@@ -346,7 +350,7 @@ def rank_pairs(
                 t = z | key
                 if t != z and t != key:
                     count += c
-            ranks[key] = count * width + key.bit_count()
+            ranks[key] = count * RANK_WIDTH + key.bit_count()
     return [2 * ranks[w] - ranks[a] - ranks[b] for (a, b), w in pairs.items()]
 
 

@@ -36,6 +36,7 @@ from typing import Generator, Iterable
 
 from .algorithms import AlgorithmRun, run_greedy_links
 from .core import (
+    RANK_WIDTH,
     Instance,
     Schedule,
     argmax,
@@ -97,9 +98,8 @@ def canonical_key(masks: Iterable[int]) -> tuple[int, ...]:
 
 
 class _Search:
-    def __init__(self, bound: int, width: int, limits: SearchLimits):
+    def __init__(self, bound: int, limits: SearchLimits):
         self.bound = bound
-        self.width = width  # of the ranks, n + 1 (see core.rank_pairs)
         self.limits = limits
         self.memo: dict[tuple[int, ...], int] = {}
         self.visited = 0
@@ -109,11 +109,9 @@ class _Search:
         self.best_path: tuple[tuple[int, int], ...] = ()
         self.path: list[tuple[int, int]] = []
         # the ranks and union counts of the state whose child is asked for
-        # next, the set pair that child activates, and whether the child may
-        # move them in place rather than copies of them (see core.rank_pairs)
-        self.handoff: tuple[dict[int, int], dict[int, int], int, int, bool] = (
-            {}, {}, 0, 0, True
-        )
+        # next and the set pair that child activates; the child's expansion
+        # moves copies of them on (see core.rank_pairs)
+        self.handoff: tuple[dict[int, int], dict[int, int], int, int] = ({}, {}, 0, 0)
         self.deadline = time.monotonic() + limits.max_seconds
 
     def best_from(self, root: tuple[int, ...]) -> int:
@@ -153,12 +151,10 @@ class _Search:
         pair: tuple[int, int],
         ranks: dict[int, int],
         unions: dict[int, int],
-        own: bool,
     ) -> tuple[int, ...]:
         """Key of the state that activating ``pair`` in ``key`` leads to; puts
         the step on the path and hands ``key``'s ranks and union counts to
-        the child's expansion, to move in place when ``own`` and else to
-        copy first."""
+        the child's expansion."""
         x, y = pair
         union = x | y
         child = list(key)
@@ -167,7 +163,7 @@ class _Search:
         child += (union, union)
         child.sort()
         self.path.append(pair)
-        self.handoff = (ranks, unions, x, y, own)
+        self.handoff = (ranks, unions, x, y)
         return tuple(child)
 
     def _expand(self, key: tuple[int, ...]) -> Generator[tuple[int, ...], int, int]:
@@ -181,31 +177,29 @@ class _Search:
                 self.best_path = tuple(self.path)
             self.memo[key] = best
             return best
-        # The first child is greedy-links' choice; it takes this state's
-        # ranks and moves them on.  The rest go by links kept alive, most
-        # first, ties in pair order.  While the first child's subtree is
-        # searched this state keeps only O(m) data, so a deep descent holds
-        # no O(m^2) pair list per level; if the search comes back, the
-        # table is built and ranked again, and every later child that is
-        # expanded copies those ranks and union counts, so siblings never
-        # move each other's.
-        ranks, unions, x, y, own = self.handoff
-        if not own:
-            ranks, unions = dict(ranks), dict(unions)
-        rank = rank_pairs(ranks, unions, holders, pairs, x, y, self.width)
+        # Every expanded state copies the ranks and union counts it is
+        # handed and moves the copy on, so no state moves another's.  The
+        # first child is greedy-links' choice; the rest go by links kept
+        # alive, most first, ties in pair order.  While the first child's
+        # subtree is searched this state keeps only O(m) data, so a deep
+        # descent holds no O(m^2) pair list per level; if the search comes
+        # back, the table is built and ranked again for the later children.
+        ranks, unions, x, y = self.handoff
+        ranks, unions = dict(ranks), dict(unions)
+        rank = rank_pairs(ranks, unions, holders, pairs, x, y)
         tried = argmax(pairs, rank)[0]
-        first = self._child(key, tried, ranks, unions, True)
+        first = self._child(key, tried, ranks, unions)
         del holders, pairs, unions, rank, ranks
         best = yield first
         self.path.pop()
         if best < self.bound:
             holders, pairs = set_table(key)
             ranks, unions = {}, {}
-            rank = rank_pairs(ranks, unions, holders, pairs, 0, 0, self.width)
-            alive = {pair: r // self.width for pair, r in zip(pairs, rank)}
+            rank = rank_pairs(ranks, unions, holders, pairs, 0, 0)
+            alive = {pair: r // RANK_WIDTH for pair, r in zip(pairs, rank)}
             del alive[tried]
             for pair in sorted(alive, key=alive.__getitem__, reverse=True):
-                value = yield self._child(key, pair, ranks, unions, False)
+                value = yield self._child(key, pair, ranks, unions)
                 self.path.pop()
                 if value > best:
                     best = value
@@ -236,7 +230,7 @@ def solve_optimal(
     if incumbent is None:
         incumbent = run_greedy_links(instance)
     root = canonical_key(s.mask for s in instance.initial_sets)
-    search = _Search(upper_bound(instance), instance.n + 1, limits)
+    search = _Search(upper_bound(instance), limits)
     exact = True
     if incumbent.alpha < search.bound:
         try:

@@ -21,6 +21,7 @@ from gtexchange import (
 )
 from gtexchange import cli
 from gtexchange.cli import main
+from gtexchange.core import MAX_NODES
 from gtexchange.harness import (
     derive_seed,
     gen_instance,
@@ -206,6 +207,18 @@ def test_gen_beyond_the_universe_cap_is_refused_at_once(capsys):
     assert time.perf_counter() - start < 0.5
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "4096-segment cap" in err and err.count("\n") == 1
+
+
+def test_gen_beyond_the_node_cap_is_refused_at_once(capsys):
+    # every set is sampled before the instance is built: 10**6 nodes take
+    # about 5 s and 240 MB, growing linearly with the group
+    argv = ("gen", "-m", str(MAX_NODES + 1), "-n", "5", "-k", "2", "--seed", "0")
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and f"{MAX_NODES}-node cap" in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -31,6 +31,7 @@ from gtexchange.harness import (
     summarize_rows,
     reference_bound_configs,
 )
+from gtexchange.core import MAX_NODES
 from conftest import build_instance
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -150,13 +151,15 @@ def test_instance_file_honours_the_universe_cap(tmp_path):
     [
         lambda: gen_instance(2, 10**9, 2, seed=0),
         lambda: gen_instance(1, 5, 2, seed=0),
+        lambda: gen_instance(MAX_NODES + 1, 5, 2, seed=0),
         lambda: instance_from_dict({"m": 2, "n": 10**8, "sets": [[10**8], [1]]}),
     ],
-    ids=["gen-past-the-cap", "gen-one-node", "file-past-the-cap"],
+    ids=["gen-past-the-cap", "gen-one-node", "gen-past-the-node-cap", "file-past-the-cap"],
 )
 def test_sizes_are_refused_before_any_set_is_built(build, monkeypatch):
     # one set over 10**9 segments is a 125 MB mask; gen_instance samples
-    # each set's mask, and a file's sets are built from their ids
+    # each set's mask, and a file's sets are built from their ids; a group
+    # past the node cap would sample every set first
     def no_set(*args):
         raise AssertionError("a set was built")
 

@@ -32,6 +32,8 @@ from gtexchange import (
 )
 from gtexchange.algorithms import _permute, _shuffle_draws
 from gtexchange.core import (
+    MAX_SEGMENTS,
+    RANK_WIDTH,
     argmax,
     exchange,
     exchange_kept,
@@ -240,13 +242,14 @@ def test_kept_set_table_matches_a_fresh_scan_after_every_exchange(instance, seed
         assert step == exchange(before, i, j) and masks == before
 
 
-def counted_ranks(masks, width):
-    """``N(K)*width + |K|`` for every distinct set and linked union K of
+def counted_ranks(masks):
+    """``N(K)*RANK_WIDTH + |K|`` for every distinct set and linked union K of
     ``masks``, where N(K) counts the nodes whose set is incomparable with K,
     by a plain pass over the masks."""
     keys = {*masks, *(masks[i] | masks[j] for i, j in pair_scan_links(masks))}
     return {
-        key: sum(1 for z in masks if z & ~key and key & ~z) * width + key.bit_count()
+        key: sum(1 for z in masks if z & ~key and key & ~z) * RANK_WIDTH
+        + key.bit_count()
         for key in keys
     }
 
@@ -255,35 +258,34 @@ def counted_ranks(masks, width):
 def test_moved_links_alive_matches_a_fresh_count_after_every_exchange(instance, seed):
     """The ranks and union counts handed on from the state before and moved
     in place past its activation equal those counted afresh, key for key;
-    each kept pair's rank, divided by n + 1, is what activating it on its
+    each kept pair's rank, divided by RANK_WIDTH, is what activating it on its
     first holders does to the number of live links, less one, and its
     remainder is the pair's gain."""
     rng = random.Random(seed)
-    width = instance.n + 1
     masks = [s.mask for s in instance.initial_sets]
     holders, pairs = set_table(masks)
     ranks, unions, x, y = {}, {}, 0, 0
     while pairs:
-        rank = rank_pairs(ranks, unions, holders, pairs, x, y, width)
+        rank = rank_pairs(ranks, unions, holders, pairs, x, y)
         fresh, counted = {}, {}
-        assert rank == rank_pairs(fresh, counted, holders, pairs, 0, 0, width)
-        assert ranks == fresh == counted_ranks(masks, width)
+        assert rank == rank_pairs(fresh, counted, holders, pairs, 0, 0)
+        assert ranks == fresh == counted_ranks(masks)
         assert unions == counted == Counter(a | b for a, b in set_links(masks))
         live = len(pair_scan_links(masks))
         for (a, b), value in zip(pairs, rank):
             after = list(masks)
             exchange(after, after.index(a), after.index(b))
-            assert value // width == len(pair_scan_links(after)) - live - 1
-            assert value % width == (a ^ b).bit_count()
+            assert value // RANK_WIDTH == len(pair_scan_links(after)) - live - 1
+            assert value % RANK_WIDTH == (a ^ b).bit_count()
         i, j = rng.choice(node_pairs(holders, list(pairs)))
         x, y = masks[i], masks[j]
         exchange_kept(masks, holders, pairs, i, j)
 
 
-def one_argmax_choice(masks, width):
+def one_argmax_choice(masks):
     """Greedy-links' choice from a fresh set table: one argmax over the ranks."""
     holders, pairs = set_table(masks)
-    return argmax(pairs, rank_pairs({}, {}, holders, pairs, 0, 0, width))
+    return argmax(pairs, rank_pairs({}, {}, holders, pairs, 0, 0))
 
 
 @given(st.one_of(any_instances, crowded_instances), st.integers(0, 2**32))
@@ -293,14 +295,13 @@ def test_one_argmax_over_ranks_makes_the_two_pass_choice(instance, seed):
     same order from a fresh table, and as the same pairs from the kept
     table with ranks moved from step to step."""
     rng = random.Random(seed)
-    width = instance.n + 1
     masks = [s.mask for s in instance.initial_sets]
     holders, pairs = set_table(masks)
     ranks, unions, x, y = {}, {}, 0, 0
     while pairs:
         expected = best_set_pairs(masks)
-        assert one_argmax_choice(masks, width) == expected
-        rank = rank_pairs(ranks, unions, holders, pairs, x, y, width)
+        assert one_argmax_choice(masks) == expected
+        rank = rank_pairs(ranks, unions, holders, pairs, x, y)
         assert {frozenset(p) for p in argmax(pairs, rank)} == {
             frozenset(p) for p in expected
         }
@@ -310,18 +311,28 @@ def test_one_argmax_over_ranks_makes_the_two_pass_choice(instance, seed):
 
 
 def test_a_full_gain_one_link_below_loses_to_the_smallest_gain():
-    """Complementary halves gain all n = 4 segments, but keep one link fewer
-    alive than the pair that gains 2: the gain must never carry into the
-    links-alive part of a rank, which it would with a width of n or less."""
-    masks = [0b0001, 0b1110, 0b1101, 0b1001, 0b1011]
-    width = 4 + 1
-    assert best_set_pairs(masks) == [(0b1101, 0b1011)]
-    assert one_argmax_choice(masks, width) == [(0b1101, 0b1011)]
+    """Complementary halves gain all n = MAX_SEGMENTS segments, but keep one
+    link fewer alive than the pair that gains half of them: the gain must
+    never carry into the links-alive part of a rank, which it would with a
+    rank width of MAX_SEGMENTS or less."""
+    block = MAX_SEGMENTS // 4
+    ones = (1 << block) - 1
+
+    def widen(mask):  # each of 4 bits becomes a block of segments
+        return sum(ones << (block * b) for b in range(4) if mask >> b & 1)
+
+    masks = [widen(mask) for mask in (0b0001, 0b1110, 0b1101, 0b1001, 0b1011)]
+    a, b, c, _, e = masks
+    assert best_set_pairs(masks) == [(c, e)]
+    assert one_argmax_choice(masks) == [(c, e)]
     holders, pairs = set_table(masks)
-    rank = dict(zip(pairs, rank_pairs({}, {}, holders, pairs, 0, 0, width)))
-    halves, winner = rank[0b0001, 0b1110], rank[0b1101, 0b1011]
-    assert (halves // width, halves % width) == (winner // width - 1, 4)
-    assert winner % width == 2
+    rank = dict(zip(pairs, rank_pairs({}, {}, holders, pairs, 0, 0)))
+    halves, winner = rank[a, b], rank[c, e]
+    assert (halves // RANK_WIDTH, halves % RANK_WIDTH) == (
+        winner // RANK_WIDTH - 1,
+        MAX_SEGMENTS,
+    )
+    assert winner % RANK_WIDTH == MAX_SEGMENTS // 2
 
 
 @given(any_instances, st.sampled_from(TIE_MODES), st.integers(0, 2**32))

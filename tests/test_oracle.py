@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import assume, given
 import hypothesis.strategies as st
@@ -287,17 +289,54 @@ def test_searches_that_come_back_visit_the_states_recorded(run, max_states):
     assert outcome == SIBLING_SEARCHES[run, max_states]
 
 
+# (m, n, k, run) -> (visited, memo, exact, alpha) of a search from
+# gen_instance(m, n, k, derive_seed(3, run, m, n, k)) with no incumbent and a
+# 20,000-state budget, recorded while later children went by links kept
+# alive, ties in pair order; ordering them by the full rank, gain after
+# links, takes 231 states on the first and overruns on the second
+LATER_CHILD_ORDER = {
+    (8, 6, 3, 133): (179, 179, True, 48),
+    (10, 8, 4, 175): (16708, 16708, True, 80),
+}
+
+
+@pytest.mark.parametrize("mnk_run", sorted(LATER_CHILD_ORDER))
+def test_later_children_go_by_links_kept_alive_ties_in_pair_order(mnk_run):
+    m, n, k, run = mnk_run
+    instance = gen_instance(m, n, k, derive_seed(3, run, m, n, k))
+    result = solve_optimal(instance, SearchLimits(max_states=20000))
+    outcome = (result.visited, result.memo, result.exact, result.alpha)
+    assert outcome == LATER_CHILD_ORDER[mnk_run]
+
+
+def test_a_deep_search_holds_little_data_per_level():
+    # the descent keeps O(m) data per suspended level and hands its ranks
+    # on, so the traced peak of a 100-state deep search stays near 0.6 MiB;
+    # keeping each level's handed ranks alive takes it past 5 MiB, and
+    # keeping each level's set table past 8 MiB
+    instance = deep_instance()
+    incumbent = run_algorithm("glink", instance)  # the presolve, untraced
+    tracemalloc.start()
+    try:
+        result = solve_optimal(instance, SearchLimits(max_states=100), incumbent)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.visited == 101 and not result.exact
+    assert peak < 2 * 2**20
+
+
 def test_every_expanded_state_ranks_its_pairs_as_a_fresh_count(monkeypatch):
-    # the ranks and union counts a state moves in place, handed on by its
-    # parent, must be those of a fresh count, for first children and later
-    # siblings alike
+    # the ranks and union counts a state moves in place, copied from those
+    # its parent hands on, must be those of a fresh count, for first
+    # children and later siblings alike
     moved = oracle_module.rank_pairs
     ranked = []  # the set pair that reached each ranked state; (0, 0) afresh
 
-    def checked(ranks, unions, holders, pairs, x, y, width):
-        rank = moved(ranks, unions, holders, pairs, x, y, width)
+    def checked(ranks, unions, holders, pairs, x, y):
+        rank = moved(ranks, unions, holders, pairs, x, y)
         fresh, counted = {}, {}
-        assert rank == moved(fresh, counted, holders, pairs, 0, 0, width)
+        assert rank == moved(fresh, counted, holders, pairs, 0, 0)
         assert ranks == fresh and unions == counted
         ranked.append((x, y))
         return rank
