@@ -14,9 +14,9 @@ through :func:`~gtexchange.core.exchange`, which updates the list in place
 and returns the raw step record the run's schedule keeps;
 ``glink``, ``ginc`` and ``rare`` also keep the linked set pairs in a set
 table (:func:`~gtexchange.core.set_table`) that each activation moves
-(:func:`~gtexchange.core.exchange_kept`), and ``glink`` keeps one rank per
+(:func:`~gtexchange.core.move_table`), and ``glink`` keeps one rank per
 set and union that each step moves in place
-(:func:`~gtexchange.core.rank_pairs`).  The final masks become
+(:func:`~gtexchange.core.move_ranks`).  The final masks become
 :class:`~gtexchange.core.SegmentSet` values once, at the end.
 Each run is a pure function of (instance, seed, tie mode): ``rand`` draws
 its phases from the seed, and under ``random`` ties ``glink``, ``ginc`` and
@@ -27,6 +27,7 @@ with no shared state.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -36,11 +37,13 @@ from .core import (
     Schedule,
     SegmentSet,
     argmax,
+    count_ranks,
     exchange,
-    exchange_kept,
     exchange_lowest,
+    move_ranks,
+    move_table,
     node_pairs,
-    rank_pairs,
+    pair_ranks,
     set_links,
     set_table,
 )
@@ -184,7 +187,7 @@ def run_greedy_links(
     The linked set pairs are kept across steps (:func:`~gtexchange.core.set_table`),
     and so is a rank per distinct set and linked union, which each step
     moves in place instead of counting it again
-    (:func:`~gtexchange.core.rank_pairs`).  A step costs O(D) for the
+    (:func:`~gtexchange.core.move_ranks`).  A step costs O(D) for the
     table, one pass over the kept keys and pairs, plus O(D) per new key.
 
     A pair's rank orders set pairs by that count, then by their immediate
@@ -195,15 +198,16 @@ def run_greedy_links(
     pick = _tie_picker(tie_mode, seed)
     masks = [s.mask for s in instance.initial_sets]
     holders, pairs = set_table(masks)
-    ranks: dict[int, int] = {}  # moved along from step to step
-    unions: dict[int, int] = {}
-    x = y = 0  # the last activation; nothing is ranked before the first
+    unions = dict(Counter(pairs.values()))  # moved from step to step, with ranks
+    ranks = count_ranks(holders, {*holders, *unions})
     records: list[Record] = []
     while pairs:
-        rank = rank_pairs(ranks, unions, holders, pairs, x, y)
-        i, j = pick(node_pairs(holders, argmax(pairs, rank)))
+        i, j = pick(node_pairs(holders, argmax(pairs, pair_ranks(ranks, pairs))))
         x, y = masks[i], masks[j]
-        records.append(exchange_kept(masks, holders, pairs, i, j))
+        records.append(exchange(masks, i, j))
+        dropped, added = move_table(holders, pairs, x, y, i, j, 1)
+        if pairs:  # no choice is left to rank after the last step
+            move_ranks(ranks, unions, holders, x, y, 1, dropped, added)
     return _finish("glink", masks, records)
 
 
@@ -225,7 +229,8 @@ def run_greedy_incremental(
     while pairs:
         winners = argmax(pairs, [(x ^ y).bit_count() for x, y in pairs])
         i, j = pick(node_pairs(holders, winners))
-        records.append(exchange_kept(masks, holders, pairs, i, j))
+        move_table(holders, pairs, masks[i], masks[j], i, j, 1)
+        records.append(exchange(masks, i, j))
     return _finish("ginc", masks, records)
 
 
@@ -268,9 +273,9 @@ def run_rarest_first(
                     candidates, [((x ^ y) & cls).bit_count() for x, y in candidates]
                 )
         i, j = pick(node_pairs(nodes, candidates))
-        record = exchange_kept(masks, nodes, pairs, i, j)
-        records.append(record)
-        for gained in record[2:]:
+        move_table(nodes, pairs, masks[i], masks[j], i, j, 1)
+        records.append(exchange(masks, i, j))
+        for gained in records[-1][2:]:
             while gained:
                 bit = gained & -gained
                 gained ^= bit

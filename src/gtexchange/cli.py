@@ -97,6 +97,7 @@ def _cmd_optimal(args) -> int:
     print(f"alpha: {result.alpha}")
     print(f"exact: {str(result.exact).lower()}")
     print(f"visited_states: {result.visited}")
+    print(f"memo_entries: {result.memo}")
     print(f"upper_bound: {upper_bound(instance)}")
     print("witness:", " ".join(map(_fmt_link, result.witness.link_list())))
     if args.out:

@@ -23,16 +23,16 @@ API and file boundary; a final state is a tuple of segment sets.
 Links are found over the *distinct* node sets: the stopping tests scan
 them lazily (:func:`set_links`), while the greedy schedulers and the
 oracle build a set table, the holders of each distinct set and every
-linked set pair with its union, from that scan (:func:`set_table`); the
-schedulers build it once per run and move it in O(D) per activation
-(:func:`exchange_kept`).  Greedy-links and the oracle rank set pairs in
-one kernel (:func:`rank_pairs`), by the links an activation keeps alive
-and then its gain folded into one int per pair, and make greedy-links'
-choice by the one greedy argmax (:func:`argmax`); the kernel moves its
-ranks in place from state to state.  The schedulers expand only the set
-pairs they choose into node pairs (:func:`node_pairs`); polygon's sweep and
-the oracle's replay run a set pair on its lowest holders
-(:func:`exchange_lowest`).  Sizes are checked before any set is built.
+linked set pair with its union, once from that scan (:func:`set_table`).
+One step moves it in O(D) per activation, down or back (:func:`move_table`),
+and one moves the rank of each set and union in place, down or back
+(:func:`move_ranks`), so the oracle walks one table through its search.  A
+pair's rank folds the links its activation keeps alive and then its gain
+into one int (:func:`pair_ranks`), so greedy-links' choice is one argmax.
+The schedulers expand only the set pairs they choose into node pairs
+(:func:`node_pairs`); polygon's sweep and the oracle's replay run a set
+pair on its lowest holders (:func:`exchange_lowest`).  Sizes are checked
+before any set is built.
 
 Node and segment indices are 0-based throughout the library; file formats
 and CLI output use 1-based ids (see the harness module).
@@ -45,7 +45,7 @@ from typing import Iterable, Iterator, Sequence
 
 MAX_SEGMENTS = 4096  # fixed mask width; larger universes are rejected at load
 MAX_NODES = 2**20  # larger groups are rejected before any set is sampled
-RANK_WIDTH = MAX_SEGMENTS + 1  # exceeds every set size (see rank_pairs)
+RANK_WIDTH = MAX_SEGMENTS + 1  # exceeds every set size (see move_ranks)
 
 
 class InvalidActivationError(ValueError):
@@ -227,130 +227,130 @@ def node_pairs(
 
 def set_table(masks: Sequence[int]) -> tuple[Holders, SetPairs]:
     """The kept set table of ``masks``: the holders of each distinct mask and
-    every linked pair of distinct masks, in :func:`set_links` order, with its
-    union.  :func:`exchange_kept` keeps it current, so a scheduler picking
-    one set pair per step scores the kept pairs instead of scanning again."""
+    every linked pair of distinct masks, keyed (lesser, greater), with its
+    union.  :func:`move_table` keeps it current, so a scheduler picking one
+    set pair per step scores the kept pairs instead of scanning again."""
     holders: Holders = {}
     for i, mask in enumerate(masks):
         holders.setdefault(mask, []).append(i)
-    return holders, {(x, y): x | y for x, y in set_links(holders)}
+    return holders, {(x, y) if x < y else (y, x): x | y for x, y in set_links(holders)}
 
 
-def exchange_kept(
-    masks: list[int], holders: Holders, pairs: SetPairs, i: int, j: int
-) -> Record:
-    """:func:`exchange`, moving the set table of ``masks`` along in O(D) for
-    D distinct sets: a set left with no holder drops its pairs, and the
-    union, when it is a new set, gains its own."""
-    x, y = masks[i], masks[j]
-    record = exchange(masks, i, j)
-    for old, node in ((x, i), (y, j)):
+def move_table(
+    holders: Holders, pairs: SetPairs, x: int, y: int, i: int, j: int, sign: int
+) -> tuple[list[int], list[int]]:
+    """Move the set table (:func:`set_table`) in O(D) for D distinct sets
+    past the exchange of node ``i``, holding x, with node ``j``, holding y:
+    with ``sign = 1`` both leave their sets for u = x|y, and with ``sign =
+    -1`` they go back.  A set left with no holder drops its pairs, and a set
+    gaining its first holder gains its own; returns the unions of the pairs
+    dropped and of those added.  A step back may reorder a set's holders."""
+    u = x | y
+    dropped, added = [], []
+    moves = ((x, u, i), (y, u, j)) if sign > 0 else ((u, x, i), (u, y, j))
+    for old, new, node in moves:  # one node at a time leaves old for new
         held = holders[old]
         held.remove(node)
         if not held:
             del holders[old]
             for z in holders:
-                pairs.pop((old, z), None)
-                pairs.pop((z, old), None)
-    u = x | y
-    held = holders.get(u)
-    if held is None:
-        for z in holders:
-            t = z | u
-            if t != z and t != u:
-                pairs[z, u] = t
-        holders[u] = [i, j]
-    else:
-        held += [i, j]
-    return record
+                t = z | old
+                if t != z and t != old:
+                    dropped.append(pairs.pop((z, old) if z < old else (old, z)))
+        held = holders.get(new)
+        if held is None:
+            for z in holders:
+                t = z | new
+                if t != z and t != new:
+                    pairs[(z, new) if z < new else (new, z)] = t
+                    added.append(t)
+            holders[new] = [node]
+        else:
+            held.append(node)
+    return dropped, added
 
 
-def rank_pairs(
+def count_ranks(holders: Holders, keys: Iterable[int]) -> dict[int, int]:
+    """The rank ``R(K)`` of each of ``keys`` (:func:`move_ranks`), counted afresh."""
+    distinct = [(z, len(held)) for z, held in holders.items()]
+    ranks = {}
+    for key in keys:
+        count = 0
+        for z, c in distinct:
+            t = z | key
+            if t != z and t != key:
+                count += c
+        ranks[key] = count * RANK_WIDTH + key.bit_count()
+    return ranks
+
+
+def move_ranks(
     ranks: dict[int, int],
     unions: dict[int, int],
     holders: Holders,
-    pairs: SetPairs,
     x: int,
     y: int,
-) -> list[int]:
-    """Rank every linked set pair (a, b) of a state's set table
-    (:func:`set_table`) by greedy-links' choice, in ``pairs`` order: most
-    links the activation leaves alive, then the largest immediate gain.
+    sign: int,
+    dropped: Iterable[int],
+    added: Iterable[int],
+) -> None:
+    """Move a set table's ranks and union counts in place past the step
+    :func:`move_table` made with the same x, y and ``sign``, given the
+    unions of the pairs it dropped and added.
 
     ``ranks`` holds ``R(K) = N(K)*RANK_WIDTH + |K|`` for every distinct set
     and linked union K, where ``N(K)`` counts the nodes whose set is
-    incomparable with K; ``RANK_WIDTH`` exceeds every set size, which is at
-    most ``MAX_SEGMENTS``.  A pair's rank ``2*R(a|b) - R(a) - R(b)`` is then
-    ``RANK_WIDTH*score + |a ^ b|``: ``score = 2*N(a|b) - N(a) - N(b)`` is the
-    number of links activating it leaves alive, less a constant, and
-    ``|a ^ b|`` is its gain (the ``ginc`` weight).  So one :func:`argmax`
-    makes the choice, and ``rank // RANK_WIDTH`` is the score.  ``unions``
-    counts the linked pairs behind each union, so a union no pair makes any
-    more can be dropped.
-
-    ``ranks`` and ``unions`` come from the state before, whose activated set
-    pair was (x, y), and are moved in place; empty, both are counted afresh.
-    One node moves from x and one from y to u = x|y, so N(K) moves by
-    ``2*[u ~ K] - [x ~ K] - [y ~ K]``: a key inside u loses ``[x ~ K] +
-    [y ~ K]``, a key holding exactly one of x and y (so not u) gains 1, and
-    no other key moves.  Only u can be a new set, and only x and y can be
-    gone, so only their pairs change; keys that are no longer a set or a
-    union are dropped, and only keys not ranked yet are counted over the
-    distinct sets."""
-    if ranks:
-        u = x | y
-        for key, rank in ranks.items():
-            if key | u == u:
-                t = key | x
-                lost = t != key and t != x
-                t = key | y
-                lost += t != key and t != y
-                if lost:
-                    ranks[key] = rank - lost * RANK_WIDTH
-            elif (key | x == key) != (key | y == key):
-                ranks[key] = rank + RANK_WIDTH
-        fresh = []
-        if len(holders[u]) == 2:  # u is a new set: its pairs are new
-            for z in holders:
-                t = z | u
-                if t != z and t != u:
-                    if t in unions:
-                        unions[t] += 1
-                    else:
-                        unions[t] = 1
-                        if t not in ranks:
-                            fresh.append(t)
-        gone = [old for old in (x, y) if old not in holders]
-        dropped = [u] if len(gone) == 2 else []  # the union of (x, y) itself
-        for old in gone:
-            for z in holders:
-                t = z | old
-                if t != z and t != old:
-                    dropped.append(t)
-        for t in dropped:
-            count = unions[t] - 1
-            if count:
-                unions[t] = count
-            else:
-                del unions[t]
-                if t not in holders:
-                    del ranks[t]
-        for old in gone:
-            if old not in unions:
-                del ranks[old]
-    else:
-        for union in pairs.values():
-            unions[union] = unions.get(union, 0) + 1
-        fresh = {*holders, *unions}
+    incomparable with K; ``RANK_WIDTH`` exceeds every set size.  ``unions``
+    counts the linked pairs behind each union.  One node moves from x and
+    one from y to u = x|y, so N(K) moves by ``sign * (2*[u ~ K] - [x ~ K] -
+    [y ~ K])``: a key inside u loses ``[x ~ K] + [y ~ K]``, a key holding
+    exactly one of x and y (so not u) gains 1, and no other key moves.  The
+    union counts move by the two lists, added first, so a union that loses
+    its last pair and gains one keeps its rank; keys no longer a set or a
+    union are dropped, and only keys not ranked yet are counted afresh."""
+    u = x | y
+    step = sign * RANK_WIDTH
+    for key, rank in ranks.items():
+        if key | u == u:
+            t = key | x
+            lost = t != key and t != x
+            t = key | y
+            lost += t != key and t != y
+            if lost:
+                ranks[key] = rank - lost * step
+        elif (key | x == key) != (key | y == key):
+            ranks[key] = rank + step
+    came, left = ((u,), (x, y)) if sign > 0 else ((x, y), (u,))
+    fresh = [key for key in came if key in holders and key not in ranks]
+    for t in added:
+        if t in unions:
+            unions[t] += 1
+        else:
+            unions[t] = 1
+            if t not in ranks:
+                fresh.append(t)
+    for t in dropped:
+        count = unions[t] - 1
+        if count:
+            unions[t] = count
+        else:
+            del unions[t]
+            if t not in holders:
+                del ranks[t]
+    for old in left:
+        if old not in holders and old not in unions:
+            del ranks[old]
     if fresh:
-        distinct = [(z, len(held)) for z, held in holders.items()]
-        for key in fresh:
-            count = 0
-            for z, c in distinct:
-                t = z | key
-                if t != z and t != key:
-                    count += c
-            ranks[key] = count * RANK_WIDTH + key.bit_count()
+        ranks.update(count_ranks(holders, fresh))
+
+
+def pair_ranks(ranks: dict[int, int], pairs: SetPairs) -> list[int]:
+    """Each linked set pair's rank ``2*R(a|b) - R(a) - R(b)``, in ``pairs``
+    order: ``RANK_WIDTH*score + |a ^ b|``, where ``score = 2*N(a|b) - N(a) -
+    N(b)`` is the number of links activating it leaves alive, less a
+    constant, and ``|a ^ b|`` is its gain (the ``ginc`` weight).  So one
+    :func:`argmax` makes greedy-links' choice, most links left alive, then
+    the largest gain, and ``rank // RANK_WIDTH`` is the score."""
     return [2 * ranks[w] - ranks[a] - ranks[b] for (a, b), w in pairs.items()]
 
 

@@ -17,10 +17,14 @@ The search stays exhaustive; three things let it stop early or not start:
   incumbent meeting the bound is certified without a search, and so is one
   that a finished search does not beat, its schedule being the witness;
 * child order: a state's first child is greedy-links' choice there, the
-  set pair of highest rank (:func:`~gtexchange.core.rank_pairs`: most links
+  set pair of highest rank (:func:`~gtexchange.core.pair_ranks`: most links
   kept alive, then largest gain), so the first descent runs greedy-links,
   and the rest are tried by links kept alive, most first.  The order
   decides only which leaf comes first.
+
+One set table, with its ranks, is built per search and walked down to each
+state expanded and back by the same two steps
+(:func:`~gtexchange.core.move_table`, :func:`~gtexchange.core.move_ranks`).
 
 Budgets are enforced per search.  On an overrun the result is flagged
 inexact and carries the better of the incumbent and the best leaf reached,
@@ -31,6 +35,7 @@ independent instances may be solved in parallel, one search each.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Generator, Iterable
 
@@ -39,9 +44,11 @@ from .core import (
     RANK_WIDTH,
     Instance,
     Schedule,
-    argmax,
+    count_ranks,
     exchange_lowest,
-    rank_pairs,
+    move_ranks,
+    move_table,
+    pair_ranks,
     set_table,
     upper_bound,
 )
@@ -108,10 +115,6 @@ class _Search:
         # state being expanded
         self.best_path: tuple[tuple[int, int], ...] = ()
         self.path: list[tuple[int, int]] = []
-        # the ranks and union counts of the state whose child is asked for
-        # next and the set pair that child activates; the child's expansion
-        # moves copies of them on (see core.rank_pairs)
-        self.handoff: tuple[dict[int, int], dict[int, int], int, int] = ({}, {}, 0, 0)
         self.deadline = time.monotonic() + limits.max_seconds
 
     def best_from(self, root: tuple[int, ...]) -> int:
@@ -121,22 +124,22 @@ class _Search:
         asks for is expanded, on an explicit stack rather than the Python
         call stack, so schedule length is not capped by the recursion limit.
         """
+        self.holders, self.pairs = set_table(root)
+        self.unions = dict(Counter(self.pairs.values()))
+        self.ranks = count_ranks(self.holders, {*self.holders, *self.unions})
         # suspended expansions, innermost last
         stack: list[Generator[tuple[int, ...], int, int]] = []
-        key: tuple[int, ...] | None = root  # the state asked for; None once answered
+        key: tuple[int, ...] | None = root  # the state to expand; None once answered
         reply = None  # what the innermost expansion receives when resumed
         while True:
             if key is not None:
-                reply = self.memo.get(key)
-                if reply is None:
-                    self.visited += 1
-                    if self.visited > self.limits.max_states:
-                        raise _Abort
-                    if self.visited % 1024 == 0 and time.monotonic() > self.deadline:
-                        raise _Abort
-                    stack.append(self._expand(key))
-                elif not stack:
-                    return reply
+                self.visited += 1
+                if self.visited > self.limits.max_states:
+                    raise _Abort
+                if self.visited % 1024 == 0 and time.monotonic() > self.deadline:
+                    raise _Abort
+                stack.append(self._expand(key))
+                reply = None
             try:
                 key = stack[-1].send(reply)
             except StopIteration as done:
@@ -145,31 +148,16 @@ class _Search:
                     return done.value
                 key, reply = None, done.value
 
-    def _child(
-        self,
-        key: tuple[int, ...],
-        pair: tuple[int, int],
-        ranks: dict[int, int],
-        unions: dict[int, int],
-    ) -> tuple[int, ...]:
-        """Key of the state that activating ``pair`` in ``key`` leads to; puts
-        the step on the path and hands ``key``'s ranks and union counts to
-        the child's expansion."""
-        x, y = pair
-        union = x | y
-        child = list(key)
-        child.remove(x)
-        child.remove(y)
-        child += (union, union)
-        child.sort()
-        self.path.append(pair)
-        self.handoff = (ranks, unions, x, y)
-        return tuple(child)
+    def _step(self, x: int, y: int, i: int, j: int, sign: int) -> None:
+        """Walk the set table, ranks and union counts down or back (``sign``)."""
+        dropped, added = move_table(self.holders, self.pairs, x, y, i, j, sign)
+        move_ranks(self.ranks, self.unions, self.holders, x, y, sign, dropped, added)
 
     def _expand(self, key: tuple[int, ...]) -> Generator[tuple[int, ...], int, int]:
-        """Expansion of one state: yields each child key and receives the
+        """Expansion of one state, the walked table at ``key``: yields each
+        child key not in the memo, walked down to it, and receives the
         child's result; stores the state's own result in the memo."""
-        holders, pairs = set_table(key)
+        holders, pairs = self.holders, self.pairs
         if not pairs:
             best = sum(mask.bit_count() for mask in key)
             if best > self.best_leaf:
@@ -177,34 +165,38 @@ class _Search:
                 self.best_path = tuple(self.path)
             self.memo[key] = best
             return best
-        # Every expanded state copies the ranks and union counts it is
-        # handed and moves the copy on, so no state moves another's.  The
-        # first child is greedy-links' choice; the rest go by links kept
-        # alive, most first, ties in pair order.  While the first child's
-        # subtree is searched this state keeps only O(m) data, so a deep
-        # descent holds no O(m^2) pair list per level; if the search comes
-        # back, the table is built and ranked again for the later children.
-        ranks, unions, x, y = self.handoff
-        ranks, unions = dict(ranks), dict(unions)
-        rank = rank_pairs(ranks, unions, holders, pairs, x, y)
-        tried = argmax(pairs, rank)[0]
-        first = self._child(key, tried, ranks, unions)
-        del holders, pairs, unions, rank, ranks
-        best = yield first
-        self.path.pop()
-        if best < self.bound:
-            holders, pairs = set_table(key)
-            ranks, unions = {}, {}
-            rank = rank_pairs(ranks, unions, holders, pairs, 0, 0)
-            alive = {pair: r // RANK_WIDTH for pair, r in zip(pairs, rank)}
-            del alive[tried]
-            for pair in sorted(alive, key=alive.__getitem__, reverse=True):
-                value = yield self._child(key, pair, ranks, unions)
+        # The first child is greedy-links' choice, the least top-ranked pair
+        # (a walked dict has no pair order); the rest go by links kept alive,
+        # ties in pair order, and are ranked only if the search comes back,
+        # so a deep descent holds O(m) data per level.
+        rank = pair_ranks(self.ranks, pairs)
+        tried = min((-r, pair) for pair, r in zip(pairs, rank))[1]
+        del rank
+        best = 0
+        children = [tried]
+        for pair in children:
+            x, y = pair
+            child = list(key)
+            child[key.index(x)] = child[key.index(y)] = x | y
+            child.sort()
+            child = tuple(child)
+            value = self.memo.get(child)
+            if value is None:
+                i, j = holders[x][-1], holders[y][-1]
+                self.path.append(pair)
+                self._step(x, y, i, j, 1)
+                value = yield child
+                self._step(x, y, i, j, -1)
                 self.path.pop()
-                if value > best:
-                    best = value
-                    if best == self.bound:
-                        break
+            if value > best:
+                best = value
+                if best == self.bound:
+                    break
+            if pair is tried:  # back from the first child: the rest join
+                rank = pair_ranks(self.ranks, pairs)
+                alive = {p: r // RANK_WIDTH for p, r in zip(pairs, rank)}
+                del alive[tried], rank
+                children += sorted(alive, key=lambda p: (-alive[p], p))
         self.memo[key] = best
         return best
 

@@ -1,15 +1,15 @@
 """Independent reference computations the tests check the library against.
 
 Everything here is deliberately brute force and shares no code path with
-the implementations under test: it imports only value types from the
-package and runs every exchange as an inline union.  A memo-free recursive
-optimum, an enumerator of every maximal schedule, coverage probability by
-exhaustive tuple enumeration, by inclusion-exclusion over rationals, by a
-composition sum and by sampling, a pair-scan link finder, greedy-links'
-two-pass choice of set pairs, rarest-first's preference rows, schedulers
-written straight from their definitions (every step rescans every pair, with
-no cached link state), and the randomized scheduler's exact mean by a chain
-over mask multisets.
+the implementations under test: it imports only value types and the rank
+width from the package and runs every exchange as an inline union.  A
+memo-free recursive optimum, an enumerator of every maximal schedule, coverage
+probability by exhaustive tuple enumeration, by inclusion-exclusion over
+rationals, by a composition sum and by sampling, a pair-scan link finder,
+greedy-links' ranks by a plain count and its two-pass choice of set pairs,
+rarest-first's preference rows, schedulers written straight from their
+definitions (every step rescans every pair, with no cached link state), and
+the randomized scheduler's exact mean by a chain over mask multisets.
 """
 
 import random
@@ -19,6 +19,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import comb, factorial, sqrt
 
 from gtexchange import Link, Schedule, SegmentSet
+from gtexchange.core import RANK_WIDTH
 
 
 def brute_force_optimal(instance):
@@ -201,6 +202,18 @@ def pair_scan_links(masks):
         for j in range(i + 1, m)
         if masks[i] & ~masks[j] and masks[j] & ~masks[i]
     ]
+
+
+def counted_ranks(masks):
+    """``N(K)*RANK_WIDTH + |K|`` for every distinct set and linked union K of
+    ``masks``, where N(K) counts the nodes whose set is incomparable with K,
+    by a plain pass over the masks."""
+    keys = {*masks, *(masks[i] | masks[j] for i, j in pair_scan_links(masks))}
+    return {
+        key: sum(1 for z in masks if z & ~key and key & ~z) * RANK_WIDTH
+        + key.bit_count()
+        for key in keys
+    }
 
 
 def best_set_pairs(masks):

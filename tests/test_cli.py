@@ -18,6 +18,7 @@ from gtexchange import (
     pmnk_exact,
     run_algorithm,
     run_batch,
+    solve_optimal,
 )
 from gtexchange import cli
 from gtexchange.cli import main
@@ -801,6 +802,8 @@ def test_optimal_on_a_deep_instance_reports_the_overrun(
     assert code == 0
     assert "exact: false" in out
     assert "visited_states: 801" in out
+    memo = solve_optimal(instance, SearchLimits(max_states=800)).memo
+    assert f"memo_entries: {memo}\n" in out
     alpha = int(out.split("alpha:")[1].split()[0])
     for alg in ALGORITHM_IDS:
         assert run_algorithm(alg, instance).alpha < alpha

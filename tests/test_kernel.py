@@ -35,10 +35,12 @@ from gtexchange.core import (
     MAX_SEGMENTS,
     RANK_WIDTH,
     argmax,
+    count_ranks,
     exchange,
-    exchange_kept,
+    move_ranks,
+    move_table,
     node_pairs,
-    rank_pairs,
+    pair_ranks,
     set_links,
     set_table,
 )
@@ -53,6 +55,7 @@ from gtexchange.harness import (
 from conftest import instances, relaxed_instances
 from oracles import (
     best_set_pairs,
+    counted_ranks,
     pair_scan_links,
     rarest_first_rows,
     reference_greedy_incremental,
@@ -237,21 +240,8 @@ def test_kept_set_table_matches_a_fresh_scan_after_every_exchange(instance, seed
         if not pairs:
             break
         i, j = rng.choice(node_pairs(holders, list(pairs)))
-        before = list(masks)
-        step = exchange_kept(masks, holders, pairs, i, j)
-        assert step == exchange(before, i, j) and masks == before
-
-
-def counted_ranks(masks):
-    """``N(K)*RANK_WIDTH + |K|`` for every distinct set and linked union K of
-    ``masks``, where N(K) counts the nodes whose set is incomparable with K,
-    by a plain pass over the masks."""
-    keys = {*masks, *(masks[i] | masks[j] for i, j in pair_scan_links(masks))}
-    return {
-        key: sum(1 for z in masks if z & ~key and key & ~z) * RANK_WIDTH
-        + key.bit_count()
-        for key in keys
-    }
+        move_table(holders, pairs, masks[i], masks[j], i, j, 1)
+        exchange(masks, i, j)
 
 
 @given(st.one_of(any_instances, crowded_instances), st.integers(0, 2**32))
@@ -264,11 +254,13 @@ def test_moved_links_alive_matches_a_fresh_count_after_every_exchange(instance, 
     rng = random.Random(seed)
     masks = [s.mask for s in instance.initial_sets]
     holders, pairs = set_table(masks)
-    ranks, unions, x, y = {}, {}, 0, 0
+    unions = dict(Counter(pairs.values()))
+    ranks = count_ranks(holders, {*holders, *unions})
     while pairs:
-        rank = rank_pairs(ranks, unions, holders, pairs, x, y)
-        fresh, counted = {}, {}
-        assert rank == rank_pairs(fresh, counted, holders, pairs, 0, 0)
+        rank = pair_ranks(ranks, pairs)
+        counted = dict(Counter(pairs.values()))
+        fresh = count_ranks(holders, {*holders, *counted})
+        assert rank == pair_ranks(fresh, pairs)
         assert ranks == fresh == counted_ranks(masks)
         assert unions == counted == Counter(a | b for a, b in set_links(masks))
         live = len(pair_scan_links(masks))
@@ -279,13 +271,21 @@ def test_moved_links_alive_matches_a_fresh_count_after_every_exchange(instance, 
             assert value % RANK_WIDTH == (a ^ b).bit_count()
         i, j = rng.choice(node_pairs(holders, list(pairs)))
         x, y = masks[i], masks[j]
-        exchange_kept(masks, holders, pairs, i, j)
+        dropped, added = move_table(holders, pairs, x, y, i, j, 1)
+        move_ranks(ranks, unions, holders, x, y, 1, dropped, added)
+        exchange(masks, i, j)
 
 
 def one_argmax_choice(masks):
     """Greedy-links' choice from a fresh set table: one argmax over the ranks."""
     holders, pairs = set_table(masks)
-    return argmax(pairs, rank_pairs({}, {}, holders, pairs, 0, 0))
+    ranks = count_ranks(holders, {*holders, *pairs.values()})
+    return argmax(pairs, pair_ranks(ranks, pairs))
+
+
+def lesser_first(set_pairs):
+    """Each set pair as the set table keys it, (lesser, greater), in order."""
+    return [(a, b) if a < b else (b, a) for a, b in set_pairs]
 
 
 @given(st.one_of(any_instances, crowded_instances), st.integers(0, 2**32))
@@ -297,17 +297,73 @@ def test_one_argmax_over_ranks_makes_the_two_pass_choice(instance, seed):
     rng = random.Random(seed)
     masks = [s.mask for s in instance.initial_sets]
     holders, pairs = set_table(masks)
-    ranks, unions, x, y = {}, {}, 0, 0
+    unions = dict(Counter(pairs.values()))
+    ranks = count_ranks(holders, {*holders, *unions})
     while pairs:
         expected = best_set_pairs(masks)
-        assert one_argmax_choice(masks) == expected
-        rank = rank_pairs(ranks, unions, holders, pairs, x, y)
+        assert one_argmax_choice(masks) == lesser_first(expected)
+        rank = pair_ranks(ranks, pairs)
         assert {frozenset(p) for p in argmax(pairs, rank)} == {
             frozenset(p) for p in expected
         }
         i, j = rng.choice(node_pairs(holders, list(pairs)))
         x, y = masks[i], masks[j]
-        exchange_kept(masks, holders, pairs, i, j)
+        dropped, added = move_table(holders, pairs, x, y, i, j, 1)
+        move_ranks(ranks, unions, holders, x, y, 1, dropped, added)
+        exchange(masks, i, j)
+
+
+def walk_round_trips(instance, seed):
+    """Walk the set table, its ranks and union counts along a random path of
+    exchanges.  At every step, step down and then back (``sign = -1``), and
+    check that all four come back exactly, holders as multisets; then step
+    down for real.  Returns the cases the steps met."""
+    rng = random.Random(seed)
+    masks = [s.mask for s in instance.initial_sets]
+    holders, pairs = set_table(masks)
+    unions = dict(Counter(pairs.values()))
+    ranks = count_ranks(holders, {*holders, *unions})
+
+    def table():
+        held = {mask: sorted(nodes) for mask, nodes in holders.items()}
+        return held, dict(pairs), dict(ranks), dict(unions)
+
+    cases = set()
+    while pairs:
+        i, j = rng.choice(node_pairs(holders, list(pairs)))
+        x, y = masks[i], masks[j]
+        alone = [len(holders[x]) == 1, len(holders[y]) == 1]
+        if all(alone):
+            cases.add("x and y vanish")
+        if any(alone):
+            cases.add("x or y reappears on the way back")
+        if x | y in holders:
+            cases.add("u already exists")
+        before = table()
+        for sign in (1, -1):
+            dropped, added = move_table(holders, pairs, x, y, i, j, sign)
+            move_ranks(ranks, unions, holders, x, y, sign, dropped, added)
+        assert table() == before
+        dropped, added = move_table(holders, pairs, x, y, i, j, 1)
+        move_ranks(ranks, unions, holders, x, y, 1, dropped, added)
+        exchange(masks, i, j)
+    return cases
+
+
+@given(st.one_of(any_instances, crowded_instances), st.integers(0, 2**32))
+def test_a_step_back_inverts_the_step_down_exactly(instance, seed):
+    walk_round_trips(instance, seed)
+
+
+def test_the_round_trip_walks_meet_every_case():
+    cases = set()
+    for seed in range(3):
+        cases |= walk_round_trips(gen_instance(10, 6, 3, seed), seed)
+    assert cases == {
+        "x and y vanish",
+        "x or y reappears on the way back",
+        "u already exists",
+    }
 
 
 def test_a_full_gain_one_link_below_loses_to_the_smallest_gain():
@@ -324,10 +380,12 @@ def test_a_full_gain_one_link_below_loses_to_the_smallest_gain():
     masks = [widen(mask) for mask in (0b0001, 0b1110, 0b1101, 0b1001, 0b1011)]
     a, b, c, _, e = masks
     assert best_set_pairs(masks) == [(c, e)]
-    assert one_argmax_choice(masks) == [(c, e)]
+    assert a < b and e < c  # the set table keys a pair (lesser, greater)
+    assert one_argmax_choice(masks) == [(e, c)]
     holders, pairs = set_table(masks)
-    rank = dict(zip(pairs, rank_pairs({}, {}, holders, pairs, 0, 0)))
-    halves, winner = rank[a, b], rank[c, e]
+    ranks = count_ranks(holders, {*holders, *pairs.values()})
+    rank = dict(zip(pairs, pair_ranks(ranks, pairs)))
+    halves, winner = rank[a, b], rank[e, c]
     assert (halves // RANK_WIDTH, halves % RANK_WIDTH) == (
         winner // RANK_WIDTH - 1,
         MAX_SEGMENTS,

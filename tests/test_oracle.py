@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given
@@ -17,7 +18,7 @@ from gtexchange import (
     upper_bound,
 )
 import gtexchange.oracle as oracle_module
-from gtexchange.core import exchange
+from gtexchange.core import count_ranks, exchange, set_table
 from gtexchange.harness import derive_seed, gen_instance
 from conftest import (
     build_instance,
@@ -30,6 +31,7 @@ from conftest import (
 from oracles import (
     brute_force_optimal,
     chain_by_inclusion,
+    counted_ranks,
     enumerate_maximal_schedules,
     enumeration_optimal,
     pair_scan_links,
@@ -310,10 +312,10 @@ def test_later_children_go_by_links_kept_alive_ties_in_pair_order(mnk_run):
 
 
 def test_a_deep_search_holds_little_data_per_level():
-    # the descent keeps O(m) data per suspended level and hands its ranks
-    # on, so the traced peak of a 100-state deep search stays near 0.6 MiB;
-    # keeping each level's handed ranks alive takes it past 5 MiB, and
-    # keeping each level's set table past 8 MiB
+    # the descent keeps O(m) data per suspended level and walks one table
+    # down and back, so the traced peak of a 100-state deep search stays
+    # near 0.4 MiB; keeping a copy of the ranks alive at each level takes
+    # it past 5 MiB, and a set table per level past 8 MiB
     instance = deep_instance()
     incumbent = run_algorithm("glink", instance)  # the presolve, untraced
     tracemalloc.start()
@@ -326,27 +328,40 @@ def test_a_deep_search_holds_little_data_per_level():
     assert peak < 2 * 2**20
 
 
-def test_every_expanded_state_ranks_its_pairs_as_a_fresh_count(monkeypatch):
-    # the ranks and union counts a state moves in place, copied from those
-    # its parent hands on, must be those of a fresh count, for first
-    # children and later siblings alike
-    moved = oracle_module.rank_pairs
-    ranked = []  # the set pair that reached each ranked state; (0, 0) afresh
+def frozen(pairs):
+    """A set table's pairs, each as an unordered pair, with its union."""
+    return {frozenset(pair): union for pair, union in pairs.items()}
 
-    def checked(ranks, unions, holders, pairs, x, y):
-        rank = moved(ranks, unions, holders, pairs, x, y)
-        fresh, counted = {}, {}
-        assert rank == moved(fresh, counted, holders, pairs, 0, 0)
-        assert ranks == fresh and unions == counted
-        ranked.append((x, y))
-        return rank
 
-    monkeypatch.setattr(oracle_module, "rank_pairs", checked)
+def test_the_walked_table_is_a_fresh_count_after_every_step(monkeypatch):
+    # the one table the search walks, its holders, pairs, ranks and union
+    # counts, must be those of the state reached, counted afresh, after
+    # every step down and every step back, first children and later
+    # siblings alike
+    walk = oracle_module._Search._step
+    backs = 0
+
+    def checked(search, x, y, i, j, sign):
+        nonlocal backs
+        walk(search, x, y, i, j, sign)
+        masks[i], masks[j] = (x | y, x | y) if sign > 0 else (x, y)
+        holders, pairs = set_table(masks)
+        assert {mask: sorted(held) for mask, held in search.holders.items()} == holders
+        assert all(a < b for a, b in search.pairs)
+        assert frozen(search.pairs) == frozen(pairs)
+        unions = dict(Counter(pairs.values()))
+        assert search.unions == unions
+        assert search.ranks == count_ranks(holders, {*holders, *unions})
+        assert search.ranks == counted_ranks(masks)
+        backs += sign < 0
+
+    monkeypatch.setattr(oracle_module._Search, "_step", checked)
     for run in (53, 99):
         instance = gen_instance(15, 20, 5, derive_seed(0, run, "instance"))
+        masks = list(canonical_key(s.mask for s in instance.initial_sets))
         solve_optimal(instance, SearchLimits(max_states=1500))
-    # the search came back to states often and ranked their later children
-    assert sum(1 for pair in ranked if pair == (0, 0)) > 1000
+    # the search came back to states often and tried their later children
+    assert backs > 1000
 
 
 # --------------------------------------------------------------- enumeration
