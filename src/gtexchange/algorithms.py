@@ -12,11 +12,10 @@ emitting a maximal schedule plus the final state:
 Every scheduler keeps the node masks as one list of ints and activates
 through :func:`~gtexchange.core.exchange`, which updates the list in place
 and returns the raw step record the run's schedule keeps;
-``glink``, ``ginc`` and ``rare`` also keep the linked set pairs in a set
-table (:func:`~gtexchange.core.set_table`) that each activation moves
-(:func:`~gtexchange.core.move_table`), and ``glink`` keeps one rank per
-set and union that each step moves in place
-(:func:`~gtexchange.core.move_ranks`).  The final masks become
+``ginc`` and ``rare`` also keep the linked set pairs in a set table
+(:func:`~gtexchange.core.set_table`) that each activation moves, and
+``glink`` keeps them with a rank slot per set and union that its pairs
+share (:func:`~gtexchange.core.rank_table`).  The final masks become
 :class:`~gtexchange.core.SegmentSet` values once, at the end.
 Each run is a pure function of (instance, seed, tie mode): ``rand`` draws
 its phases from the seed, and under ``random`` ties ``glink``, ``ginc`` and
@@ -27,7 +26,6 @@ with no shared state.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -37,13 +35,13 @@ from .core import (
     Schedule,
     SegmentSet,
     argmax,
-    count_ranks,
     exchange,
     exchange_lowest,
-    move_ranks,
+    move_ranked,
     move_table,
     node_pairs,
     pair_ranks,
+    rank_table,
     set_links,
     set_table,
 )
@@ -184,11 +182,11 @@ def run_greedy_links(
     ``live + 1 - N(x) - N(y) + 2 * N(x | y)`` links, a function of the set
     pair alone, so each step scores the linked pairs of distinct sets.
 
-    The linked set pairs are kept across steps (:func:`~gtexchange.core.set_table`),
-    and so is a rank per distinct set and linked union, which each step
-    moves in place instead of counting it again
-    (:func:`~gtexchange.core.move_ranks`).  A step costs O(D) for the
-    table, one pass over the kept keys and pairs, plus O(D) per new key.
+    The linked set pairs are kept across steps, and so is a rank slot per
+    set and union, shared by its pairs, that each step moves in place
+    (:func:`~gtexchange.core.rank_table`, :func:`~gtexchange.core.move_ranked`).
+    A step costs O(D) for the table, one pass over the K slots and one over
+    the P pairs, reading three slots each, plus O(D) per new key.
 
     A pair's rank orders set pairs by that count, then by their immediate
     gain (the oracle's first choice too), so one argmax makes the choice,
@@ -197,17 +195,13 @@ def run_greedy_links(
     """
     pick = _tie_picker(tie_mode, seed)
     masks = [s.mask for s in instance.initial_sets]
-    holders, pairs = set_table(masks)
-    unions = dict(Counter(pairs.values()))  # moved from step to step, with ranks
-    ranks = count_ranks(holders, {*holders, *unions})
+    holders, pairs, slots = rank_table(masks)
     records: list[Record] = []
     while pairs:
-        i, j = pick(node_pairs(holders, argmax(pairs, pair_ranks(ranks, pairs))))
+        i, j = pick(node_pairs(holders, argmax(pairs, pair_ranks(pairs))))
         x, y = masks[i], masks[j]
         records.append(exchange(masks, i, j))
-        dropped, added = move_table(holders, pairs, x, y, i, j, 1)
-        if pairs:  # no choice is left to rank after the last step
-            move_ranks(ranks, unions, holders, x, y, 1, dropped, added)
+        move_ranked(holders, pairs, slots, x, y, i, j, 1)
     return _finish("glink", masks, records)
 
 
@@ -229,7 +223,7 @@ def run_greedy_incremental(
     while pairs:
         winners = argmax(pairs, [(x ^ y).bit_count() for x, y in pairs])
         i, j = pick(node_pairs(holders, winners))
-        move_table(holders, pairs, masks[i], masks[j], i, j, 1)
+        move_table(holders, pairs, masks[i], masks[j], i, j)
         records.append(exchange(masks, i, j))
     return _finish("ginc", masks, records)
 
@@ -273,7 +267,7 @@ def run_rarest_first(
                     candidates, [((x ^ y) & cls).bit_count() for x, y in candidates]
                 )
         i, j = pick(node_pairs(nodes, candidates))
-        move_table(nodes, pairs, masks[i], masks[j], i, j, 1)
+        move_table(nodes, pairs, masks[i], masks[j], i, j)
         records.append(exchange(masks, i, j))
         for gained in records[-1][2:]:
             while gained:

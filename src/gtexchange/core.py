@@ -23,12 +23,13 @@ API and file boundary; a final state is a tuple of segment sets.
 Links are found over the *distinct* node sets: the stopping tests scan
 them lazily (:func:`set_links`), while the greedy schedulers and the
 oracle build a set table, the holders of each distinct set and every
-linked set pair with its union, once from that scan (:func:`set_table`).
-One step moves it in O(D) per activation, down or back (:func:`move_table`),
-and one moves the rank of each set and union in place, down or back
-(:func:`move_ranks`), so the oracle walks one table through its search.  A
-pair's rank folds the links its activation keeps alive and then its gain
-into one int (:func:`pair_ranks`), so greedy-links' choice is one argmax.
+linked set pair with its union, once from that scan (:func:`set_table`),
+moved in O(D) per activation (:func:`move_table`).  Greedy-links and the
+oracle give each set and union a rank slot that its pairs share
+(:func:`rank_table`) and move table and slots in one step, down or back
+(:func:`move_ranked`), so the oracle walks one table through its search.
+A pair's rank (:func:`pair_ranks`), read from its three slots, folds the
+links it keeps alive and then its gain into one int, so one argmax chooses.
 The schedulers expand only the set pairs they choose into node pairs
 (:func:`node_pairs`); polygon's sweep and the oracle's replay run a set
 pair on its lowest holders (:func:`exchange_lowest`).  Sizes are checked
@@ -45,7 +46,7 @@ from typing import Iterable, Iterator, Sequence
 
 MAX_SEGMENTS = 4096  # fixed mask width; larger universes are rejected at load
 MAX_NODES = 2**20  # larger groups are rejected before any set is sampled
-RANK_WIDTH = MAX_SEGMENTS + 1  # exceeds every set size (see move_ranks)
+RANK_WIDTH = MAX_SEGMENTS + 1  # exceeds every set size (see rank_table)
 
 
 class InvalidActivationError(ValueError):
@@ -236,19 +237,13 @@ def set_table(masks: Sequence[int]) -> tuple[Holders, SetPairs]:
     return holders, {(x, y) if x < y else (y, x): x | y for x, y in set_links(holders)}
 
 
-def move_table(
-    holders: Holders, pairs: SetPairs, x: int, y: int, i: int, j: int, sign: int
-) -> tuple[list[int], list[int]]:
+def move_table(holders: Holders, pairs: SetPairs, x: int, y: int, i: int, j: int) -> None:
     """Move the set table (:func:`set_table`) in O(D) for D distinct sets
     past the exchange of node ``i``, holding x, with node ``j``, holding y:
-    with ``sign = 1`` both leave their sets for u = x|y, and with ``sign =
-    -1`` they go back.  A set left with no holder drops its pairs, and a set
-    gaining its first holder gains its own; returns the unions of the pairs
-    dropped and of those added.  A step back may reorder a set's holders."""
+    both leave their sets for u = x|y.  A set left with no holder drops its
+    pairs, and a set gaining its first holder gains its own."""
     u = x | y
-    dropped, added = [], []
-    moves = ((x, u, i), (y, u, j)) if sign > 0 else ((u, x, i), (u, y, j))
-    for old, new, node in moves:  # one node at a time leaves old for new
+    for old, node in ((x, i), (y, j)):  # one node at a time leaves old for u
         held = holders[old]
         held.remove(node)
         if not held:
@@ -256,102 +251,122 @@ def move_table(
             for z in holders:
                 t = z | old
                 if t != z and t != old:
-                    dropped.append(pairs.pop((z, old) if z < old else (old, z)))
-        held = holders.get(new)
+                    del pairs[(z, old) if z < old else (old, z)]
+        held = holders.get(u)
         if held is None:
             for z in holders:
-                t = z | new
-                if t != z and t != new:
-                    pairs[(z, new) if z < new else (new, z)] = t
-                    added.append(t)
-            holders[new] = [node]
+                t = z | u
+                if t != z and t != u:
+                    pairs[(z, u) if z < u else (u, z)] = t
+            holders[u] = [node]
         else:
             held.append(node)
-    return dropped, added
 
 
-def count_ranks(holders: Holders, keys: Iterable[int]) -> dict[int, int]:
-    """The rank ``R(K)`` of each of ``keys`` (:func:`move_ranks`), counted afresh."""
+Slot = list[int]  # [R(K), linked pairs whose union is K], shared by reference
+Slots = dict[int, Slot]  # distinct set or linked union K -> its slot
+RankedPairs = dict[tuple[int, int], tuple[Slot, Slot, Slot]]  # (a, b) -> slots of a, b, a|b
+
+
+def _count_ranks(holders: Holders, fresh: Iterable[tuple[int, Slot]]) -> None:
+    """Set the rank of each ``(K, slot)`` of ``fresh`` to ``R(K)``, counted afresh."""
     distinct = [(z, len(held)) for z, held in holders.items()]
-    ranks = {}
-    for key in keys:
+    for key, slot in fresh:
         count = 0
         for z, c in distinct:
             t = z | key
             if t != z and t != key:
                 count += c
-        ranks[key] = count * RANK_WIDTH + key.bit_count()
-    return ranks
+        slot[0] = count * RANK_WIDTH + key.bit_count()
 
 
-def move_ranks(
-    ranks: dict[int, int],
-    unions: dict[int, int],
-    holders: Holders,
-    x: int,
-    y: int,
-    sign: int,
-    dropped: Iterable[int],
-    added: Iterable[int],
+def rank_table(masks: Sequence[int]) -> tuple[Holders, RankedPairs, Slots]:
+    """The set table of ``masks`` with a rank slot ``[R(K), n]`` for each
+    distinct set and linked union K, held by its pairs: ``R(K) =
+    N(K)*RANK_WIDTH + |K|``, ``N(K)`` counting the nodes whose set is
+    incomparable with K, and ``n`` the linked pairs whose union is K."""
+    holders, unions = set_table(masks)
+    slots = {z: [0, 0] for z in holders}
+    pairs = {}
+    for (a, b), t in unions.items():
+        w = slots.setdefault(t, [0, 0])
+        w[1] += 1
+        pairs[a, b] = (slots[a], slots[b], w)
+    _count_ranks(holders, slots.items())
+    return holders, pairs, slots
+
+
+def move_ranked(
+    holders: Holders, pairs: RankedPairs, slots: Slots, x: int, y: int, i: int, j: int, sign: int
 ) -> None:
-    """Move a set table's ranks and union counts in place past the step
-    :func:`move_table` made with the same x, y and ``sign``, given the
-    unions of the pairs it dropped and added.
-
-    ``ranks`` holds ``R(K) = N(K)*RANK_WIDTH + |K|`` for every distinct set
-    and linked union K, where ``N(K)`` counts the nodes whose set is
-    incomparable with K; ``RANK_WIDTH`` exceeds every set size.  ``unions``
-    counts the linked pairs behind each union.  One node moves from x and
-    one from y to u = x|y, so N(K) moves by ``sign * (2*[u ~ K] - [x ~ K] -
-    [y ~ K])``: a key inside u loses ``[x ~ K] + [y ~ K]``, a key holding
-    exactly one of x and y (so not u) gains 1, and no other key moves.  The
-    union counts move by the two lists, added first, so a union that loses
-    its last pair and gains one keeps its rank; keys no longer a set or a
-    union are dropped, and only keys not ranked yet are counted afresh."""
+    """Move a rank table (:func:`rank_table`) past the exchange of node
+    ``i``, holding x, with node ``j``, holding y, as :func:`move_table` does
+    (``sign = 1``) or back (``sign = -1``).  New pairs take the slots already
+    there; a key left neither a set nor a union loses its slot.  Then one
+    pass moves every rank: N(K) moves by ``sign * (2*[u ~ K] - [x ~ K] - [y
+    ~ K])``, u = x|y, so a key inside u loses ``[x ~ K] + [y ~ K]``, a key
+    holding exactly one of x and y gains 1, and no other key moves.  Only
+    the slots new to this step are counted afresh."""
     u = x | y
+    fresh, gone = [], []
+    moves = ((x, u, i), (y, u, j)) if sign > 0 else ((u, x, i), (u, y, j))
+    for old, new, node in moves:  # one node at a time leaves old for new
+        held = holders[old]
+        held.remove(node)
+        if not held:
+            del holders[old]
+            gone.append(old)
+            for z in holders:
+                t = z | old
+                if t != z and t != old:
+                    w = pairs.pop((z, old) if z < old else (old, z))[2]
+                    w[1] -= 1
+                    if not w[1]:
+                        gone.append(t)
+        held = holders.get(new)
+        if held is None:
+            if new not in slots:
+                slots[new] = [0, 0]
+                fresh.append((new, slots[new]))
+            for z in holders:
+                t = z | new
+                if t != z and t != new:
+                    w = slots.get(t)
+                    if w is None:
+                        w = slots[t] = [0, 0]
+                        fresh.append((t, w))
+                    w[1] += 1
+                    a, b = (z, new) if z < new else (new, z)
+                    pairs[a, b] = (slots[a], slots[b], w)
+            holders[new] = [node]
+        else:
+            held.append(node)
+    for key in gone:  # after both moves, so a key back in use keeps its slot
+        if key not in holders and key in slots and not slots[key][1]:
+            del slots[key]
     step = sign * RANK_WIDTH
-    for key, rank in ranks.items():
+    for key, s in slots.items():
         if key | u == u:
             t = key | x
             lost = t != key and t != x
             t = key | y
             lost += t != key and t != y
             if lost:
-                ranks[key] = rank - lost * step
+                s[0] -= lost * step
         elif (key | x == key) != (key | y == key):
-            ranks[key] = rank + step
-    came, left = ((u,), (x, y)) if sign > 0 else ((x, y), (u,))
-    fresh = [key for key in came if key in holders and key not in ranks]
-    for t in added:
-        if t in unions:
-            unions[t] += 1
-        else:
-            unions[t] = 1
-            if t not in ranks:
-                fresh.append(t)
-    for t in dropped:
-        count = unions[t] - 1
-        if count:
-            unions[t] = count
-        else:
-            del unions[t]
-            if t not in holders:
-                del ranks[t]
-    for old in left:
-        if old not in holders and old not in unions:
-            del ranks[old]
+            s[0] += step
     if fresh:
-        ranks.update(count_ranks(holders, fresh))
+        _count_ranks(holders, fresh)
 
 
-def pair_ranks(ranks: dict[int, int], pairs: SetPairs) -> list[int]:
+def pair_ranks(pairs: RankedPairs) -> list[int]:
     """Each linked set pair's rank ``2*R(a|b) - R(a) - R(b)``, in ``pairs``
     order: ``RANK_WIDTH*score + |a ^ b|``, where ``score = 2*N(a|b) - N(a) -
     N(b)`` is the number of links activating it leaves alive, less a
     constant, and ``|a ^ b|`` is its gain (the ``ginc`` weight).  So one
     :func:`argmax` makes greedy-links' choice, most links left alive, then
     the largest gain, and ``rank // RANK_WIDTH`` is the score."""
-    return [2 * ranks[w] - ranks[a] - ranks[b] for (a, b), w in pairs.items()]
+    return [2 * w[0] - a[0] - b[0] for a, b, w in pairs.values()]
 
 
 def argmax(items: Iterable, weights: Sequence) -> list:

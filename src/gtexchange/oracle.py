@@ -22,9 +22,9 @@ The search stays exhaustive; three things let it stop early or not start:
   and the rest are tried by links kept alive, most first.  The order
   decides only which leaf comes first.
 
-One set table, with its ranks, is built per search and walked down to each
-state expanded and back by the same two steps
-(:func:`~gtexchange.core.move_table`, :func:`~gtexchange.core.move_ranks`).
+One rank table (:func:`~gtexchange.core.rank_table`) is built per search
+and walked down to each state expanded and back by the same fused step
+(:func:`~gtexchange.core.move_ranked`).
 
 Budgets are enforced per search.  On an overrun the result is flagged
 inexact and carries the better of the incumbent and the best leaf reached,
@@ -35,7 +35,6 @@ independent instances may be solved in parallel, one search each.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Generator, Iterable
 
@@ -44,12 +43,10 @@ from .core import (
     RANK_WIDTH,
     Instance,
     Schedule,
-    count_ranks,
     exchange_lowest,
-    move_ranks,
-    move_table,
+    move_ranked,
     pair_ranks,
-    set_table,
+    rank_table,
     upper_bound,
 )
 
@@ -124,9 +121,7 @@ class _Search:
         asks for is expanded, on an explicit stack rather than the Python
         call stack, so schedule length is not capped by the recursion limit.
         """
-        self.holders, self.pairs = set_table(root)
-        self.unions = dict(Counter(self.pairs.values()))
-        self.ranks = count_ranks(self.holders, {*self.holders, *self.unions})
+        self.holders, self.pairs, self.slots = rank_table(root)
         # suspended expansions, innermost last
         stack: list[Generator[tuple[int, ...], int, int]] = []
         key: tuple[int, ...] | None = root  # the state to expand; None once answered
@@ -149,9 +144,8 @@ class _Search:
                 key, reply = None, done.value
 
     def _step(self, x: int, y: int, i: int, j: int, sign: int) -> None:
-        """Walk the set table, ranks and union counts down or back (``sign``)."""
-        dropped, added = move_table(self.holders, self.pairs, x, y, i, j, sign)
-        move_ranks(self.ranks, self.unions, self.holders, x, y, sign, dropped, added)
+        """Walk the rank table down or back (``sign``)."""
+        move_ranked(self.holders, self.pairs, self.slots, x, y, i, j, sign)
 
     def _expand(self, key: tuple[int, ...]) -> Generator[tuple[int, ...], int, int]:
         """Expansion of one state, the walked table at ``key``: yields each
@@ -169,9 +163,7 @@ class _Search:
         # (a walked dict has no pair order); the rest go by links kept alive,
         # ties in pair order, and are ranked only if the search comes back,
         # so a deep descent holds O(m) data per level.
-        rank = pair_ranks(self.ranks, pairs)
-        tried = min((-r, pair) for pair, r in zip(pairs, rank))[1]
-        del rank
+        tried = min((-r, pair) for pair, r in zip(pairs, pair_ranks(pairs)))[1]
         best = 0
         children = [tried]
         for pair in children:
@@ -193,9 +185,8 @@ class _Search:
                 if best == self.bound:
                     break
             if pair is tried:  # back from the first child: the rest join
-                rank = pair_ranks(self.ranks, pairs)
-                alive = {p: r // RANK_WIDTH for p, r in zip(pairs, rank)}
-                del alive[tried], rank
+                alive = {p: r // RANK_WIDTH for p, r in zip(pairs, pair_ranks(pairs))}
+                del alive[tried]
                 children += sorted(alive, key=lambda p: (-alive[p], p))
         self.memo[key] = best
         return best

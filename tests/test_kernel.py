@@ -35,12 +35,12 @@ from gtexchange.core import (
     MAX_SEGMENTS,
     RANK_WIDTH,
     argmax,
-    count_ranks,
     exchange,
-    move_ranks,
+    move_ranked,
     move_table,
     node_pairs,
     pair_ranks,
+    rank_table,
     set_links,
     set_table,
 )
@@ -240,29 +240,35 @@ def test_kept_set_table_matches_a_fresh_scan_after_every_exchange(instance, seed
         if not pairs:
             break
         i, j = rng.choice(node_pairs(holders, list(pairs)))
-        move_table(holders, pairs, masks[i], masks[j], i, j, 1)
+        move_table(holders, pairs, masks[i], masks[j], i, j)
         exchange(masks, i, j)
+
+
+def linked_unions(masks):
+    """The number of linked set pairs behind each union, by a set scan."""
+    return Counter(a | b for a, b in set_links(masks))
 
 
 @given(st.one_of(any_instances, crowded_instances), st.integers(0, 2**32))
 def test_moved_links_alive_matches_a_fresh_count_after_every_exchange(instance, seed):
-    """The ranks and union counts handed on from the state before and moved
-    in place past its activation equal those counted afresh, key for key;
-    each kept pair's rank, divided by RANK_WIDTH, is what activating it on its
-    first holders does to the number of live links, less one, and its
+    """The slot ranks and union counts handed on from the state before and
+    moved in place past its activation equal those counted afresh, key for
+    key; each kept pair's rank, divided by RANK_WIDTH, is what activating it
+    on its first holders does to the number of live links, less one, and its
     remainder is the pair's gain."""
     rng = random.Random(seed)
     masks = [s.mask for s in instance.initial_sets]
-    holders, pairs = set_table(masks)
-    unions = dict(Counter(pairs.values()))
-    ranks = count_ranks(holders, {*holders, *unions})
+    holders, pairs, slots = rank_table(masks)
     while pairs:
-        rank = pair_ranks(ranks, pairs)
-        counted = dict(Counter(pairs.values()))
-        fresh = count_ranks(holders, {*holders, *counted})
-        assert rank == pair_ranks(fresh, pairs)
-        assert ranks == fresh == counted_ranks(masks)
-        assert unions == counted == Counter(a | b for a, b in set_links(masks))
+        rank = pair_ranks(pairs)
+        _, fresh_pairs, fresh = rank_table(masks)
+        assert dict(zip(pairs, rank)) == dict(zip(fresh_pairs, pair_ranks(fresh_pairs)))
+        ranks = {key: s[0] for key, s in slots.items()}
+        assert ranks == {key: s[0] for key, s in fresh.items()} == counted_ranks(masks)
+        counted = linked_unions(masks)
+        assert {key: s[1] for key, s in slots.items()} == {
+            key: s[1] for key, s in fresh.items()
+        } == {key: counted[key] for key in ranks}
         live = len(pair_scan_links(masks))
         for (a, b), value in zip(pairs, rank):
             after = list(masks)
@@ -270,17 +276,14 @@ def test_moved_links_alive_matches_a_fresh_count_after_every_exchange(instance, 
             assert value // RANK_WIDTH == len(pair_scan_links(after)) - live - 1
             assert value % RANK_WIDTH == (a ^ b).bit_count()
         i, j = rng.choice(node_pairs(holders, list(pairs)))
-        x, y = masks[i], masks[j]
-        dropped, added = move_table(holders, pairs, x, y, i, j, 1)
-        move_ranks(ranks, unions, holders, x, y, 1, dropped, added)
+        move_ranked(holders, pairs, slots, masks[i], masks[j], i, j, 1)
         exchange(masks, i, j)
 
 
 def one_argmax_choice(masks):
-    """Greedy-links' choice from a fresh set table: one argmax over the ranks."""
-    holders, pairs = set_table(masks)
-    ranks = count_ranks(holders, {*holders, *pairs.values()})
-    return argmax(pairs, pair_ranks(ranks, pairs))
+    """Greedy-links' choice from a fresh rank table: one argmax over the ranks."""
+    _, pairs, _ = rank_table(masks)
+    return argmax(pairs, pair_ranks(pairs))
 
 
 def lesser_first(set_pairs):
@@ -296,37 +299,40 @@ def test_one_argmax_over_ranks_makes_the_two_pass_choice(instance, seed):
     table with ranks moved from step to step."""
     rng = random.Random(seed)
     masks = [s.mask for s in instance.initial_sets]
-    holders, pairs = set_table(masks)
-    unions = dict(Counter(pairs.values()))
-    ranks = count_ranks(holders, {*holders, *unions})
+    holders, pairs, slots = rank_table(masks)
     while pairs:
         expected = best_set_pairs(masks)
         assert one_argmax_choice(masks) == lesser_first(expected)
-        rank = pair_ranks(ranks, pairs)
-        assert {frozenset(p) for p in argmax(pairs, rank)} == {
+        assert {frozenset(p) for p in argmax(pairs, pair_ranks(pairs))} == {
             frozenset(p) for p in expected
         }
         i, j = rng.choice(node_pairs(holders, list(pairs)))
-        x, y = masks[i], masks[j]
-        dropped, added = move_table(holders, pairs, x, y, i, j, 1)
-        move_ranks(ranks, unions, holders, x, y, 1, dropped, added)
+        move_ranked(holders, pairs, slots, masks[i], masks[j], i, j, 1)
         exchange(masks, i, j)
 
 
-def walk_round_trips(instance, seed):
-    """Walk the set table, its ranks and union counts along a random path of
-    exchanges.  At every step, step down and then back (``sign = -1``), and
-    check that all four come back exactly, holders as multisets; then step
-    down for real.  Returns the cases the steps met."""
+def walk_round_trips(instance, seed, check=None):
+    """Walk the rank table along a random path of exchanges.  At every step,
+    step down and then back (``sign = -1``), and check that the holders (as
+    multisets), the pairs with their three slots' values and the slots come
+    back exactly; then step down for real.  ``check(holders, pairs, slots,
+    masks)`` runs on the table after every step.  Returns the cases the
+    steps met."""
     rng = random.Random(seed)
     masks = [s.mask for s in instance.initial_sets]
-    holders, pairs = set_table(masks)
-    unions = dict(Counter(pairs.values()))
-    ranks = count_ranks(holders, {*holders, *unions})
+    holders, pairs, slots = rank_table(masks)
 
     def table():
         held = {mask: sorted(nodes) for mask, nodes in holders.items()}
-        return held, dict(pairs), dict(ranks), dict(unions)
+        values = {pair: [list(s) for s in triple] for pair, triple in pairs.items()}
+        return held, values, {key: list(s) for key, s in slots.items()}
+
+    def step(x, y, i, j, sign):
+        move_ranked(holders, pairs, slots, x, y, i, j, sign)
+        if check is not None:
+            after = list(masks)
+            after[i], after[j] = (x | y, x | y) if sign > 0 else (x, y)
+            check(holders, pairs, slots, after)
 
     cases = set()
     while pairs:
@@ -341,11 +347,9 @@ def walk_round_trips(instance, seed):
             cases.add("u already exists")
         before = table()
         for sign in (1, -1):
-            dropped, added = move_table(holders, pairs, x, y, i, j, sign)
-            move_ranks(ranks, unions, holders, x, y, sign, dropped, added)
+            step(x, y, i, j, sign)
         assert table() == before
-        dropped, added = move_table(holders, pairs, x, y, i, j, 1)
-        move_ranks(ranks, unions, holders, x, y, 1, dropped, added)
+        step(x, y, i, j, 1)
         exchange(masks, i, j)
     return cases
 
@@ -353,6 +357,22 @@ def walk_round_trips(instance, seed):
 @given(st.one_of(any_instances, crowded_instances), st.integers(0, 2**32))
 def test_a_step_back_inverts_the_step_down_exactly(instance, seed):
     walk_round_trips(instance, seed)
+
+
+def slots_shared_and_counted(holders, pairs, slots, masks):
+    """Each pair (a, b) holds the slots of a, b and a|b themselves, each
+    slot counts the linked pairs behind its key, and every slot key is a
+    live set or a live union."""
+    for (a, b), (sa, sb, w) in pairs.items():
+        assert sa is slots[a] and sb is slots[b] and w is slots[a | b]
+    behind = Counter(a | b for a, b in pairs)
+    assert {key: s[1] for key, s in slots.items()} == {key: behind[key] for key in slots}
+    assert slots.keys() == {*holders, *behind} == {*masks, *linked_unions(masks)}
+
+
+@given(st.one_of(any_instances, crowded_instances), st.integers(0, 2**32))
+def test_the_slots_are_shared_and_counted_after_every_step(instance, seed):
+    walk_round_trips(instance, seed, slots_shared_and_counted)
 
 
 def test_the_round_trip_walks_meet_every_case():
@@ -382,9 +402,8 @@ def test_a_full_gain_one_link_below_loses_to_the_smallest_gain():
     assert best_set_pairs(masks) == [(c, e)]
     assert a < b and e < c  # the set table keys a pair (lesser, greater)
     assert one_argmax_choice(masks) == [(e, c)]
-    holders, pairs = set_table(masks)
-    ranks = count_ranks(holders, {*holders, *pairs.values()})
-    rank = dict(zip(pairs, pair_ranks(ranks, pairs)))
+    _, pairs, _ = rank_table(masks)
+    rank = dict(zip(pairs, pair_ranks(pairs)))
     halves, winner = rank[a, b], rank[e, c]
     assert (halves // RANK_WIDTH, halves % RANK_WIDTH) == (
         winner // RANK_WIDTH - 1,

@@ -18,7 +18,7 @@ from gtexchange import (
     upper_bound,
 )
 import gtexchange.oracle as oracle_module
-from gtexchange.core import count_ranks, exchange, set_table
+from gtexchange.core import exchange, set_links, set_table
 from gtexchange.harness import derive_seed, gen_instance
 from conftest import (
     build_instance,
@@ -328,15 +328,10 @@ def test_a_deep_search_holds_little_data_per_level():
     assert peak < 2 * 2**20
 
 
-def frozen(pairs):
-    """A set table's pairs, each as an unordered pair, with its union."""
-    return {frozenset(pair): union for pair, union in pairs.items()}
-
-
 def test_the_walked_table_is_a_fresh_count_after_every_step(monkeypatch):
-    # the one table the search walks, its holders, pairs, ranks and union
-    # counts, must be those of the state reached, counted afresh, after
-    # every step down and every step back, first children and later
+    # the one table the search walks, its holders, pairs, slot ranks and
+    # union counts, must be those of the state reached, counted afresh,
+    # after every step down and every step back, first children and later
     # siblings alike
     walk = oracle_module._Search._step
     backs = 0
@@ -348,11 +343,12 @@ def test_the_walked_table_is_a_fresh_count_after_every_step(monkeypatch):
         holders, pairs = set_table(masks)
         assert {mask: sorted(held) for mask, held in search.holders.items()} == holders
         assert all(a < b for a, b in search.pairs)
-        assert frozen(search.pairs) == frozen(pairs)
-        unions = dict(Counter(pairs.values()))
-        assert search.unions == unions
-        assert search.ranks == count_ranks(holders, {*holders, *unions})
-        assert search.ranks == counted_ranks(masks)
+        assert search.pairs.keys() == pairs.keys()
+        slots = search.slots
+        assert all(w is slots[a | b] for (a, b), (_, _, w) in search.pairs.items())
+        assert {key: s[0] for key, s in slots.items()} == counted_ranks(masks)
+        unions = Counter(a | b for a, b in set_links(masks))
+        assert {key: s[1] for key, s in slots.items()} == {key: unions[key] for key in slots}
         backs += sign < 0
 
     monkeypatch.setattr(oracle_module._Search, "_step", checked)
