@@ -12,11 +12,12 @@ emitting a maximal schedule plus the final state:
 Every scheduler keeps the node masks as one list of ints and activates
 through :func:`~gtexchange.core.exchange`, which updates the list in place
 and returns the raw step record the run's schedule keeps;
-``ginc`` and ``rare`` also keep the linked set pairs in a set table
-(:func:`~gtexchange.core.set_table`) that each activation moves, and
-``glink`` keeps them with a rank slot per set and union that its pairs
-share (:func:`~gtexchange.core.rank_table`).  The final masks become
-:class:`~gtexchange.core.SegmentSet` values once, at the end.
+``rare`` also keeps the linked set pairs in a set table
+(:func:`~gtexchange.core.set_table`) that each activation moves, ``ginc``
+keeps them filed by gain (:class:`~gtexchange.core.GainBuckets`), moved
+the same way, and ``glink`` keeps them with a rank slot per set and union
+that its pairs share (:func:`~gtexchange.core.rank_table`).  The final
+masks become :class:`~gtexchange.core.SegmentSet` values once, at the end.
 Each run is a pure function of (instance, seed, tie mode): ``rand`` draws
 its phases from the seed, and under ``random`` ties ``glink``, ``ginc`` and
 ``rare`` draw their ties from it.  Distinct runs may execute concurrently
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import (
+    GainBuckets,
     Instance,
     Record,
     Schedule,
@@ -42,6 +44,7 @@ from .core import (
     node_pairs,
     pair_ranks,
     rank_table,
+    set_holders,
     set_links,
     set_table,
 )
@@ -212,18 +215,23 @@ def run_greedy_incremental(
 
     The gain of pairing i and j is ``2*|union| - |set_i| - |set_j|``: what
     both endpoints add in total, which is the size of the symmetric
-    difference.  It depends on the two sets alone, so each step scores the
-    kept linked pairs of distinct sets and hands the node pairs of the best
-    ones, in ascending order, to the tie rule.
+    difference.  It depends on the two sets alone and never changes, so the
+    linked pairs of distinct sets are kept filed by gain
+    (:class:`~gtexchange.core.GainBuckets`), moved by each activation
+    (:func:`~gtexchange.core.move_table`), and each step hands the node
+    pairs of the highest bucket's set pairs, in ascending order, to the tie
+    rule.  A step costs O(D + G + W) for D distinct sets, G gains present
+    and W winning node pairs; no kept pair is scored again.
     """
     pick = _tie_picker(tie_mode, seed)
     masks = [s.mask for s in instance.initial_sets]
-    holders, pairs = set_table(masks)
+    holders = set_holders(masks)
+    table = GainBuckets(set_links(holders))
+    buckets = table.buckets
     records: list[Record] = []
-    while pairs:
-        winners = argmax(pairs, [(x ^ y).bit_count() for x, y in pairs])
-        i, j = pick(node_pairs(holders, winners))
-        move_table(holders, pairs, masks[i], masks[j], i, j)
+    while buckets:
+        i, j = pick(node_pairs(holders, buckets[max(buckets)]))
+        move_table(holders, table, masks[i], masks[j], i, j)
         records.append(exchange(masks, i, j))
     return _finish("ginc", masks, records)
 

@@ -22,11 +22,14 @@ API and file boundary; a final state is a tuple of segment sets.
 
 Links are found over the *distinct* node sets: the stopping tests scan
 them lazily (:func:`set_links`), while the greedy schedulers and the
-oracle build a set table, the holders of each distinct set and every
-linked set pair with its union, once from that scan (:func:`set_table`),
-moved in O(D) per activation (:func:`move_table`).  Greedy-links and the
-oracle give each set and union a rank slot that its pairs share
-(:func:`rank_table`) and move table and slots in one step, down or back
+oracle keep what one scan finds, the holders of each distinct set
+(:func:`set_holders`) and every linked set pair, and move it per
+activation.  Rarest-first keeps a set table, each pair with its union
+(:func:`set_table`), and greedy-incremental the same pairs filed by gain
+(:class:`GainBuckets`); one O(D) move serves both (:func:`move_table`).
+Greedy-links and the oracle give each set and union a rank slot that its
+pairs share, counted from the one scan with no pass per key
+(:func:`rank_table`), and move table and slots in one step, down or back
 (:func:`move_ranked`), so the oracle walks one table through its search.
 A pair's rank (:func:`pair_ranks`), read from its three slots, folds the
 links it keeps alive and then its gain into one int, so one argmax chooses.
@@ -226,22 +229,69 @@ def node_pairs(
     return pairs
 
 
+def set_holders(masks: Sequence[int]) -> Holders:
+    """The nodes holding each distinct mask of ``masks``, by first appearance."""
+    holders: Holders = {}
+    for i, mask in enumerate(masks):
+        holders.setdefault(mask, []).append(i)
+    return holders
+
+
 def set_table(masks: Sequence[int]) -> tuple[Holders, SetPairs]:
     """The kept set table of ``masks``: the holders of each distinct mask and
     every linked pair of distinct masks, keyed (lesser, greater), with its
     union.  :func:`move_table` keeps it current, so a scheduler picking one
     set pair per step scores the kept pairs instead of scanning again."""
-    holders: Holders = {}
-    for i, mask in enumerate(masks):
-        holders.setdefault(mask, []).append(i)
+    holders = set_holders(masks)
     return holders, {(x, y) if x < y else (y, x): x | y for x, y in set_links(holders)}
 
 
-def move_table(holders: Holders, pairs: SetPairs, x: int, y: int, i: int, j: int) -> None:
+class GainBuckets:
+    """Linked set pairs filed by gain: ``buckets[g]`` holds the pairs (a, b),
+    keyed (lesser, greater), with ``|a ^ b| == g``, and no bucket is empty, so
+    ``buckets[max(buckets)]`` holds the pairs of largest gain.  It takes the
+    place of a set table's pairs in :func:`move_table`, which only deletes
+    and adds pairs; a pair's gain never changes, so no kept pair is scored
+    again.  Built from :func:`set_links`, whose pairs may come either way."""
+
+    def __init__(self, pairs: Iterable[tuple[int, int]]) -> None:
+        buckets: dict[int, set[tuple[int, int]]] = {}
+        for a, b in pairs:
+            gain = (a ^ b).bit_count()
+            pair = (a, b) if a < b else (b, a)
+            bucket = buckets.get(gain)
+            if bucket is None:
+                buckets[gain] = {pair}
+            else:
+                bucket.add(pair)
+        self.buckets = buckets
+
+    def __setitem__(self, pair: tuple[int, int], union: int) -> None:
+        a, b = pair
+        gain = (a ^ b).bit_count()
+        bucket = self.buckets.get(gain)
+        if bucket is None:
+            self.buckets[gain] = {pair}
+        else:
+            bucket.add(pair)
+
+    def __delitem__(self, pair: tuple[int, int]) -> None:
+        a, b = pair
+        gain = (a ^ b).bit_count()
+        bucket = self.buckets[gain]
+        bucket.remove(pair)
+        if not bucket:
+            del self.buckets[gain]
+
+
+def move_table(
+    holders: Holders, pairs: SetPairs | GainBuckets, x: int, y: int, i: int, j: int
+) -> None:
     """Move the set table (:func:`set_table`) in O(D) for D distinct sets
     past the exchange of node ``i``, holding x, with node ``j``, holding y:
     both leave their sets for u = x|y.  A set left with no holder drops its
-    pairs, and a set gaining its first holder gains its own."""
+    pairs, and a set gaining its first holder gains its own; ``pairs`` may
+    be the table's pairs filed by gain (:class:`GainBuckets`)."""
     u = x | y
     for old, node in ((x, i), (y, j)):  # one node at a time leaves old for u
         held = holders[old]
@@ -263,6 +313,8 @@ def move_table(holders: Holders, pairs: SetPairs, x: int, y: int, i: int, j: int
             held.append(node)
 
 
+_INDEXED = 8  # rank_table indexes segments past this many distinct sets, and
+# below it tries every set, which costs less than building the index
 Slot = list[int]  # [R(K), linked pairs whose union is K], shared by reference
 Slots = dict[int, Slot]  # distinct set or linked union K -> its slot
 RankedPairs = dict[tuple[int, int], tuple[Slot, Slot, Slot]]  # (a, b) -> slots of a, b, a|b
@@ -284,15 +336,90 @@ def rank_table(masks: Sequence[int]) -> tuple[Holders, RankedPairs, Slots]:
     """The set table of ``masks`` with a rank slot ``[R(K), n]`` for each
     distinct set and linked union K, held by its pairs: ``R(K) =
     N(K)*RANK_WIDTH + |K|``, ``N(K)`` counting the nodes whose set is
-    incomparable with K, and ``n`` the linked pairs whose union is K."""
-    holders, unions = set_table(masks)
-    slots = {z: [0, 0] for z in holders}
-    pairs = {}
-    for (a, b), t in unions.items():
-        w = slots.setdefault(t, [0, 0])
-        w[1] += 1
-        pairs[a, b] = (slots[a], slots[b], w)
-    _count_ranks(holders, slots.items())
+    incomparable with K, and ``n`` the linked pairs whose union is K.
+
+    Every N(K) comes from one pass over the pairs of distinct sets, with no
+    scan per key.  N(z) for a set z is m less the holders of z and of every
+    set comparable with it.  A union u = a|b that is not a set is comparable
+    with a, b, the sets inside a or b, the sets above both, and the *split*
+    sets, inside u but inside neither a nor b; u is counted from the first
+    pair (a, b) met.  A split set w meets a - b and b - a, so it partially
+    overlaps a or b, say a; then the other set holds all of d = w - a, and
+    so d's lowest segment.  A split set partially overlapping both is found
+    from each, and counted from the lesser."""
+    holders = set_holders(masks)
+    m = len(masks)
+    count = {z: len(held) for z, held in holders.items()}
+    # each rank starts with m - N(K) = m less the holders of K, or of a and
+    # b for a union first met as a|b, and loses RANK_WIDTH per holder of
+    # another key comparable with K
+    slots = {z: [(m - c) * RANK_WIDTH + z.bit_count(), 0] for z, c in count.items()}
+    pairs: RankedPairs = {}
+    made: SetPairs = {}  # union that is not a set -> the pair that met it first
+    below: dict[int, list[int]] = {}  # set -> the sets strictly inside it
+    above: dict[int, list[int]] = {}  # set -> the sets strictly above it
+    overlaps = []  # linked pairs that share a segment
+    distinct = list(holders)
+    for at, x in enumerate(distinct):
+        sx = slots[x]
+        cx = count[x]
+        for y in distinct[at + 1 :]:
+            t = x | y
+            if t != x and t != y:
+                key = (x, y) if x < y else (y, x)
+                w = slots.get(t)
+                if w is None:
+                    w = slots[t] = [(m - cx - count[y]) * RANK_WIDTH + t.bit_count(), 0]
+                    made[t] = key
+                sy = slots[y]
+                pairs[key] = (sx, sy, w) if x < y else (sy, sx, w)
+                w[1] += 1
+                if x & y:
+                    overlaps.append((x, y))
+            else:
+                inner, outer = (y, x) if t == x else (x, y)
+                below.setdefault(outer, []).append(inner)
+                above.setdefault(inner, []).append(outer)
+                sx[0] -= count[y] * RANK_WIDTH
+                slots[y][0] -= cx * RANK_WIDTH
+    if overlaps:
+        split: dict[tuple[int, int], int] = {}  # linked pair -> holders of its split sets
+        segment: dict[int, list[int]] = {}  # one-segment mask -> the sets holding it
+        if len(distinct) > _INDEXED:
+            for z in distinct:
+                rest = z
+                while rest:
+                    low = rest & -rest
+                    segment.setdefault(low, []).append(z)
+                    rest ^= low
+        for x, y in overlaps:
+            if segment:
+                for w, a in (x, y), (y, x):
+                    d = w & ~a
+                    for b in segment[d & -d]:
+                        if b & d == d and w & ~b and a & ~b and (a < b or not b & ~w):
+                            key = (a, b) if a < b else (b, a)
+                            split[key] = split.get(key, 0) + count[w]
+            else:
+                dx, dy = x & ~y, y & ~x
+                for b in distinct:
+                    if b & dx == dx and x & ~b and y & ~b and (y < b or not b & ~x):
+                        key = (y, b) if y < b else (b, y)
+                        split[key] = split.get(key, 0) + count[x]
+                    if b & dy == dy and y & ~b and x & ~b and (x < b or not b & ~y):
+                        key = (x, b) if x < b else (b, x)
+                        split[key] = split.get(key, 0) + count[y]
+        for key, c in split.items():
+            t = key[0] | key[1]
+            if made.get(t) == key:
+                slots[t][0] -= c * RANK_WIDTH
+    if below:
+        for t, (a, b) in made.items():
+            slots[t][0] -= RANK_WIDTH * (
+                sum(count[z] for z in below.get(a, ()))
+                + sum(count[z] for z in below.get(b, ()) if z | a != a)
+                + sum(count[z] for z in above.get(a, ()) if z | b == z)
+            )
     return holders, pairs, slots
 
 

@@ -33,6 +33,7 @@ from gtexchange import (
 from gtexchange.algorithms import _permute, _shuffle_draws
 from gtexchange.core import (
     MAX_SEGMENTS,
+    GainBuckets,
     RANK_WIDTH,
     argmax,
     exchange,
@@ -41,6 +42,7 @@ from gtexchange.core import (
     node_pairs,
     pair_ranks,
     rank_table,
+    set_holders,
     set_links,
     set_table,
 )
@@ -244,6 +246,31 @@ def test_kept_set_table_matches_a_fresh_scan_after_every_exchange(instance, seed
         exchange(masks, i, j)
 
 
+@given(st.one_of(any_instances, crowded_instances), st.integers(0, 2**32))
+def test_gain_buckets_match_a_fresh_scan_after_every_exchange(instance, seed):
+    """ginc's pairs filed by gain, moved by the set table's one move
+    function along a random walk: each kept pair sits in the bucket of its
+    gain, no bucket is empty, and the buckets together hold the pairs of a
+    fresh scan."""
+    rng = random.Random(seed)
+    masks = [s.mask for s in instance.initial_sets]
+    holders = set_holders(masks)
+    table = GainBuckets(set_links(holders))
+    while True:
+        assert {mask: sorted(held) for mask, held in holders.items()} == grouped(masks)
+        buckets = table.buckets
+        assert all(buckets.values())
+        for gain, bucket in buckets.items():
+            assert all((a ^ b).bit_count() == gain for a, b in bucket)
+        kept = [pair for bucket in buckets.values() for pair in bucket]
+        assert sorted(kept) == sorted(lesser_first(set_links(masks)))
+        if not kept:
+            break
+        i, j = rng.choice(node_pairs(holders, kept))
+        move_table(holders, table, masks[i], masks[j], i, j)
+        exchange(masks, i, j)
+
+
 def linked_unions(masks):
     """The number of linked set pairs behind each union, by a set scan."""
     return Counter(a | b for a, b in set_links(masks))
@@ -278,6 +305,62 @@ def test_moved_links_alive_matches_a_fresh_count_after_every_exchange(instance, 
         i, j = rng.choice(node_pairs(holders, list(pairs)))
         move_ranked(holders, pairs, slots, masks[i], masks[j], i, j, 1)
         exchange(masks, i, j)
+
+
+def root_slots_match_a_fresh_count(masks):
+    """Every slot of a fresh rank table holds the rank counted key by key
+    and the number of linked set pairs behind its key, and each pair, keyed
+    (lesser, greater), holds the slots of its sets and its union."""
+    holders, pairs, slots = rank_table(masks)
+    assert {key: s[0] for key, s in slots.items()} == counted_ranks(masks)
+    behind = linked_unions(masks)
+    assert {key: s[1] for key, s in slots.items()} == {key: behind[key] for key in slots}
+    assert Counter(a | b for a, b in pairs) == behind
+    assert all(a < b for a, b in pairs)
+    slots_shared_and_counted(holders, pairs, slots, masks)
+
+
+# more distinct sets than the root pass tries one by one, of any sizes, so
+# that it looks split sets up through its segment index
+many_sets = relaxed_instances(max_m=16, max_n=7)
+
+
+@given(st.one_of(any_instances, crowded_instances, many_sets))
+def test_the_root_pass_counts_every_slot(instance):
+    root_slots_match_a_fresh_count([s.mask for s in instance.initial_sets])
+
+
+# (0-based masks, {key: (N(key), linked pairs behind it)}), each key's rank
+# being N*RANK_WIDTH + |key|
+ROOT_CASES = {
+    # {0,1} lies inside {0}|{1,2}, in neither {0} nor {1,2}: a split set
+    "split set": ([0b001, 0b011, 0b110], {1: (1, 0), 3: (1, 0), 6: (2, 0), 7: (0, 2)}),
+    # {0} lies inside {0,1} and {3} inside {2,3}, so both lie inside {0,1}|{2,3}
+    "sets inside others": (
+        [0b0011, 0b1100, 0b0001, 0b1000],
+        {3: (2, 0), 12: (2, 0), 1: (2, 0), 8: (2, 0), 15: (0, 1), 11: (1, 1), 13: (1, 1), 9: (2, 1)},
+    ),
+    # {0,1}|{2,3} = {0,2}|{1,3}: the first pair meets the other two as split sets
+    "two pairs, one union": (
+        [0b0011, 0b1100, 0b0101, 0b1010],
+        {3: (3, 0), 12: (3, 0), 5: (3, 0), 10: (3, 0),
+         7: (2, 1), 11: (2, 1), 13: (2, 1), 14: (2, 1), 15: (0, 2)},
+    ),
+    # the empty set is inside every key
+    "empty set": ([0, 0b01, 0b10], {0: (0, 0), 1: (1, 0), 2: (1, 0), 3: (0, 1)}),
+    # the full set is above {0}|{1}, which is not a set; {0} has two holders
+    "full set": ([0b111, 0b001, 0b001, 0b010], {7: (0, 0), 1: (1, 0), 2: (2, 0), 3: (0, 1)}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROOT_CASES))
+def test_the_root_pass_on_small_cases(case):
+    masks, expected = ROOT_CASES[case]
+    _, _, slots = rank_table(masks)
+    assert {key: list(s) for key, s in slots.items()} == {
+        key: [n * RANK_WIDTH + key.bit_count(), behind] for key, (n, behind) in expected.items()
+    }
+    root_slots_match_a_fresh_count(masks)
 
 
 def one_argmax_choice(masks):
