@@ -252,7 +252,9 @@ class GainBuckets:
     ``buckets[max(buckets)]`` holds the pairs of largest gain.  It takes the
     place of a set table's pairs in :func:`move_table`, which only deletes
     and adds pairs; a pair's gain never changes, so no kept pair is scored
-    again.  Built from :func:`set_links`, whose pairs may come either way."""
+    again, and the union ``move_table`` hands with a new pair is not kept.
+    Built from :func:`set_links`, whose pairs may come either way, filing
+    them as ``__setitem__`` does but without a call per pair."""
 
     def __init__(self, pairs: Iterable[tuple[int, int]]) -> None:
         buckets: dict[int, set[tuple[int, int]]] = {}
@@ -313,8 +315,8 @@ def move_table(
             held.append(node)
 
 
-_INDEXED = 8  # rank_table indexes segments past this many distinct sets, and
-# below it tries every set, which costs less than building the index
+_INDEXED = 8  # rank_table indexes segments past this many distinct sets; at
+# fewer, trying every set costs less than building the index
 Slot = list[int]  # [R(K), linked pairs whose union is K], shared by reference
 Slots = dict[int, Slot]  # distinct set or linked union K -> its slot
 RankedPairs = dict[tuple[int, int], tuple[Slot, Slot, Slot]]  # (a, b) -> slots of a, b, a|b
@@ -345,8 +347,10 @@ def rank_table(masks: Sequence[int]) -> tuple[Holders, RankedPairs, Slots]:
     sets, inside u but inside neither a nor b; u is counted from the first
     pair (a, b) met.  A split set w meets a - b and b - a, so it partially
     overlaps a or b, say a; then the other set holds all of d = w - a, and
-    so d's lowest segment.  A split set partially overlapping both is found
-    from each, and counted from the lesser."""
+    so d's lowest segment, looked up in an index from segment to sets past
+    ``_INDEXED`` distinct sets (at fewer, every set is tried).  A split set
+    partially overlapping both is found from each, and counted from the
+    lesser."""
     holders = set_holders(masks)
     m = len(masks)
     count = {z: len(held) for z, held in holders.items()}
@@ -358,7 +362,7 @@ def rank_table(masks: Sequence[int]) -> tuple[Holders, RankedPairs, Slots]:
     made: SetPairs = {}  # union that is not a set -> the pair that met it first
     below: dict[int, list[int]] = {}  # set -> the sets strictly inside it
     above: dict[int, list[int]] = {}  # set -> the sets strictly above it
-    overlaps = []  # linked pairs that share a segment
+    overlaps = []  # linked pairs that share a segment, both ways round
     distinct = list(holders)
     for at, x in enumerate(distinct):
         sx = slots[x]
@@ -375,7 +379,7 @@ def rank_table(masks: Sequence[int]) -> tuple[Holders, RankedPairs, Slots]:
                 pairs[key] = (sx, sy, w) if x < y else (sy, sx, w)
                 w[1] += 1
                 if x & y:
-                    overlaps.append((x, y))
+                    overlaps += (x, y), (y, x)
             else:
                 inner, outer = (y, x) if t == x else (x, y)
                 below.setdefault(outer, []).append(inner)
@@ -383,7 +387,6 @@ def rank_table(masks: Sequence[int]) -> tuple[Holders, RankedPairs, Slots]:
                 sx[0] -= count[y] * RANK_WIDTH
                 slots[y][0] -= cx * RANK_WIDTH
     if overlaps:
-        split: dict[tuple[int, int], int] = {}  # linked pair -> holders of its split sets
         segment: dict[int, list[int]] = {}  # one-segment mask -> the sets holding it
         if len(distinct) > _INDEXED:
             for z in distinct:
@@ -392,27 +395,13 @@ def rank_table(masks: Sequence[int]) -> tuple[Holders, RankedPairs, Slots]:
                     low = rest & -rest
                     segment.setdefault(low, []).append(z)
                     rest ^= low
-        for x, y in overlaps:
-            if segment:
-                for w, a in (x, y), (y, x):
-                    d = w & ~a
-                    for b in segment[d & -d]:
-                        if b & d == d and w & ~b and a & ~b and (a < b or not b & ~w):
-                            key = (a, b) if a < b else (b, a)
-                            split[key] = split.get(key, 0) + count[w]
-            else:
-                dx, dy = x & ~y, y & ~x
-                for b in distinct:
-                    if b & dx == dx and x & ~b and y & ~b and (y < b or not b & ~x):
-                        key = (y, b) if y < b else (b, y)
-                        split[key] = split.get(key, 0) + count[x]
-                    if b & dy == dy and y & ~b and x & ~b and (x < b or not b & ~y):
-                        key = (x, b) if x < b else (b, x)
-                        split[key] = split.get(key, 0) + count[y]
-        for key, c in split.items():
-            t = key[0] | key[1]
-            if made.get(t) == key:
-                slots[t][0] -= c * RANK_WIDTH
+        for w, a in overlaps:  # w is split for (a, b) when b holds d but not w
+            d = w & ~a
+            for b in segment[d & -d] if segment else distinct:
+                if b & d == d and w & ~b and a & ~b and (a < b or not b & ~w):
+                    t = a | b
+                    if made.get(t) == ((a, b) if a < b else (b, a)):
+                        slots[t][0] -= count[w] * RANK_WIDTH
     if below:
         for t, (a, b) in made.items():
             slots[t][0] -= RANK_WIDTH * (
