@@ -64,12 +64,15 @@ TIE_MODES = ("lowest", "random")
 
 
 def _tie_picker(tie_mode: str, seed: int) -> Callable[[list], tuple[int, int]]:
-    """A function choosing one pair from an ascending candidate list."""
+    """A function choosing one pair from a candidate list in no fixed order:
+    the lowest, or a draw from the list in ascending order, so the tie rule
+    alone orders the node pairs."""
     if tie_mode not in TIE_MODES:
         raise ValueError(f"unknown tie mode {tie_mode!r}")
     if tie_mode == "lowest":
-        return lambda candidates: candidates[0]
-    return random.Random(seed).choice
+        return min
+    choice = random.Random(seed).choice
+    return lambda candidates: choice(sorted(candidates))
 
 
 @dataclass(frozen=True)
@@ -193,8 +196,8 @@ def run_greedy_links(
 
     A pair's rank orders set pairs by that count, then by their immediate
     gain (the oracle's first choice too), so one argmax makes the choice,
-    and the node pairs holding the set pairs tied on both go, in ascending
-    order, to the tie rule.
+    and the node pairs holding the set pairs tied on both go to the tie
+    rule, which orders them.
     """
     pick = _tie_picker(tie_mode, seed)
     masks = [s.mask for s in instance.initial_sets]
@@ -219,8 +222,8 @@ def run_greedy_incremental(
     linked pairs of distinct sets are kept filed by gain
     (:class:`~gtexchange.core.GainBuckets`), moved by each activation
     (:func:`~gtexchange.core.move_table`), and each step hands the node
-    pairs of the highest bucket's set pairs, in ascending order, to the tie
-    rule.  A step costs O(D + G + W) for D distinct sets, G gains present
+    pairs of the highest bucket's set pairs to the tie rule, which orders
+    them.  A step costs O(D + G + W) for D distinct sets, G gains present
     and W winning node pairs; no kept pair is scored again.
     """
     pick = _tie_picker(tie_mode, seed)
@@ -252,7 +255,7 @@ def run_rarest_first(
     rows are compared over the linked pairs of distinct sets, as a cascade:
     one entry at a time over the set pairs still tied, skipping empty holder
     classes and stopping once one set pair is left.  The node pairs holding
-    the winners go, in ascending order, to the tie rule.  The holder count
+    the winners go to the tie rule, which orders them.  The holder count
     of each segment is kept across steps and moved by the two endpoints'
     gains.
     """

@@ -288,7 +288,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, MemoryError) as err:
         print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

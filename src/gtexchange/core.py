@@ -34,9 +34,10 @@ pairs share, counted from the one scan with no pass per key
 A pair's rank (:func:`pair_ranks`), read from its three slots, folds the
 links it keeps alive and then its gain into one int, so one argmax chooses.
 The schedulers expand only the set pairs they choose into node pairs
-(:func:`node_pairs`); polygon's sweep and the oracle's replay run a set
-pair on its lowest holders (:func:`exchange_lowest`).  Sizes are checked
-before any set is built.
+(:func:`node_pairs`), in no fixed order, and the tie rule orders them;
+polygon's sweep and the oracle's replay run a set pair on its lowest
+holders (:func:`exchange_lowest`).  Sizes are checked before any set is
+built.
 
 Node and segment indices are 0-based throughout the library; file formats
 and CLI output use 1-based ids (see the harness module).
@@ -217,16 +218,15 @@ def node_pairs(
     holders: Holders, set_pairs: Iterable[tuple[int, int]]
 ) -> list[tuple[int, int]]:
     """Every node pair (i, j), i < j, whose two masks form one of ``set_pairs``,
-    in ascending order.  ``set_pairs`` holds unordered pairs of distinct masks,
-    each at most once (as :func:`set_links` yields them)."""
-    pairs = [
+    in no fixed order: the tie rule orders them.  ``set_pairs`` holds
+    unordered pairs of distinct masks, each at most once (as
+    :func:`set_links` yields them)."""
+    return [
         (i, j) if i < j else (j, i)
         for x, y in set_pairs
         for i in holders[x]
         for j in holders[y]
     ]
-    pairs.sort()
-    return pairs
 
 
 def set_holders(masks: Sequence[int]) -> Holders:
@@ -253,20 +253,12 @@ class GainBuckets:
     place of a set table's pairs in :func:`move_table`, which only deletes
     and adds pairs; a pair's gain never changes, so no kept pair is scored
     again, and the union ``move_table`` hands with a new pair is not kept.
-    Built from :func:`set_links`, whose pairs may come either way, filing
-    them as ``__setitem__`` does but without a call per pair."""
+    Built from :func:`set_links`, whose pairs may come either way."""
 
     def __init__(self, pairs: Iterable[tuple[int, int]]) -> None:
-        buckets: dict[int, set[tuple[int, int]]] = {}
+        self.buckets: dict[int, set[tuple[int, int]]] = {}
         for a, b in pairs:
-            gain = (a ^ b).bit_count()
-            pair = (a, b) if a < b else (b, a)
-            bucket = buckets.get(gain)
-            if bucket is None:
-                buckets[gain] = {pair}
-            else:
-                bucket.add(pair)
-        self.buckets = buckets
+            self[(a, b) if a < b else (b, a)] = 0
 
     def __setitem__(self, pair: tuple[int, int], union: int) -> None:
         a, b = pair

@@ -43,6 +43,7 @@ from .core import (
     RANK_WIDTH,
     Instance,
     Schedule,
+    argmax,
     exchange_lowest,
     move_ranked,
     pair_ranks,
@@ -163,7 +164,7 @@ class _Search:
         # (a walked dict has no pair order); the rest go by links kept alive,
         # ties in pair order, and are ranked only if the search comes back,
         # so a deep descent holds O(m) data per level.
-        tried = min((-r, pair) for pair, r in zip(pairs, pair_ranks(pairs)))[1]
+        tried = min(argmax(pairs, pair_ranks(pairs)))
         best = 0
         children = [tried]
         for pair in children:

@@ -63,6 +63,8 @@ def test_pmnk_argument_errors():
         pmnk_exact(2, 3, 4)
     with pytest.raises(ValueError):
         pmnk_exact(2, 3, 0)
+    with pytest.raises(ValueError, match="universe needs at least one segment"):
+        pmnk_exact(2, 0, 1)
     with pytest.raises(ValueError, match="cap"):
         pmnk_exact(2, MAX_SEGMENTS + 1, 1)
 

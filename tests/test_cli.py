@@ -200,6 +200,12 @@ def test_pmnk_beyond_the_universe_cap_is_a_clean_error(capsys):
     assert err.startswith("error:") and "4096" in err and err.count("\n") == 1
 
 
+def test_pmnk_without_a_segment_is_a_clean_error(capsys):
+    code, out, err = invoke(capsys, "pmnk", "-m", "2", "-n", "0", "-k", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "at least one segment" in err and err.count("\n") == 1
+
+
 def test_gen_beyond_the_universe_cap_is_refused_at_once(capsys):
     # two sampled sets over 10**9 segments would take about 0.8 s and 480 MB
     argv = ("gen", "-m", "2", "-n", "1000000000", "-k", "2", "--seed", "0")

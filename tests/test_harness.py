@@ -306,6 +306,26 @@ def test_batch_rows_round_trip_through_csv():
     assert summarize_rows(rows_from_csv(text)) == report.summary["algorithms"]
 
 
+def test_batch_reports_oracle_overruns_apart_from_exact_runs():
+    # a one-state budget certifies the runs whose incumbent meets the bound
+    # and overruns the rest
+    config = BatchConfig(m=6, n=5, k=2, runs=10, seed=0, limits=SearchLimits(max_states=1))
+    report = run_batch(config)
+    summary = report.summary
+    assert (summary["exact_oracle_runs"], summary["oracle_exceeded_runs"]) == (6, 4)
+    assert summary["exact_oracle_runs"] + summary["oracle_exceeded_runs"] == config.runs
+    overrun = [row for row in report.rows if row["exact_flag"] is not True]
+    assert len(overrun) == 4 * len(config.algorithms)
+    assert all(row["exact_flag"] is False and row["optimal"] is None for row in overrun)
+    assert rows_from_csv(rows_to_csv(list(report.rows))) == list(report.rows)
+    exact = [row for row in report.rows if row["exact_flag"] is True]
+    for alg, stats in summary["algorithms"].items():
+        mine = [row for row in exact if row["algorithm"] == alg]
+        assert stats["exact_runs"] == len(mine) == 6
+        assert stats["successes"] == sum(row["alpha"] == row["optimal"] for row in mine)
+    assert "exact optima on 6/10 runs (4 exceeded the search budget)" in report_text(report)
+
+
 def test_rows_from_csv_refuses_malformed_cells():
     header = "run,seed,algorithm,alpha,optimal,exact_flag,steps,post_sweep_steps\n"
     good = ["0", "7", "rand", "9", "", "", "3", "0"]

@@ -213,13 +213,13 @@ def test_set_scan_matches_a_pair_scan_along_a_random_walk(instance, seed):
         expected = pair_scan_links(masks)
         set_pairs = list(set_links(masks))
         assert len({frozenset(p) for p in set_pairs}) == len(set_pairs)
-        assert node_pairs(grouped(masks), set_pairs) == expected
+        assert sorted(node_pairs(grouped(masks), set_pairs)) == expected
         chosen = rng.sample(set_pairs, rng.randint(0, len(set_pairs)))
         wanted = {frozenset(p) for p in chosen}
-        assert node_pairs(grouped(masks), chosen) == [
+        assert sorted(node_pairs(grouped(masks), chosen)) == [
             (i, j) for i, j in expected if frozenset((masks[i], masks[j])) in wanted
         ]
-        assert node_pairs(*set_table(masks)) == expected
+        assert sorted(node_pairs(*set_table(masks))) == expected
         assert set(rarest_first_rows(masks, instance.n)) == {
             Link(i, j) for i, j in expected
         }

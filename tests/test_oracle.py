@@ -235,6 +235,23 @@ def test_overrun_reports_no_less_than_the_incumbent():
         assert sum(map(len, final)) == result.alpha
 
 
+def test_search_aborts_past_its_deadline_with_a_replayable_witness(monkeypatch):
+    # run 654 of master seed 0 takes 9,251 states to certify; the clock
+    # jumps past the deadline once the search has read it, so the first
+    # deadline check, at the 1,024th state, aborts
+    instance = gen_instance(15, 20, 5, 2369061248348532987)
+    readings = iter([0.0])
+    monkeypatch.setattr(
+        "gtexchange.oracle.time.monotonic", lambda: next(readings, float("inf"))
+    )
+    result = solve_optimal(instance)
+    assert result.exact is False
+    assert result.visited == 1024
+    assert result.alpha >= run_algorithm("glink", instance).alpha
+    final, _ = apply_schedule(instance, result.witness.link_list())
+    assert sum(map(len, final)) == result.alpha
+
+
 def test_search_without_an_incumbent_still_certifies():
     # with no incumbent the search starts from its greedy-links presolve
     for t in range(10):
