@@ -255,18 +255,17 @@ def run_rarest_first(
     rows are compared over the linked pairs of distinct sets, as a cascade:
     one entry at a time over the set pairs still tied, skipping empty holder
     classes and stopping once one set pair is left.  The node pairs holding
-    the winners go to the tie rule, which orders them.  The holder count
-    of each segment is kept across steps and moved by the two endpoints'
-    gains.
+    the winners go to the tie rule, which orders them.  The holder classes,
+    ``classes[p]`` the mask of segments held by exactly p nodes, are kept
+    across steps: each endpoint's gain lifts its segments one class up.
     """
     pick = _tie_picker(tie_mode, seed)
     masks = [s.mask for s in instance.initial_sets]
     full = (1 << instance.n) - 1
-    holders = [sum(mask >> e & 1 for mask in masks) for e in range(instance.n)]
-    classes = [0] * (instance.m + 1)
-    for e, count in enumerate(holders):
-        classes[count] |= 1 << e
-    nodes, pairs = set_table(masks)  # holders here count segments
+    classes = [full] + [0] * instance.m
+    for mask in masks:
+        _lift(classes, mask)
+    holders, pairs = set_table(masks)
     records: list[Record] = []
     while pairs:
         candidates = [pair for pair, u in pairs.items() if u != full] or list(pairs)
@@ -277,18 +276,25 @@ def run_rarest_first(
                 candidates = argmax(
                     candidates, [((x ^ y) & cls).bit_count() for x, y in candidates]
                 )
-        i, j = pick(node_pairs(nodes, candidates))
-        move_table(nodes, pairs, masks[i], masks[j], i, j)
+        i, j = pick(node_pairs(holders, candidates))
+        move_table(holders, pairs, masks[i], masks[j], i, j)
         records.append(exchange(masks, i, j))
         for gained in records[-1][2:]:
-            while gained:
-                bit = gained & -gained
-                gained ^= bit
-                e = bit.bit_length() - 1
-                classes[holders[e]] ^= bit
-                holders[e] += 1
-                classes[holders[e]] |= bit
+            _lift(classes, gained)
     return _finish("rare", masks, records)
+
+
+def _lift(classes: list[int], gained: int) -> None:
+    """Move each segment of ``gained`` from its holder class p to p + 1,
+    ``classes[p]`` being the mask of segments that exactly p nodes hold."""
+    p = 0
+    while gained:
+        moved = classes[p] & gained
+        if moved:
+            classes[p] ^= moved
+            classes[p + 1] |= moved
+            gained ^= moved
+        p += 1
 
 
 def find_unique_set(masks: Sequence[int]) -> list[int]:

@@ -34,7 +34,8 @@ PMNK_MAX_POWER_BITS = 2**18
 PMNK_MAX_SUM_BITS = 2**25
 
 
-def _check_mnk(m: int, n: int, k: int) -> None:
+def check_mnk(m: int, n: int, k: int) -> None:
+    """Raise ValueError unless m, n and k are integers with m, n >= 1 and 1 <= k <= n."""
     if not (is_int(m) and is_int(n) and is_int(k)):
         raise ValueError(f"m, n and k must be integers, got ({m!r}, {n!r}, {k!r})")
     if m < 1:
@@ -48,7 +49,7 @@ def _check_mnk(m: int, n: int, k: int) -> None:
 def check_pmnk_size(m: int, n: int, k: int) -> None:
     """Raise ValueError unless :func:`pmnk_exact` takes (m, n, k): the
     arguments must be valid and the sum within the size caps above."""
-    _check_mnk(m, n, k)
+    check_mnk(m, n, k)
     if n > MAX_SEGMENTS:
         raise ValueError(f"universe size {n} exceeds the {MAX_SEGMENTS}-segment cap")
     bits = m * comb(n, k).bit_length()
@@ -100,7 +101,7 @@ def randomized_lower_bound(m: int, n: int, k: int) -> tuple[float, BoundTrace]:
     (for example at (3, 2, 1) and (15, 20, 15)), so it bounds the mean from
     below only where that has been checked.
     """
-    _check_mnk(m, n, k)
+    check_mnk(m, n, k)
     if m < 2:
         raise ValueError(f"need at least two nodes, got m={m}")
     if m * n >= sys.float_info.max:
@@ -124,7 +125,7 @@ def randomized_lower_bound(m: int, n: int, k: int) -> tuple[float, BoundTrace]:
 def approx_condition_holds(m: int, n: int, k: int) -> bool:
     """Whether k sits in the window guaranteeing the 4-approximation:
     ``min(n/log2(m), n/4) <= k <= n - 1`` (real-valued comparison)."""
-    _check_mnk(m, n, k)
+    check_mnk(m, n, k)
     if m < 2:
         raise ValueError(f"need at least two nodes, got m={m}")
     return min(n / log2(m), n / 4) <= k <= n - 1

@@ -307,8 +307,6 @@ def move_table(
             held.append(node)
 
 
-_INDEXED = 8  # rank_table indexes segments past this many distinct sets; at
-# fewer, trying every set costs less than building the index
 Slot = list[int]  # [R(K), linked pairs whose union is K], shared by reference
 Slots = dict[int, Slot]  # distinct set or linked union K -> its slot
 RankedPairs = dict[tuple[int, int], tuple[Slot, Slot, Slot]]  # (a, b) -> slots of a, b, a|b
@@ -339,10 +337,9 @@ def rank_table(masks: Sequence[int]) -> tuple[Holders, RankedPairs, Slots]:
     sets, inside u but inside neither a nor b; u is counted from the first
     pair (a, b) met.  A split set w meets a - b and b - a, so it partially
     overlaps a or b, say a; then the other set holds all of d = w - a, and
-    so d's lowest segment, looked up in an index from segment to sets past
-    ``_INDEXED`` distinct sets (at fewer, every set is tried).  A split set
-    partially overlapping both is found from each, and counted from the
-    lesser."""
+    so d's lowest segment, looked up in an index from segment to sets.  A
+    split set partially overlapping both is found from each, and counted
+    from the lesser."""
     holders = set_holders(masks)
     m = len(masks)
     count = {z: len(held) for z, held in holders.items()}
@@ -380,16 +377,15 @@ def rank_table(masks: Sequence[int]) -> tuple[Holders, RankedPairs, Slots]:
                 slots[y][0] -= cx * RANK_WIDTH
     if overlaps:
         segment: dict[int, list[int]] = {}  # one-segment mask -> the sets holding it
-        if len(distinct) > _INDEXED:
-            for z in distinct:
-                rest = z
-                while rest:
-                    low = rest & -rest
-                    segment.setdefault(low, []).append(z)
-                    rest ^= low
+        for z in distinct:
+            rest = z
+            while rest:
+                low = rest & -rest
+                segment.setdefault(low, []).append(z)
+                rest ^= low
         for w, a in overlaps:  # w is split for (a, b) when b holds d but not w
             d = w & ~a
-            for b in segment[d & -d] if segment else distinct:
+            for b in segment[d & -d]:
                 if b & d == d and w & ~b and a & ~b and (a < b or not b & ~w):
                     t = a | b
                     if made.get(t) == ((a, b) if a < b else (b, a)):

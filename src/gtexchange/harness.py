@@ -34,7 +34,7 @@ from math import ceil, log, sqrt
 from typing import Callable
 
 from .algorithms import ALGORITHM_IDS, ALGORITHM_LABELS, TIE_MODES, run_algorithm
-from .analysis import check_pmnk_size, pmnk_exact, randomized_lower_bound
+from .analysis import check_mnk, check_pmnk_size, pmnk_exact, randomized_lower_bound
 from .core import Instance, Link, Schedule, SegmentSet, check_size, is_int, upper_bound
 from .oracle import SearchLimits, solve_optimal
 
@@ -100,10 +100,7 @@ def gen_instance(m: int, n: int, k: int, seed: int) -> Instance:
     """Instance with m independent uniform k-subsets of an n-universe, the
     sets of ``m`` calls of ``random.Random(seed).sample(range(n), k)``."""
     check_size(m, n)
-    if not is_int(k):
-        raise ValueError(f"initial set size k must be an integer, got {k!r}")
-    if not 1 <= k <= n:
-        raise ValueError(f"initial set size k={k} must satisfy 1 <= k <= n={n}")
+    check_mnk(m, n, k)
     bits = random.Random(seed).getrandbits
     sets = tuple(SegmentSet(_sample_mask(bits, n, k)) for _ in range(m))
     return Instance(m=m, n=n, initial_sets=sets)
@@ -330,6 +327,7 @@ def summarize_rows(rows: list[dict]) -> dict[str, dict]:
             else 0.0
         )
         exact_rows = [row for row in alg_rows if row["exact_flag"] is True]
+        successes = success_rate = shortfall = None
         if exact_rows:
             successes = sum(1 for row in exact_rows if row["alpha"] == row["optimal"])
             success_rate = successes / len(exact_rows)
@@ -337,10 +335,6 @@ def summarize_rows(rows: list[dict]) -> dict[str, dict]:
                 100.0 * (row["optimal"] - row["alpha"]) / row["optimal"]
                 for row in exact_rows
             )
-        else:
-            successes = None
-            success_rate = None
-            shortfall = None
         stats[alg] = {
             "mean_alpha": mean,
             "ci95": ci95,
@@ -368,13 +362,7 @@ def run_batch(config: BatchConfig) -> BatchReport:
     # the instances; JSON only, so the CSV stays byte-deterministic
     metrics = {alg: {"wall_s": 0.0, "steps": 0} for alg in config.algorithms}
     if config.oracle == "exact":
-        metrics["oracle"] = {
-            "wall_s": 0.0,
-            "searched": 0,
-            "visited": 0,
-            "memo": 0,
-            "gap": 0,
-        }
+        metrics["oracle"] = {"wall_s": 0.0, "searched": 0, "visited": 0, "memo": 0, "gap": 0}
     for t in range(config.runs):
         inst_seed = derive_seed(config.seed, t, "instance")
         instance = gen_instance(config.m, config.n, config.k, inst_seed)
@@ -480,11 +468,19 @@ _CSV_READERS = {
 
 
 def rows_from_csv(text: str) -> list[dict]:
-    """Parse rows back from CSV; inverse of :func:`rows_to_csv`."""
-    return [
-        {c: _CSV_READERS.get(c, int)(record[c]) for c in CSV_COLUMNS}
-        for record in csv.DictReader(io.StringIO(text))
-    ]
+    """Parse rows back from CSV; inverse of :func:`rows_to_csv`.  A header
+    other than :data:`CSV_COLUMNS`, or a row without one readable cell per
+    column, raises ValueError naming its line."""
+    records = csv.reader(io.StringIO(text))
+    if next(records, None) != list(CSV_COLUMNS):
+        raise ValueError(f"CSV line 1 is not the header {','.join(CSV_COLUMNS)}")
+    try:
+        return [
+            {c: _CSV_READERS.get(c, int)(v) for c, v in zip(CSV_COLUMNS, row, strict=True)}
+            for row in records
+        ]
+    except (KeyError, ValueError):  # the reader stopped at the line that failed
+        raise ValueError(f"CSV line {records.line_num} does not fit the columns") from None
 
 
 def report_text(report: BatchReport) -> str:

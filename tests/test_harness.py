@@ -333,8 +333,16 @@ def test_rows_from_csv_refuses_malformed_cells():
     for column, cell in [(0, ""), (3, ""), (6, ""), (4, "x"), (5, "yes"), (5, "True")]:
         bad = list(good)
         bad[column] = cell
-        with pytest.raises((ValueError, KeyError)):
+        with pytest.raises(ValueError, match="CSV line 2 "):
             rows_from_csv(header + ",".join(bad) + "\n")
+    good_row = ",".join(good) + "\n"
+    for cells in (good[:-1], good + ["0"], []):  # short, long and blank rows
+        with pytest.raises(ValueError, match="CSV line 3 "):
+            rows_from_csv(header + good_row + ",".join(cells) + "\n")
+    foreign = header.replace("algorithm", "alg")
+    for text in (foreign + good_row, header[:-1] + ",extra\n" + good_row, ""):
+        with pytest.raises(ValueError, match="CSV line 1 "):
+            rows_from_csv(text)
 
 
 def test_batch_is_byte_deterministic(tmp_path):

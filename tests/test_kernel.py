@@ -30,7 +30,7 @@ from gtexchange import (
     run_randomized,
     run_rarest_first,
 )
-from gtexchange.algorithms import _permute, _shuffle_draws
+from gtexchange.algorithms import _lift, _permute, _shuffle_draws
 from gtexchange.core import (
     MAX_SEGMENTS,
     GainBuckets,
@@ -203,6 +203,33 @@ def test_every_rarest_first_step_takes_a_maximal_row(instance, tie):
         assert rows[link] == max(rows.values())
         exchange(masks, link.i, link.j)
     assert rarest_first_rows(masks, instance.n) == {}
+
+
+def holder_classes(masks, n):
+    """``classes[p]``: the segments that exactly p of ``masks`` hold, by a
+    fresh count per segment."""
+    classes = [0] * (len(masks) + 1)
+    for e in range(n):
+        classes[sum(mask >> e & 1 for mask in masks)] |= 1 << e
+    return classes
+
+
+@given(st.one_of(any_instances, crowded_instances), st.integers(0, 2**32))
+def test_lifted_holder_classes_match_a_fresh_count_along_a_random_walk(instance, seed):
+    """Rarest-first's holder classes, lifted by every initial mask and then
+    by both gains of each exchange, equal a fresh per-segment count."""
+    rng = random.Random(seed)
+    masks = [s.mask for s in instance.initial_sets]
+    classes = [(1 << instance.n) - 1] + [0] * instance.m
+    for mask in masks:
+        _lift(classes, mask)
+    while True:
+        assert classes == holder_classes(masks, instance.n)
+        links = pair_scan_links(masks)
+        if not links:
+            break
+        for gained in exchange(masks, *rng.choice(links))[2:]:
+            _lift(classes, gained)
 
 
 @given(st.one_of(any_instances, crowded_instances), st.integers(0, 2**32))
