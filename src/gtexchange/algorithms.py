@@ -12,11 +12,12 @@ emitting a maximal schedule plus the final state:
 Every scheduler keeps the node masks as one list of ints and activates
 through :func:`~gtexchange.core.exchange`, which updates the list in place
 and returns the raw step record the run's schedule keeps;
-``rare`` also keeps the linked set pairs in a set table
-(:func:`~gtexchange.core.set_table`) that each activation moves, ``ginc``
-keeps them filed by gain (:class:`~gtexchange.core.GainBuckets`), moved
-the same way, and ``glink`` keeps them with a rank slot per set and union
-that its pairs share (:func:`~gtexchange.core.rank_table`).  The final
+``ginc`` also keeps the linked set pairs filed by gain
+(:class:`~gtexchange.core.GainBuckets`), which each activation moves,
+``glink`` keeps them with a rank slot per set and union that its pairs
+share (:func:`~gtexchange.core.rank_table`), and ``rare`` keeps only the
+holders of each distinct set and the segments' holder classes, meeting
+the set pairs it needs afresh each step.  The final
 masks become :class:`~gtexchange.core.SegmentSet` values once, at the end.
 Each run is a pure function of (instance, seed, tie mode): ``rand`` draws
 its phases from the seed, and under ``random`` ties ``glink``, ``ginc`` and
@@ -46,7 +47,6 @@ from .core import (
     rank_table,
     set_holders,
     set_links,
-    set_table,
 )
 
 ALGORITHM_LABELS = {
@@ -251,43 +251,92 @@ def run_rarest_first(
     held by exactly one endpoint (their availability would grow); rows
     compare lexicographically.  So links that avoid creating universe
     holders come first, then those that lift segments held by only one
-    node, then by two, and so on.  A row depends on the two sets alone, so
-    rows are compared over the linked pairs of distinct sets, as a cascade:
-    one entry at a time over the set pairs still tied, skipping empty holder
-    classes and stopping once one set pair is left.  The node pairs holding
-    the winners go to the tie rule, which orders them.  The holder classes,
-    ``classes[p]`` the mask of segments held by exactly p nodes, are kept
-    across steps: each endpoint's gain lifts its segments one class up.
+    node, then by two, and so on.  The holder classes, ``classes[p]`` the
+    mask of segments held by exactly p nodes, are kept across steps: each
+    endpoint's gain lifts its segments one class up.
+
+    A row depends on the two sets alone, so rows are compared over pairs of
+    distinct sets, met afresh each step.  Empty classes compare equal, so
+    the first count that matters is on the lowest non-empty class ``cls``,
+    where a pair (x, y) counts ``|(x ^ y) & cls|``, at most the bound
+    ``|x & cls| + |y & cls|``.  With the sets sorted by ``|z & cls|``,
+    largest first, each meets the sets after it until the bound falls below
+    the best count met, and the scan ends at the first set whose highest
+    bound does (the threshold rule of Fagin, Lotem and Naor).  A pair met is
+    linked when ``t = x | y`` is neither x nor y, and its indicator is
+    ``t != full``: pairs whose union is the full universe compete only when
+    no other linked pair exists, and then every pair was met.  The tied
+    pairs go on through the later classes, one at a time, skipping empty
+    ones and stopping once one set pair is left, and the node pairs holding
+    the winners go to the tie rule, which orders them.  The run ends when
+    no linked pair is met.
     """
     pick = _tie_picker(tie_mode, seed)
     masks = [s.mask for s in instance.initial_sets]
+    m = instance.m
     full = (1 << instance.n) - 1
-    classes = [full] + [0] * instance.m
+    classes = [full] + [0] * m
     for mask in masks:
-        _lift(classes, mask)
-    holders, pairs = set_table(masks)
+        _lift(classes, mask, 0)
+    holders = set_holders(masks)
     records: list[Record] = []
-    while pairs:
-        candidates = [pair for pair, u in pairs.items() if u != full] or list(pairs)
-        for cls in classes[1:]:
-            if len(candidates) == 1:
+    while True:
+        low = 1
+        while low < m and not classes[low]:
+            low += 1
+        cls = classes[low]
+        ranked = sorted([((z & cls).bit_count(), z) for z in holders], reverse=True)
+        best = -1
+        winners: list[tuple[int, int]] = []
+        whole: list[tuple[int, int]] = []  # linked pairs with union full
+        for at, (sx, x) in enumerate(ranked[:-1], 1):
+            if sx + ranked[at][0] < best:
                 break
+            for sy, y in ranked[at:]:
+                if sx + sy < best:
+                    break
+                t = x | y
+                if t != x and t != y:
+                    if t != full:
+                        count = ((x ^ y) & cls).bit_count()
+                        if count > best:
+                            best = count
+                            winners = [(x, y)]
+                        elif count == best:
+                            winners.append((x, y))
+                    elif best < 0:
+                        whole.append((x, y))
+        p = low  # the class the winners were compared on
+        if best < 0:
+            if not whole:
+                break
+            winners, p = whole, low - 1
+        while len(winners) > 1 and p < m:
+            p += 1
+            cls = classes[p]
             if cls:
-                candidates = argmax(
-                    candidates, [((x ^ y) & cls).bit_count() for x, y in candidates]
-                )
-        i, j = pick(node_pairs(holders, candidates))
-        move_table(holders, pairs, masks[i], masks[j], i, j)
+                winners = argmax(winners, [((x ^ y) & cls).bit_count() for x, y in winners])
+        i, j = pick(node_pairs(holders, winners))
+        x, y = masks[i], masks[j]
+        # each gained segment sits in class ``low`` or above, and no lower
+        # than the holder count of the set it comes from
+        starts = max(low, len(holders[y])), max(low, len(holders[x]))
+        for old, node in ((x, i), (y, j)):
+            held = holders[old]
+            held.remove(node)
+            if not held:
+                del holders[old]
+        holders.setdefault(x | y, []).extend((i, j))
         records.append(exchange(masks, i, j))
-        for gained in records[-1][2:]:
-            _lift(classes, gained)
+        for gained, start in zip(records[-1][2:], starts):
+            _lift(classes, gained, start)
     return _finish("rare", masks, records)
 
 
-def _lift(classes: list[int], gained: int) -> None:
-    """Move each segment of ``gained`` from its holder class p to p + 1,
-    ``classes[p]`` being the mask of segments that exactly p nodes hold."""
-    p = 0
+def _lift(classes: list[int], gained: int, p: int) -> None:
+    """Move each segment of ``gained`` from its holder class to the next,
+    ``classes[p]`` being the mask of segments that exactly p nodes hold;
+    no segment of ``gained`` sits below class ``p``."""
     while gained:
         moved = classes[p] & gained
         if moved:

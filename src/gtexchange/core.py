@@ -24,9 +24,9 @@ Links are found over the *distinct* node sets: the stopping tests scan
 them lazily (:func:`set_links`), while the greedy schedulers and the
 oracle keep what one scan finds, the holders of each distinct set
 (:func:`set_holders`) and every linked set pair, and move it per
-activation.  Rarest-first keeps a set table, each pair with its union
-(:func:`set_table`), and greedy-incremental the same pairs filed by gain
-(:class:`GainBuckets`); one O(D) move serves both (:func:`move_table`).
+activation.  Greedy-incremental keeps the pairs filed by gain
+(:class:`GainBuckets`), moved in O(D) (:func:`move_table`); rarest-first
+keeps only the holders and meets the set pairs it needs afresh each step.
 Greedy-links and the oracle give each set and union a rank slot that its
 pairs share, counted from the one scan with no pass per key
 (:func:`rank_table`), and move table and slots in one step, down or back
@@ -237,23 +237,14 @@ def set_holders(masks: Sequence[int]) -> Holders:
     return holders
 
 
-def set_table(masks: Sequence[int]) -> tuple[Holders, SetPairs]:
-    """The kept set table of ``masks``: the holders of each distinct mask and
-    every linked pair of distinct masks, keyed (lesser, greater), with its
-    union.  :func:`move_table` keeps it current, so a scheduler picking one
-    set pair per step scores the kept pairs instead of scanning again."""
-    holders = set_holders(masks)
-    return holders, {(x, y) if x < y else (y, x): x | y for x, y in set_links(holders)}
-
-
 class GainBuckets:
     """Linked set pairs filed by gain: ``buckets[g]`` holds the pairs (a, b),
     keyed (lesser, greater), with ``|a ^ b| == g``, and no bucket is empty, so
-    ``buckets[max(buckets)]`` holds the pairs of largest gain.  It takes the
-    place of a set table's pairs in :func:`move_table`, which only deletes
-    and adds pairs; a pair's gain never changes, so no kept pair is scored
-    again, and the union ``move_table`` hands with a new pair is not kept.
-    Built from :func:`set_links`, whose pairs may come either way."""
+    ``buckets[max(buckets)]`` holds the pairs of largest gain.
+    :func:`move_table` keeps it current by deleting and adding pairs; a
+    pair's gain never changes, so no kept pair is scored again, and the
+    union ``move_table`` hands with a new pair is not kept.  Built from
+    :func:`set_links`, whose pairs may come either way."""
 
     def __init__(self, pairs: Iterable[tuple[int, int]]) -> None:
         self.buckets: dict[int, set[tuple[int, int]]] = {}
@@ -281,11 +272,13 @@ class GainBuckets:
 def move_table(
     holders: Holders, pairs: SetPairs | GainBuckets, x: int, y: int, i: int, j: int
 ) -> None:
-    """Move the set table (:func:`set_table`) in O(D) for D distinct sets
-    past the exchange of node ``i``, holding x, with node ``j``, holding y:
-    both leave their sets for u = x|y.  A set left with no holder drops its
-    pairs, and a set gaining its first holder gains its own; ``pairs`` may
-    be the table's pairs filed by gain (:class:`GainBuckets`)."""
+    """Move the holders of each distinct set and the linked set pairs, each
+    keyed (lesser, greater), in O(D) for D distinct sets past the exchange
+    of node ``i``, holding x, with node ``j``, holding y: both leave their
+    sets for u = x|y.  A set left with no holder drops its pairs, and a set
+    gaining its first holder gains its own, handed with its union; the
+    pairs are greedy-incremental's :class:`GainBuckets`, or any mapping of
+    pair to union."""
     u = x | y
     for old, node in ((x, i), (y, j)):  # one node at a time leaves old for u
         held = holders[old]

@@ -6,10 +6,11 @@ width from the package and runs every exchange as an inline union.  A
 memo-free recursive optimum, an enumerator of every maximal schedule, coverage
 probability by exhaustive tuple enumeration, by inclusion-exclusion over
 rationals, by a composition sum and by sampling, a pair-scan link finder,
-greedy-links' ranks by a plain count and its two-pass choice of set pairs,
-rarest-first's preference rows, schedulers written straight from their
-definitions (every step rescans every pair, with no cached link state), and
-the randomized scheduler's exact mean by a chain over mask multisets.
+a table of the distinct masks and their linked pairs, greedy-links' ranks
+by a plain count and its two-pass choice of set pairs, rarest-first's
+preference rows, schedulers written straight from their definitions
+(every step rescans every pair, with no cached link state), and the
+randomized scheduler's exact mean by a chain over mask multisets.
 """
 
 import random
@@ -202,6 +203,23 @@ def pair_scan_links(masks):
         for j in range(i + 1, m)
         if masks[i] & ~masks[j] and masks[j] & ~masks[i]
     ]
+
+
+def set_table(masks):
+    """The holders of each distinct mask of ``masks`` and every linked pair
+    of distinct masks, keyed (lesser, greater), with its union, by a plain
+    pass over the masks and one over the pairs of distinct masks."""
+    holders = {}
+    for i, mask in enumerate(masks):
+        holders.setdefault(mask, []).append(i)
+    distinct = sorted(holders)
+    pairs = {
+        (a, b): a | b
+        for at, a in enumerate(distinct)
+        for b in distinct[at + 1 :]
+        if a & ~b and b & ~a
+    }
+    return holders, pairs
 
 
 def counted_ranks(masks):

@@ -180,6 +180,21 @@ def test_rarest_first_takes_the_only_link():
     assert run.schedule.link_list()[0] == Link(0, 1)
 
 
+def test_rarest_first_meets_pairs_past_the_highest_bound():
+    # {0,1}, {0,2}, {1,3}, {2,3}: every segment held twice (segment 4 by no
+    # one), so each set pair's bound is 4, but pairs sharing a segment
+    # count 2 and only the disjoint pairs (0,3) and (1,2) count 4; the first
+    # pair met at the highest bound is (2,3), which must not win
+    inst = build_instance(5, [0, 1], [0, 2], [1, 3], [2, 3])
+
+    def schedule(*tie):
+        return [(link.i, link.j) for link in run_rarest_first(inst, *tie).schedule.link_list()]
+
+    assert schedule("lowest", 0) == schedule("random", 1) == [(0, 3), (1, 2)]
+    for seed in range(8):  # a draw may take (1,2) first
+        assert sorted(schedule("random", seed)) == [(0, 3), (1, 2)]
+
+
 @given(instances(max_m=4, max_n=5))
 def test_rarest_first_never_shrinks_availability(instance):
     run = run_rarest_first(instance)

@@ -11,9 +11,15 @@ from gtexchange import (
     solve_optimal,
     upper_bound,
 )
-from gtexchange.core import exchange, node_pairs, set_links, set_table
+from gtexchange.core import exchange, node_pairs, set_links
 from conftest import build_instance, instances, relaxed_instances
-from oracles import brute_force_optimal, chain_by_inclusion, gt_masks, pair_scan_links
+from oracles import (
+    brute_force_optimal,
+    chain_by_inclusion,
+    gt_masks,
+    pair_scan_links,
+    set_table,
+)
 
 
 def masks_of(*raw_sets):

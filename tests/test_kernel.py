@@ -44,7 +44,6 @@ from gtexchange.core import (
     rank_table,
     set_holders,
     set_links,
-    set_table,
 )
 from gtexchange.harness import (
     BatchConfig,
@@ -66,6 +65,7 @@ from oracles import (
     reference_polygon,
     reference_randomized,
     reference_rarest_first,
+    set_table,
 )
 
 
@@ -101,7 +101,7 @@ def test_greedy_links_matches_the_third_node_scan(instance, tie):
     assert pairs_of(run_greedy_links(instance, *tie)) == expected
 
 
-@given(any_instances, tie_rules)
+@given(st.one_of(any_instances, crowded_instances), tie_rules)
 def test_rarest_first_matches_the_full_row_argmax(instance, tie):
     expected = reference_rarest_first(instance, *tie)
     assert pairs_of(run_rarest_first(instance, *tie)) == expected
@@ -195,7 +195,7 @@ def test_schedulers_match_the_references_on_crowded_instances(mnk):
         assert (pairs_of(run), run.rounds) == reference_randomized(instance, seed)
 
 
-@given(any_instances, tie_rules)
+@given(st.one_of(any_instances, crowded_instances), tie_rules)
 def test_every_rarest_first_step_takes_a_maximal_row(instance, tie):
     masks = [s.mask for s in instance.initial_sets]
     for link in run_rarest_first(instance, *tie).schedule.link_list():
@@ -216,20 +216,25 @@ def holder_classes(masks, n):
 
 @given(st.one_of(any_instances, crowded_instances), st.integers(0, 2**32))
 def test_lifted_holder_classes_match_a_fresh_count_along_a_random_walk(instance, seed):
-    """Rarest-first's holder classes, lifted by every initial mask and then
-    by both gains of each exchange, equal a fresh per-segment count."""
+    """Rarest-first's holder classes, lifted by every initial mask from
+    class 0 and then by both gains of each exchange, each from the lowest
+    non-empty class past 0 or, if higher, the number of nodes holding the
+    set it came from, equal a fresh per-segment count."""
     rng = random.Random(seed)
     masks = [s.mask for s in instance.initial_sets]
     classes = [(1 << instance.n) - 1] + [0] * instance.m
     for mask in masks:
-        _lift(classes, mask)
+        _lift(classes, mask, 0)
     while True:
         assert classes == holder_classes(masks, instance.n)
         links = pair_scan_links(masks)
         if not links:
             break
-        for gained in exchange(masks, *rng.choice(links))[2:]:
-            _lift(classes, gained)
+        i, j = rng.choice(links)
+        low = min(p for p in range(1, instance.m + 1) if classes[p])
+        starts = max(low, masks.count(masks[j])), max(low, masks.count(masks[i]))
+        for gained, start in zip(exchange(masks, i, j)[2:], starts):
+            _lift(classes, gained, start)
 
 
 @given(st.one_of(any_instances, crowded_instances), st.integers(0, 2**32))

@@ -18,7 +18,7 @@ from gtexchange import (
     upper_bound,
 )
 import gtexchange.oracle as oracle_module
-from gtexchange.core import exchange, set_links, set_table
+from gtexchange.core import exchange, set_links
 from gtexchange.harness import derive_seed, gen_instance
 from conftest import (
     build_instance,
@@ -35,6 +35,7 @@ from oracles import (
     enumerate_maximal_schedules,
     enumeration_optimal,
     pair_scan_links,
+    set_table,
 )
 
 # greedy-links reaches 18 here while the optimum is 20, so the presolve
