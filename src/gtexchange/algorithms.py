@@ -21,8 +21,9 @@ the set pairs it needs afresh each step.  The final
 masks become :class:`~gtexchange.core.SegmentSet` values once, at the end.
 Each run is a pure function of (instance, seed, tie mode): ``rand`` draws
 its phases from the seed, and under ``random`` ties ``glink``, ``ginc`` and
-``rare`` draw their ties from it.  Distinct runs may execute concurrently
-with no shared state.
+``rare`` draw their ties from it.  Distinct runs share no state, so
+:func:`~gtexchange.harness.run_batch` splits a batch's runs between two
+processes where it can.
 """
 
 from __future__ import annotations

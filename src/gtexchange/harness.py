@@ -4,7 +4,8 @@ Batches are fully reproducible: a master seed plus the run index and a
 purpose tag are hashed into independent sub-seeds: one per instance, and
 one per run of rand or, under random ties, of a tie-breaking heuristic; so
 repeating a batch with the same master seed gives byte-identical CSV.
-Runs within a batch are independent and aggregation is order-independent.
+Runs within a batch are independent: :func:`run_batch` may split them
+between two processes, and it merges their results in run order.
 
 File formats (all 1-based on disk, 0-based in memory):
 
@@ -21,6 +22,7 @@ File formats (all 1-based on disk, 0-based in memory):
 
 from __future__ import annotations
 
+import atexit
 import csv
 import hashlib
 import io
@@ -28,6 +30,7 @@ import json
 import os
 import random
 import statistics
+import threading
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from math import ceil, log, sqrt
@@ -346,72 +349,237 @@ def summarize_rows(rows: list[dict]) -> dict[str, dict]:
     return stats
 
 
-def run_batch(config: BatchConfig) -> BatchReport:
-    """Generate ``runs`` random instances and benchmark every configured algorithm.
+def _run_one(config: BatchConfig, t: int) -> tuple[list[dict], int, dict]:
+    """Run ``t`` of a batch: its rows, its instance's upper bound, and its
+    metrics, shaped as the batch JSON's ``"metrics"`` for this run alone.
 
     The exact oracle starts from the best of the instance's heuristic runs.
     """
+    inst_seed = derive_seed(config.seed, t, "instance")
+    instance = gen_instance(config.m, config.n, config.k, inst_seed)
+    ub = upper_bound(instance)
+    metrics = {}
+    runs = []
+    for alg in config.algorithms:
+        # rand draws its phases from its seed, the rest their random ties
+        if alg == "rand":
+            seed = derive_seed(config.seed, t, "alg", "rand")
+        elif config.tie_mode == "random":
+            seed = derive_seed(config.seed, t, "tie", alg)
+        else:
+            seed = 0
+        start = time.perf_counter()
+        runs.append(run_algorithm(alg, instance, seed=seed, tie_mode=config.tie_mode))
+        metrics[alg] = {
+            "wall_s": time.perf_counter() - start,
+            "steps": len(runs[-1].schedule),
+        }
+    optimal = None
+    exact: bool | None = None
+    if config.oracle == "exact":
+        best = max(runs, key=lambda run: run.alpha)
+        start = time.perf_counter()
+        result = solve_optimal(instance, config.limits, incumbent=best)
+        metrics["oracle"] = {
+            "wall_s": time.perf_counter() - start,
+            # the search visits at least the root unless the incumbent meets the bound
+            "searched": int(result.visited > 0),
+            "visited": result.visited,
+            "memo": result.memo,
+            "gap": ub - result.alpha,
+        }
+        exact = result.exact
+        if exact:
+            optimal = result.alpha
+    rows = [
+        {
+            "run": t,
+            "seed": inst_seed,
+            "algorithm": alg,
+            "alpha": run.alpha,
+            "optimal": optimal,
+            "exact_flag": exact,
+            "steps": len(run.schedule),
+            "post_sweep_steps": run.post_sweep_steps,
+        }
+        for alg, run in zip(config.algorithms, runs)
+    ]
+    return rows, ub, metrics
+
+
+# ---------------------------------------------------------------------------
+# the batch worker: one forked process per interpreter, kept between batches
+
+
+# (pid, request pipe, reply pipe) of this interpreter's worker, once forked
+_worker: tuple | None = None
+
+
+def _processes(runs: int) -> int:
+    """How many processes share a batch of ``runs`` runs: 2 where a forked
+    worker can take half of them, and 1 where it cannot help or is unsafe."""
+    if runs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return 2 if cpus >= 2 else 1
+
+
+def _serve(requests, replies) -> None:
+    """The worker's loop: read ``(config, run indices)`` requests and send
+    back each one's list of :func:`_run_one` results, or the exception that
+    stopped it, until the request pipe reaches end of file.
+
+    It writes nothing to stdout or stderr.  It ignores SIGINT: on an
+    interrupt the caller kills it if a batch is under way, and keeps it
+    otherwise.
+    """
+    import pickle
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.dup2(devnull, 2)
+    while True:
+        try:
+            config, indices = pickle.load(requests)
+        except EOFError:
+            return
+        try:
+            reply = pickle.dumps([_run_one(config, t) for t in indices])
+        except BaseException as exc:
+            try:
+                reply = pickle.dumps(exc)
+                pickle.loads(reply)
+            except BaseException:
+                reply = pickle.dumps(RuntimeError(repr(exc)))
+        replies.write(reply)
+        replies.flush()
+
+
+def _start_worker() -> tuple | None:
+    """This interpreter's worker, forked now unless it is already running;
+    None when no process can be forked."""
+    global _worker
+    if _worker is None:
+        request_r, request_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (request_r, request_w, reply_r, reply_w):
+                os.close(fd)
+            return None
+        if pid == 0:
+            # the worker leaves through os._exit only, so it never flushes
+            # the output buffers it inherited
+            try:
+                os.close(request_w)
+                os.close(reply_r)
+                _serve(os.fdopen(request_r, "rb"), os.fdopen(reply_w, "wb"))
+            finally:
+                os._exit(0)
+        os.close(request_r)
+        os.close(reply_w)
+        _worker = (pid, os.fdopen(request_w, "wb"), os.fdopen(reply_r, "rb"))
+    return _worker
+
+
+def _forget_worker() -> None:
+    """In a child forked from this interpreter: close the inherited pipes of
+    the parent's worker, which is not this process's to use or reap."""
+    global _worker
+    if _worker is not None:
+        _worker[1].close()
+        _worker[2].close()
+        _worker = None
+
+
+def _stop_worker(kill: bool = False) -> None:
+    """Close the worker's pipes, which ends its loop, and reap it; with
+    ``kill``, kill it first, so that a reply it still owes is never read."""
+    global _worker
+    if _worker is not None:
+        pid, requests, replies = _worker
+        _worker = None
+        if kill:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+        replies.close()
+        try:
+            requests.close()
+        except BrokenPipeError:  # a request it never read
+            pass
+        try:
+            os.waitpid(pid, 0)
+        except ChildProcessError:  # reaped by a wait elsewhere in the program
+            pass
+
+
+atexit.register(_stop_worker)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _run_all(config: BatchConfig) -> tuple[list, int]:
+    """:func:`_run_one` of every run of ``config`` in run order, and the
+    number of processes that ran them.  With two, the worker takes the odd
+    runs while this process computes the even ones."""
+    worker = _start_worker() if _processes(config.runs) == 2 else None
+    if worker is None:
+        return [_run_one(config, t) for t in range(config.runs)], 1
+    import pickle
+
+    _, requests, replies = worker
+    try:
+        pickle.dump((config, range(1, config.runs, 2)), requests)
+        requests.flush()
+        mine = [_run_one(config, t) for t in range(0, config.runs, 2)]
+        try:
+            theirs = pickle.load(replies)
+        except EOFError:
+            raise RuntimeError("the batch worker exited without a reply") from None
+    except BaseException:
+        _stop_worker(kill=True)
+        raise
+    if isinstance(theirs, BaseException):
+        raise theirs
+    results = [None] * config.runs
+    results[::2] = mine
+    results[1::2] = theirs
+    return results, 2
+
+
+def run_batch(config: BatchConfig) -> BatchReport:
+    """Generate ``runs`` random instances and benchmark every configured algorithm.
+
+    Each run is :func:`_run_one`; a batch of two or more runs is split
+    between this process and one forked worker where :func:`_processes`
+    allows, and the results are merged in run order, so every output is the
+    same on either path.
+    """
+    results, processes = _run_all(config)
     rows: list[dict] = []
-    exact_runs = 0
-    exceeded = 0
     ub_total = 0
     # per algorithm, wall seconds and steps summed over the runs, and with
     # the exact oracle an "oracle" entry: its wall seconds, the instances it
     # searched, the states it visited, its memo entries and the gap from
     # each instance's upper bound to the alpha it reported, each summed over
     # the instances; JSON only, so the CSV stays byte-deterministic
-    metrics = {alg: {"wall_s": 0.0, "steps": 0} for alg in config.algorithms}
-    if config.oracle == "exact":
-        metrics["oracle"] = {"wall_s": 0.0, "searched": 0, "visited": 0, "memo": 0, "gap": 0}
-    for t in range(config.runs):
-        inst_seed = derive_seed(config.seed, t, "instance")
-        instance = gen_instance(config.m, config.n, config.k, inst_seed)
-        ub = upper_bound(instance)
+    metrics: dict[str, dict] = {}
+    for run_rows, ub, run_metrics in results:
+        rows += run_rows
         ub_total += ub
-        runs = []
-        for alg in config.algorithms:
-            # rand draws its phases from its seed, the rest their random ties
-            if alg == "rand":
-                seed = derive_seed(config.seed, t, "alg", "rand")
-            elif config.tie_mode == "random":
-                seed = derive_seed(config.seed, t, "tie", alg)
-            else:
-                seed = 0
-            start = time.perf_counter()
-            runs.append(run_algorithm(alg, instance, seed=seed, tie_mode=config.tie_mode))
-            metrics[alg]["wall_s"] += time.perf_counter() - start
-            metrics[alg]["steps"] += len(runs[-1].schedule)
-        optimal = None
-        exact: bool | None = None
-        if config.oracle == "exact":
-            best = max(runs, key=lambda run: run.alpha)
-            start = time.perf_counter()
-            result = solve_optimal(instance, config.limits, incumbent=best)
-            metrics["oracle"]["wall_s"] += time.perf_counter() - start
-            # the search visits at least the root unless the incumbent meets the bound
-            metrics["oracle"]["searched"] += result.visited > 0
-            metrics["oracle"]["visited"] += result.visited
-            metrics["oracle"]["memo"] += result.memo
-            metrics["oracle"]["gap"] += ub - result.alpha
-            exact = result.exact
-            if exact:
-                optimal = result.alpha
-                exact_runs += 1
-            else:
-                exceeded += 1
-        for alg, run in zip(config.algorithms, runs):
-            rows.append(
-                {
-                    "run": t,
-                    "seed": inst_seed,
-                    "algorithm": alg,
-                    "alpha": run.alpha,
-                    "optimal": optimal,
-                    "exact_flag": exact,
-                    "steps": len(run.schedule),
-                    "post_sweep_steps": run.post_sweep_steps,
-                }
-            )
+        for name, counters in run_metrics.items():
+            total = metrics.setdefault(name, dict.fromkeys(counters, 0))
+            for key, value in counters.items():
+                total[key] += value
+    flags = [run_rows[0]["exact_flag"] for run_rows, _, _ in results]
+    exact_runs, exceeded = flags.count(True), flags.count(False)
     # the config but its output paths and its algorithm ids, the keys of "algorithms"
     skip = ("algorithms", "out_csv", "out_json")
     summary = {name: value for name, value in asdict(config).items() if name not in skip}
@@ -431,6 +599,7 @@ def run_batch(config: BatchConfig) -> BatchReport:
         "oracle_exceeded_runs": exceeded,
         "algorithms": stats,
         "metrics": metrics,
+        "processes": processes,
     }
     if config.out_csv:
         with open(config.out_csv, "w", encoding="utf-8", newline="") as fh:

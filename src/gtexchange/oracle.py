@@ -28,8 +28,9 @@ and walked down to each state expanded and back by the same fused step
 
 Budgets are enforced per search.  On an overrun the result is flagged
 inexact and carries the better of the incumbent and the best leaf reached,
-with a schedule reaching it.  A single search runs on one thread;
-independent instances may be solved in parallel, one search each.
+with a schedule reaching it.  A search runs in one thread and shares no
+state with another, so :func:`~gtexchange.harness.run_batch` splits a
+batch's searches between two processes where it can.
 """
 
 from __future__ import annotations

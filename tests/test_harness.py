@@ -1,5 +1,9 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,8 +21,10 @@ from gtexchange import (
     solve_optimal,
     upper_bound,
 )
+from gtexchange import harness
 from gtexchange.harness import (
     instance_from_dict,
+    preset_configs,
     load_instance,
     load_schedule,
     report_text,
@@ -33,6 +39,8 @@ from gtexchange.harness import (
 )
 from gtexchange.core import MAX_NODES
 from conftest import build_instance
+from test_cli import PRESET_DIGESTS
+from test_kernel import CSV_DIGESTS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -499,3 +507,154 @@ def test_report_text_mentions_oracle_budget(tmp_path):
     config = BatchConfig(m=3, n=4, k=2, runs=3, seed=6)
     text = report_text(run_batch(config))
     assert "exact optima on 3/3 runs" in text
+
+
+# ------------------------------------------------------------ batch worker
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture
+def fresh_worker(monkeypatch):
+    """A batch worker forked inside the test, on a host of two CPUs at least.
+
+    The worker runs the code as imported when it is forked, so it is stopped
+    before the test, which lets the test's patches reach it, and after,
+    which keeps them from any later batch."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    harness._stop_worker()
+    yield
+    harness._stop_worker()
+
+
+def _no_zombie():
+    """True when this process has no child that exited and was not reaped."""
+    try:
+        return os.waitpid(-1, os.WNOHANG) == (0, 0)
+    except ChildProcessError:  # no child at all
+        return True
+
+
+def _failing_at(monkeypatch, run, seed, exc_type=ValueError):
+    """Make run ``run`` of batches with master seed ``seed`` raise ``exc_type``
+    in whichever process builds its instance, naming that process."""
+    doomed = derive_seed(seed, run, "instance")
+    real = harness.gen_instance
+
+    def gen_instance(m, n, k, seed):
+        if seed == doomed:
+            raise exc_type(f"run {run} failed in process {os.getpid()}")
+        return real(m, n, k, seed)
+
+    monkeypatch.setattr("gtexchange.harness.gen_instance", gen_instance)
+
+
+@pytest.mark.parametrize("key", sorted(CSV_DIGESTS))
+def test_serial_batches_keep_the_csv_digests(key, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    tie, m, n, k, runs = key
+    config = BatchConfig(m=m, n=n, k=k, runs=runs, seed=20261018, oracle="skip", tie_mode=tie)
+    report = run_batch(config)
+    assert report.summary["processes"] == 1
+    assert _sha256(rows_to_csv(list(report.rows))) == CSV_DIGESTS[key]
+
+
+@pytest.mark.parametrize("preset, runs", sorted(PRESET_DIGESTS))
+def test_serial_batches_keep_the_preset_digests(preset, runs, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    stdout_digest, csv_digests = PRESET_DIGESTS[preset, runs]
+    reports = [run_batch(config) for config in preset_configs(preset, runs=int(runs))]
+    assert {report.summary["processes"] for report in reports} == {1}
+    # what gtx table prints and what its --csv-dir writes
+    assert _sha256("\n\n".join(map(report_text, reports)) + "\n") == stdout_digest
+    assert {
+        "batch_m{0.m}_n{0.n}_k{0.k}.csv".format(report.config): _sha256(rows_to_csv(list(report.rows)))
+        for report in reports
+    } == csv_digests
+
+
+def test_worker_batches_match_serial_ones(fresh_worker, monkeypatch):
+    config = BatchConfig(m=15, n=20, k=5, runs=7, seed=5, tie_mode="random")
+    report = run_batch(config)
+    assert report.summary["processes"] == 2
+    monkeypatch.delattr(os, "fork")
+    serial = run_batch(config)
+    assert serial.summary["processes"] == 1
+    assert rows_to_csv(list(report.rows)) == rows_to_csv(list(serial.rows))
+    for summary in (report.summary, serial.summary):
+        for counters in summary["metrics"].values():
+            counters.pop("wall_s")
+        summary.pop("processes")
+    assert report.summary == serial.summary
+
+
+def test_a_run_that_raises_in_the_worker_surfaces_in_the_caller(fresh_worker, monkeypatch):
+    _failing_at(monkeypatch, run=3, seed=8)  # an odd run, the worker's
+    with pytest.raises(ValueError, match=r"^run 3 failed in process \d+$") as info:
+        run_batch(BatchConfig(m=4, n=5, k=2, runs=4, seed=8))
+    assert str(info.value) == f"run 3 failed in process {harness._worker[0]}"
+    assert _no_zombie()
+    worker = harness._worker[0]
+    assert run_batch(BatchConfig(m=4, n=5, k=2, runs=4, seed=9)).summary["processes"] == 2
+    assert harness._worker[0] == worker  # the same worker served the next batch
+
+
+def test_an_exception_the_worker_cannot_send_comes_back_as_its_repr(fresh_worker, monkeypatch):
+    class Local(Exception):  # not picklable: pickle finds no class by its name
+        pass
+
+    _failing_at(monkeypatch, run=1, seed=8, exc_type=Local)
+    with pytest.raises(RuntimeError, match=r"^Local\('run 1 failed in process \d+'\)$"):
+        run_batch(BatchConfig(m=4, n=5, k=2, runs=2, seed=8))
+    assert run_batch(BatchConfig(m=4, n=5, k=2, runs=2, seed=9)).summary["processes"] == 2
+
+
+@pytest.mark.parametrize("exc_type", [ValueError, KeyboardInterrupt])
+def test_the_caller_kills_its_worker_on_any_exception(fresh_worker, monkeypatch, exc_type):
+    run_batch(BatchConfig(m=4, n=5, k=2, runs=2, seed=9))
+    worker = harness._worker[0]
+    _failing_at(monkeypatch, run=2, seed=8, exc_type=exc_type)  # an even run, the caller's
+    with pytest.raises(exc_type, match=f"^run 2 failed in process {os.getpid()}$"):
+        run_batch(BatchConfig(m=4, n=5, k=2, runs=4, seed=8))
+    assert harness._worker is None
+    assert _no_zombie()
+    with pytest.raises(ProcessLookupError):
+        os.kill(worker, 0)
+    # the next batch forks a fresh worker, which reads no stale request
+    report = run_batch(BatchConfig(m=4, n=5, k=2, runs=4, seed=9))
+    assert report.summary["processes"] == 2
+    assert harness._worker[0] != worker
+
+
+def test_one_cpu_keeps_a_batch_serial(fresh_worker, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert run_batch(BatchConfig(m=4, n=5, k=2, runs=4, seed=9)).summary["processes"] == 1
+    assert harness._worker is None
+
+
+def test_the_worker_ends_with_its_interpreter():
+    # the line printed before the fork sits in the stdout buffer the worker
+    # inherits, with stdout buffered; the host is made to show two CPUs
+    code = (
+        "import os\n"
+        "from gtexchange import BatchConfig, harness, run_batch\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "print('before the batch')\n"
+        "report = run_batch(BatchConfig(m=4, n=5, k=2, runs=4, seed=1))\n"
+        "print('worker', harness._worker[0], report.summary['processes'])\n"
+    )
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    before, line = proc.stdout.splitlines()
+    assert before == "before the batch"
+    word, pid, processes = line.split()
+    assert (word, processes) == ("worker", "2")
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid), 0)
