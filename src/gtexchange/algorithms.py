@@ -12,12 +12,13 @@ emitting a maximal schedule plus the final state:
 Every scheduler keeps the node masks as one list of ints and activates
 through :func:`~gtexchange.core.exchange`, which updates the list in place
 and returns the raw step record the run's schedule keeps;
-``ginc`` also keeps the linked set pairs filed by gain
-(:class:`~gtexchange.core.GainBuckets`), which each activation moves,
-``glink`` keeps them with a rank slot per set and union that its pairs
-share (:func:`~gtexchange.core.rank_table`), and ``rare`` keeps only the
-holders of each distinct set and the segments' holder classes, meeting
-the set pairs it needs afresh each step.  The final
+``ginc`` and ``rare`` keep the holders of each distinct set, which each
+activation moves (:func:`~gtexchange.core.move_holders`): ``ginc`` files
+the linked set pairs by gain and drops dead ones as it reads them, and
+``rare`` keeps the segments' holder classes too, meeting the set pairs it
+needs afresh each step; ``glink`` keeps the linked set pairs with a rank
+slot per set and union that its pairs share
+(:func:`~gtexchange.core.rank_table`).  The final
 masks become :class:`~gtexchange.core.SegmentSet` values once, at the end.
 Each run is a pure function of (instance, seed, tie mode): ``rand`` draws
 its phases from the seed, and under ``random`` ties ``glink``, ``ginc`` and
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import (
-    GainBuckets,
     Instance,
     Record,
     Schedule,
@@ -41,8 +41,8 @@ from .core import (
     argmax,
     exchange,
     exchange_lowest,
+    move_holders,
     move_ranked,
-    move_table,
     node_pairs,
     pair_ranks,
     rank_table,
@@ -219,24 +219,39 @@ def run_greedy_incremental(
 
     The gain of pairing i and j is ``2*|union| - |set_i| - |set_j|``: what
     both endpoints add in total, which is the size of the symmetric
-    difference.  It depends on the two sets alone and never changes, so the
-    linked pairs of distinct sets are kept filed by gain
-    (:class:`~gtexchange.core.GainBuckets`), moved by each activation
-    (:func:`~gtexchange.core.move_table`), and each step hands the node
-    pairs of the highest bucket's set pairs to the tie rule, which orders
-    them.  A step costs O(D + G + W) for D distinct sets, G gains present
-    and W winning node pairs; no kept pair is scored again.
+    difference.  It depends on the two sets alone and never changes, so a
+    linked set pair is filed by gain, keyed (lesser, greater), at the root
+    (:func:`~gtexchange.core.set_links`) or when the later of its two sets
+    gains its first holder (:func:`~gtexchange.core.move_holders`), and so
+    every linked pair of current sets sits in its gain's bucket.  A step
+    reads the top bucket, drops its dead pairs, those with a set no node
+    holds, and the bucket too when none is live, and hands the node pairs
+    of the live ones to the tie rule, which orders them.  A step costs O(D)
+    for D distinct sets, plus the top bucket's pairs, each dead one dropped
+    once, and the winning node pairs.
     """
     pick = _tie_picker(tie_mode, seed)
     masks = [s.mask for s in instance.initial_sets]
     holders = set_holders(masks)
-    table = GainBuckets(set_links(holders))
-    buckets = table.buckets
+    buckets: dict[int, set[tuple[int, int]]] = {}  # gain -> set pairs filed with it
+    for a, b in set_links(holders):
+        buckets.setdefault((a ^ b).bit_count(), set()).add((a, b) if a < b else (b, a))
     records: list[Record] = []
     while buckets:
-        i, j = pick(node_pairs(holders, buckets[max(buckets)]))
-        move_table(holders, table, masks[i], masks[j], i, j)
+        top = max(buckets)
+        live = {(a, b) for a, b in buckets.pop(top) if a in holders and b in holders}
+        if not live:
+            continue
+        buckets[top] = live
+        i, j = pick(node_pairs(holders, live))
+        x, y = masks[i], masks[j]
         records.append(exchange(masks, i, j))
+        if move_holders(holders, x, y, i, j):
+            u = x | y
+            for z in holders:
+                t = z | u
+                if t != z and t != u:
+                    buckets.setdefault((z ^ u).bit_count(), set()).add((z, u) if z < u else (u, z))
     return _finish("ginc", masks, records)
 
 
@@ -322,12 +337,7 @@ def run_rarest_first(
         # each gained segment sits in class ``low`` or above, and no lower
         # than the holder count of the set it comes from
         starts = max(low, len(holders[y])), max(low, len(holders[x]))
-        for old, node in ((x, i), (y, j)):
-            held = holders[old]
-            held.remove(node)
-            if not held:
-                del holders[old]
-        holders.setdefault(x | y, []).extend((i, j))
+        move_holders(holders, x, y, i, j)
         records.append(exchange(masks, i, j))
         for gained, start in zip(records[-1][2:], starts):
             _lift(classes, gained, start)

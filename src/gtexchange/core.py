@@ -22,18 +22,19 @@ API and file boundary; a final state is a tuple of segment sets.
 
 Links are found over the *distinct* node sets: the stopping tests scan
 them lazily (:func:`set_links`), while the greedy schedulers and the
-oracle keep what one scan finds, the holders of each distinct set
-(:func:`set_holders`) and every linked set pair, and move it per
-activation.  Greedy-incremental keeps the pairs filed by gain
-(:class:`GainBuckets`), moved in O(D) (:func:`move_table`); rarest-first
-keeps only the holders and meets the set pairs it needs afresh each step.
-Greedy-links and the oracle give each set and union a rank slot that its
-pairs share, counted from the one scan with no pass per key
-(:func:`rank_table`), and move table and slots in one step, down or back
-(:func:`move_ranked`), so the oracle walks one table through its search.
-A pair's rank (:func:`pair_ranks`), read from its three slots, folds the
-links it keeps alive and then its gain into one int, so one argmax chooses.
-The schedulers expand only the set pairs they choose into node pairs
+oracle keep the holders of each distinct set (:func:`set_holders`) and
+move them per activation.  Greedy-incremental and rarest-first move only
+the holders (:func:`move_holders`), which reports a union's first holder:
+greedy-incremental then files the union's linked pairs by gain and drops
+dead ones as it reads them, and rarest-first meets the set pairs it needs
+afresh each step.  Greedy-links and the oracle keep every linked set pair
+too, give each set and union a rank slot that its pairs share, counted
+from the one scan with no pass per key (:func:`rank_table`), and move
+table and slots in one step, down or back (:func:`move_ranked`), so the
+oracle walks one table through its search.  A pair's rank
+(:func:`pair_ranks`), read from its three slots, folds the links it keeps
+alive and then its gain into one int, so one argmax chooses.  The
+schedulers expand only the set pairs they choose into node pairs
 (:func:`node_pairs`), in no fixed order, and the tie rule orders them;
 polygon's sweep and the oracle's replay run a set pair on its lowest
 holders (:func:`exchange_lowest`).  Sizes are checked before any set is
@@ -211,7 +212,6 @@ def set_links(masks: Iterable[int]) -> Iterator[tuple[int, int]]:
 
 
 Holders = dict[int, list[int]]  # distinct mask -> the nodes holding it
-SetPairs = dict[tuple[int, int], int]  # linked pair of distinct masks -> union
 
 
 def node_pairs(
@@ -237,67 +237,18 @@ def set_holders(masks: Sequence[int]) -> Holders:
     return holders
 
 
-class GainBuckets:
-    """Linked set pairs filed by gain: ``buckets[g]`` holds the pairs (a, b),
-    keyed (lesser, greater), with ``|a ^ b| == g``, and no bucket is empty, so
-    ``buckets[max(buckets)]`` holds the pairs of largest gain.
-    :func:`move_table` keeps it current by deleting and adding pairs; a
-    pair's gain never changes, so no kept pair is scored again, and the
-    union ``move_table`` hands with a new pair is not kept.  Built from
-    :func:`set_links`, whose pairs may come either way."""
-
-    def __init__(self, pairs: Iterable[tuple[int, int]]) -> None:
-        self.buckets: dict[int, set[tuple[int, int]]] = {}
-        for a, b in pairs:
-            self[(a, b) if a < b else (b, a)] = 0
-
-    def __setitem__(self, pair: tuple[int, int], union: int) -> None:
-        a, b = pair
-        gain = (a ^ b).bit_count()
-        bucket = self.buckets.get(gain)
-        if bucket is None:
-            self.buckets[gain] = {pair}
-        else:
-            bucket.add(pair)
-
-    def __delitem__(self, pair: tuple[int, int]) -> None:
-        a, b = pair
-        gain = (a ^ b).bit_count()
-        bucket = self.buckets[gain]
-        bucket.remove(pair)
-        if not bucket:
-            del self.buckets[gain]
-
-
-def move_table(
-    holders: Holders, pairs: SetPairs | GainBuckets, x: int, y: int, i: int, j: int
-) -> None:
-    """Move the holders of each distinct set and the linked set pairs, each
-    keyed (lesser, greater), in O(D) for D distinct sets past the exchange
-    of node ``i``, holding x, with node ``j``, holding y: both leave their
-    sets for u = x|y.  A set left with no holder drops its pairs, and a set
-    gaining its first holder gains its own, handed with its union; the
-    pairs are greedy-incremental's :class:`GainBuckets`, or any mapping of
-    pair to union."""
-    u = x | y
-    for old, node in ((x, i), (y, j)):  # one node at a time leaves old for u
-        held = holders[old]
-        held.remove(node)
-        if not held:
+def move_holders(holders: Holders, x: int, y: int, i: int, j: int) -> bool:
+    """Move the holders of each distinct set (:func:`set_holders`) past the
+    exchange of node ``i``, holding x, with node ``j``, holding y: both leave
+    their sets for u = x|y, and a set left with no holder is dropped.  True
+    when u had no holder before."""
+    for old, node in ((x, i), (y, j)):
+        holders[old].remove(node)
+        if not holders[old]:
             del holders[old]
-            for z in holders:
-                t = z | old
-                if t != z and t != old:
-                    del pairs[(z, old) if z < old else (old, z)]
-        held = holders.get(u)
-        if held is None:
-            for z in holders:
-                t = z | u
-                if t != z and t != u:
-                    pairs[(z, u) if z < u else (u, z)] = t
-            holders[u] = [node]
-        else:
-            held.append(node)
+    first = (x | y) not in holders
+    holders.setdefault(x | y, []).extend((i, j))
+    return first
 
 
 Slot = list[int]  # [R(K), linked pairs whose union is K], shared by reference
@@ -341,7 +292,7 @@ def rank_table(masks: Sequence[int]) -> tuple[Holders, RankedPairs, Slots]:
     # another key comparable with K
     slots = {z: [(m - c) * RANK_WIDTH + z.bit_count(), 0] for z, c in count.items()}
     pairs: RankedPairs = {}
-    made: SetPairs = {}  # union that is not a set -> the pair that met it first
+    made: dict[int, tuple[int, int]] = {}  # union not a set -> the first pair to make it
     below: dict[int, list[int]] = {}  # set -> the sets strictly inside it
     above: dict[int, list[int]] = {}  # set -> the sets strictly above it
     overlaps = []  # linked pairs that share a segment, both ways round
@@ -396,14 +347,16 @@ def rank_table(masks: Sequence[int]) -> tuple[Holders, RankedPairs, Slots]:
 def move_ranked(
     holders: Holders, pairs: RankedPairs, slots: Slots, x: int, y: int, i: int, j: int, sign: int
 ) -> None:
-    """Move a rank table (:func:`rank_table`) past the exchange of node
-    ``i``, holding x, with node ``j``, holding y, as :func:`move_table` does
-    (``sign = 1``) or back (``sign = -1``).  New pairs take the slots already
-    there; a key left neither a set nor a union loses its slot.  Then one
-    pass moves every rank: N(K) moves by ``sign * (2*[u ~ K] - [x ~ K] - [y
-    ~ K])``, u = x|y, so a key inside u loses ``[x ~ K] + [y ~ K]``, a key
-    holding exactly one of x and y gains 1, and no other key moves.  Only
-    the slots new to this step are counted afresh."""
+    """Move a rank table (:func:`rank_table`) in O(D) for D distinct sets
+    past the exchange of node ``i``, holding x, with node ``j``, holding y,
+    where both leave their sets for u = x|y (``sign = 1``), or back (``sign
+    = -1``).  A set left with no holder drops its pairs, and one gaining its
+    first holder gains its own, which take the slots already there; a key
+    left neither a set nor a union loses its slot.  Then one pass moves
+    every rank: N(K) moves by ``sign * (2*[u ~ K] - [x ~ K] - [y ~ K])``, so
+    a key inside u loses ``[x ~ K] + [y ~ K]``, a key holding exactly one
+    of x and y gains 1, and no other key moves.  Only the slots new to this
+    step are counted afresh."""
     u = x | y
     fresh, gone = [], []
     moves = ((x, u, i), (y, u, j)) if sign > 0 else ((u, x, i), (u, y, j))

@@ -462,8 +462,13 @@ def _serve(requests, replies) -> None:
 
 def _start_worker() -> tuple | None:
     """This interpreter's worker, forked now unless it is already running;
-    None when no process can be forked."""
+    None when no process can be forked.  One that has exited is replaced."""
     global _worker
+    try:
+        if _worker is not None and os.waitpid(_worker[0], os.WNOHANG)[0]:
+            _forget_worker()
+    except ChildProcessError:  # reaped by a wait elsewhere in the program
+        _forget_worker()
     if _worker is None:
         request_r, request_w = os.pipe()
         reply_r, reply_w = os.pipe()
@@ -489,8 +494,8 @@ def _start_worker() -> tuple | None:
 
 
 def _forget_worker() -> None:
-    """In a child forked from this interpreter: close the inherited pipes of
-    the parent's worker, which is not this process's to use or reap."""
+    """Close the worker's pipes and forget it, with no wait: in a forked child,
+    where the parent's worker is not this process's, or once it has exited."""
     global _worker
     if _worker is not None:
         _worker[1].close()

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -626,6 +627,27 @@ def test_the_caller_kills_its_worker_on_any_exception(fresh_worker, monkeypatch,
     report = run_batch(BatchConfig(m=4, n=5, k=2, runs=4, seed=9))
     assert report.summary["processes"] == 2
     assert harness._worker[0] != worker
+
+
+@pytest.mark.parametrize("reaped", [False, True])
+def test_a_worker_killed_between_batches_is_replaced(fresh_worker, reaped):
+    """A worker that died between batches, left for the batch to reap or
+    reaped by a wait elsewhere in the program, gives way to a fresh one."""
+    if not reaped and not hasattr(os, "waitid"):
+        pytest.skip("no wait that leaves the worker unreaped")
+    config = BatchConfig(m=4, n=5, k=2, runs=4, seed=9)
+    first = run_batch(config)
+    worker = harness._worker[0]
+    os.kill(worker, signal.SIGKILL)
+    if reaped:
+        os.waitpid(worker, 0)
+    else:  # wait until it has exited, and leave it unreaped
+        os.waitid(os.P_PID, worker, os.WEXITED | os.WNOWAIT)
+    report = run_batch(config)
+    assert report.summary["processes"] == 2
+    assert rows_to_csv(list(report.rows)) == rows_to_csv(list(first.rows))
+    assert harness._worker[0] != worker
+    assert _no_zombie()
 
 
 def test_one_cpu_keeps_a_batch_serial(fresh_worker, monkeypatch):

@@ -15,12 +15,14 @@ from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from gtexchange import (
     ALGORITHM_IDS,
+    Instance,
     InvalidActivationError,
     Link,
+    SegmentSet,
     TIE_MODES,
     apply_schedule,
     run_algorithm,
@@ -33,12 +35,11 @@ from gtexchange import (
 from gtexchange.algorithms import _lift, _permute, _shuffle_draws
 from gtexchange.core import (
     MAX_SEGMENTS,
-    GainBuckets,
     RANK_WIDTH,
     argmax,
     exchange,
+    move_holders,
     move_ranked,
-    move_table,
     node_pairs,
     pair_ranks,
     rank_table,
@@ -108,6 +109,9 @@ def test_rarest_first_matches_the_full_row_argmax(instance, tie):
 
 
 @given(st.one_of(any_instances, crowded_instances), tie_rules)
+# {0,1,2} loses its one holder, its pair with {3} is read and dropped as
+# dead, and {0,1,2} comes back, so that pair must be filed again
+@example(Instance(5, 4, tuple(map(SegmentSet, (4, 8, 8, 3, 7)))), ("lowest", 0))
 def test_greedy_incremental_matches_the_pair_rescan(instance, tie):
     expected = reference_greedy_incremental(instance, *tie)
     assert pairs_of(run_greedy_incremental(instance, *tie)) == expected
@@ -262,44 +266,22 @@ def test_set_scan_matches_a_pair_scan_along_a_random_walk(instance, seed):
 
 
 @given(st.one_of(any_instances, crowded_instances), st.integers(0, 2**32))
-def test_kept_set_table_matches_a_fresh_scan_after_every_exchange(instance, seed):
-    rng = random.Random(seed)
-    masks = [s.mask for s in instance.initial_sets]
-    holders, pairs = set_table(masks)
-    while True:
-        assert {mask: sorted(held) for mask, held in holders.items()} == grouped(masks)
-        scanned = {frozenset(p): p[0] | p[1] for p in set_links(masks)}
-        assert {frozenset(p): union for p, union in pairs.items()} == scanned
-        assert len(pairs) == len(scanned)
-        if not pairs:
-            break
-        i, j = rng.choice(node_pairs(holders, list(pairs)))
-        move_table(holders, pairs, masks[i], masks[j], i, j)
-        exchange(masks, i, j)
-
-
-@given(st.one_of(any_instances, crowded_instances), st.integers(0, 2**32))
-def test_gain_buckets_match_a_fresh_scan_after_every_exchange(instance, seed):
-    """ginc's pairs filed by gain, moved by the set table's one move
-    function along a random walk: each kept pair sits in the bucket of its
-    gain, no bucket is empty, and the buckets together hold the pairs of a
-    fresh scan."""
+def test_moved_holders_match_a_fresh_grouping_after_every_exchange(instance, seed):
+    """The holders of each distinct set, moved past every exchange of a
+    random walk, group the masks as a fresh pass does, and the move reports
+    True exactly when the union had no holder before."""
     rng = random.Random(seed)
     masks = [s.mask for s in instance.initial_sets]
     holders = set_holders(masks)
-    table = GainBuckets(set_links(holders))
     while True:
         assert {mask: sorted(held) for mask, held in holders.items()} == grouped(masks)
-        buckets = table.buckets
-        assert all(buckets.values())
-        for gain, bucket in buckets.items():
-            assert all((a ^ b).bit_count() == gain for a, b in bucket)
-        kept = [pair for bucket in buckets.values() for pair in bucket]
-        assert sorted(kept) == sorted(lesser_first(set_links(masks)))
-        if not kept:
+        links = pair_scan_links(masks)
+        if not links:
             break
-        i, j = rng.choice(node_pairs(holders, kept))
-        move_table(holders, table, masks[i], masks[j], i, j)
+        i, j = rng.choice(links)
+        x, y = masks[i], masks[j]
+        first = x | y not in masks
+        assert move_holders(holders, x, y, i, j) == first
         exchange(masks, i, j)
 
 
