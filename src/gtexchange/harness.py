@@ -5,7 +5,10 @@ purpose tag are hashed into independent sub-seeds: one per instance, and
 one per run of rand or, under random ties, of a tie-breaking heuristic; so
 repeating a batch with the same master seed gives byte-identical CSV.
 Runs within a batch are independent: :func:`run_batch` may split them
-between two processes, and it merges their results in run order.
+with one forked worker process, and it merges their results in run order.
+:func:`_stop_worker` is the one way that worker is let go, and it never
+signals a reaped one; a worker that dies mid-batch is a ChildProcessError,
+and the next batch forks a fresh one.
 
 File formats (all 1-based on disk, 0-based in memory):
 
@@ -415,18 +418,6 @@ def _run_one(config: BatchConfig, t: int) -> tuple[list[dict], int, dict]:
 _worker: tuple | None = None
 
 
-def _processes(runs: int) -> int:
-    """How many processes share a batch of ``runs`` runs: 2 where a forked
-    worker can take half of them, and 1 where it cannot help or is unsafe."""
-    if runs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return 2 if cpus >= 2 else 1
-
-
 def _serve(requests, replies) -> None:
     """The worker's loop: read ``(config, run indices)`` requests and send
     back each one's list of :func:`_run_one` results, or the exception that
@@ -460,15 +451,28 @@ def _serve(requests, replies) -> None:
         replies.flush()
 
 
-def _start_worker() -> tuple | None:
-    """This interpreter's worker, forked now unless it is already running;
-    None when no process can be forked.  One that has exited is replaced."""
-    global _worker
+def _exited(pid: int) -> bool:
+    """True unless ``pid`` is this process's running child, the one state in
+    which its pid cannot be another process's; an exited child is reaped."""
     try:
-        if _worker is not None and os.waitpid(_worker[0], os.WNOHANG)[0]:
-            _forget_worker()
-    except ChildProcessError:  # reaped by a wait elsewhere in the program
-        _forget_worker()
+        return os.waitpid(pid, os.WNOHANG)[0] != 0
+    except ChildProcessError:
+        return True
+
+
+def _start_worker(runs: int) -> tuple | None:
+    """This interpreter's worker for a batch of ``runs`` runs, forked now
+    unless it is running; one that has exited is let go and replaced.  None
+    where a second process cannot help (one run, no ``fork``, fewer than two
+    CPUs), where a fork is unsafe (threads running) or where it fails."""
+    global _worker
+    if runs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return None
+    affinity = getattr(os, "sched_getaffinity", None)
+    if (len(affinity(0)) if affinity else os.cpu_count() or 1) < 2:
+        return None
+    if _worker is not None and _exited(_worker[0]):
+        _stop_worker()
     if _worker is None:
         request_r, request_w = os.pipe()
         reply_r, reply_w = os.pipe()
@@ -493,24 +497,16 @@ def _start_worker() -> tuple | None:
     return _worker
 
 
-def _forget_worker() -> None:
-    """Close the worker's pipes and forget it, with no wait: in a forked child,
-    where the parent's worker is not this process's, or once it has exited."""
-    global _worker
-    if _worker is not None:
-        _worker[1].close()
-        _worker[2].close()
-        _worker = None
-
-
 def _stop_worker(kill: bool = False) -> None:
-    """Close the worker's pipes, which ends its loop, and reap it; with
-    ``kill``, kill it first, so that a reply it still owes is never read."""
+    """Let the worker go, the one way it is let go: close its pipes, which
+    ends its loop, and reap it.  With ``kill``, kill it first, so that a
+    reply it still owes is never read, unless it has :func:`_exited`: a
+    reaped worker's pid may be another process's by now."""
     global _worker
     if _worker is not None:
         pid, requests, replies = _worker
         _worker = None
-        if kill:
+        if kill and not _exited(pid):
             import signal
 
             os.kill(pid, signal.SIGKILL)
@@ -521,20 +517,21 @@ def _stop_worker(kill: bool = False) -> None:
             pass
         try:
             os.waitpid(pid, 0)
-        except ChildProcessError:  # reaped by a wait elsewhere in the program
+        except ChildProcessError:  # reaped already, or not this process's child
             pass
 
 
 atexit.register(_stop_worker)
+# a forked child drops its copy of the pipes; the worker is not its child
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
+    os.register_at_fork(after_in_child=_stop_worker)
 
 
 def _run_all(config: BatchConfig) -> tuple[list, int]:
     """:func:`_run_one` of every run of ``config`` in run order, and the
     number of processes that ran them.  With two, the worker takes the odd
     runs while this process computes the even ones."""
-    worker = _start_worker() if _processes(config.runs) == 2 else None
+    worker = _start_worker(config.runs)
     if worker is None:
         return [_run_one(config, t) for t in range(config.runs)], 1
     import pickle
@@ -546,8 +543,8 @@ def _run_all(config: BatchConfig) -> tuple[list, int]:
         mine = [_run_one(config, t) for t in range(0, config.runs, 2)]
         try:
             theirs = pickle.load(replies)
-        except EOFError:
-            raise RuntimeError("the batch worker exited without a reply") from None
+        except (EOFError, pickle.UnpicklingError):  # no reply, or one cut short
+            raise ChildProcessError("the batch worker exited without a reply") from None
     except BaseException:
         _stop_worker(kill=True)
         raise
@@ -563,9 +560,9 @@ def run_batch(config: BatchConfig) -> BatchReport:
     """Generate ``runs`` random instances and benchmark every configured algorithm.
 
     Each run is :func:`_run_one`; a batch of two or more runs is split
-    between this process and one forked worker where :func:`_processes`
-    allows, and the results are merged in run order, so every output is the
-    same on either path.
+    between this process and one forked worker where :func:`_start_worker`
+    gives one, and the results are merged in run order, so every output is
+    the same on either path.
     """
     results, processes = _run_all(config)
     rows: list[dict] = []

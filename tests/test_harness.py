@@ -2,9 +2,11 @@ import hashlib
 import json
 import math
 import os
+import select
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -22,7 +24,7 @@ from gtexchange import (
     solve_optimal,
     upper_bound,
 )
-from gtexchange import harness
+from gtexchange import cli, harness
 from gtexchange.harness import (
     instance_from_dict,
     preset_configs,
@@ -648,6 +650,96 @@ def test_a_worker_killed_between_batches_is_replaced(fresh_worker, reaped):
     assert rows_to_csv(list(report.rows)) == rows_to_csv(list(first.rows))
     assert harness._worker[0] != worker
     assert _no_zombie()
+
+
+def _blocked_worker(monkeypatch, seed, in_run_0):
+    """Make the worker forked for the next batch sleep in each run, and call
+    ``in_run_0(worker pid)`` in the caller's run 0 of batches with master
+    seed ``seed``.  Returns the unpatched gen_instance."""
+    caller = os.getpid()
+    first = derive_seed(seed, 0, "instance")
+    real = harness.gen_instance
+
+    def gen_instance(m, n, k, seed):
+        if os.getpid() != caller:
+            time.sleep(10)  # the caller kills it first
+        elif seed == first:
+            in_run_0(harness._worker[0])
+        return real(m, n, k, seed)
+
+    monkeypatch.setattr("gtexchange.harness.gen_instance", gen_instance)
+    return real
+
+
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="no wait that leaves the worker unreaped")
+def test_a_worker_killed_mid_batch_is_a_clean_error(fresh_worker, monkeypatch, capsys):
+    def kill(worker):  # as the OOM killer would, leaving it for the batch to reap
+        os.kill(worker, signal.SIGKILL)
+        os.waitid(os.P_PID, worker, os.WEXITED | os.WNOWAIT)
+
+    real = _blocked_worker(monkeypatch, seed=9, in_run_0=kill)
+    argv = ["batch", "-m", "4", "-n", "5", "-k", "2", "--runs", "4", "--seed", "9"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: the batch worker exited without a reply\n"
+    assert harness._worker is None
+    assert _no_zombie()
+    monkeypatch.setattr("gtexchange.harness.gen_instance", real)
+    assert run_batch(BatchConfig(m=4, n=5, k=2, runs=4, seed=9)).summary["processes"] == 2
+
+
+def test_a_reaped_worker_is_not_signalled(fresh_worker, monkeypatch):
+    """The caller's own error survives a worker that another wait reaped
+    mid-batch, whose pid may be another process's by then."""
+
+    def reap_and_fail(worker):
+        os.kill(worker, signal.SIGKILL)
+        os.waitpid(worker, 0)
+        raise ValueError("run 0 failed after its worker was reaped")
+
+    _blocked_worker(monkeypatch, seed=8, in_run_0=reap_and_fail)
+    with pytest.raises(ValueError, match="^run 0 failed after its worker was reaped$"):
+        run_batch(BatchConfig(m=4, n=5, k=2, runs=4, seed=8))
+    assert harness._worker is None
+    assert _no_zombie()
+
+
+def test_a_forked_child_lets_the_callers_worker_go(fresh_worker):
+    config = BatchConfig(m=4, n=5, k=2, runs=4, seed=9)
+    report = run_batch(config)
+    assert report.summary["processes"] == 2
+    rows = rows_to_csv(list(report.rows))
+    # a child that outlives the stop: had it kept the worker's request pipe,
+    # the worker would read no end of file and the stop would wait for it
+    release_r, release_w = os.pipe()
+    child = os.fork()
+    if child == 0:
+        try:
+            os.close(release_w)
+            select.select([release_r], [], [], 10)
+        finally:
+            os._exit(0)
+    os.close(release_r)
+    start = time.monotonic()
+    harness._stop_worker()
+    elapsed = time.monotonic() - start
+    os.write(release_w, b"x")
+    os.close(release_w)
+    os.waitpid(child, 0)
+    assert elapsed < 5
+    # a child forked while a worker runs has none, and forks its own
+    assert run_batch(config).summary["processes"] == 2
+    child = os.fork()
+    if child == 0:
+        status = 1
+        try:
+            if harness._worker is None:
+                forked = run_batch(config)
+                harness._stop_worker()
+                same = rows_to_csv(list(forked.rows)) == rows
+                status = 0 if forked.summary["processes"] == 2 and same else 2
+        finally:
+            os._exit(status)
+    assert os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]) == 0
 
 
 def test_one_cpu_keeps_a_batch_serial(fresh_worker, monkeypatch):
